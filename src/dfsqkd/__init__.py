@@ -7,80 +7,8 @@ same noisy channel, a time-slotted session engine, and a framed
 classical-channel protocol for the sifting conversation.
 """
 
-from .optics import (
-    ChannelSampler,
-    DetectionEvent,
-    DetectorParams,
-    EomSetting,
-    PerSlotUniformChannel,
-    RandomWalkChannel,
-    StaticChannel,
-    channel_unitary,
-    detect,
-    eom_unitary,
-    hwp_unitary,
-    modulator,
-    rotation_unitary,
-)
-from .protocol import (
-    ENCODED_TARGETS,
-    EncodedSymbol,
-    KeyRateResult,
-    QberReport,
-    alice_unitary,
-    bb84_prepare,
-    bb84_round,
-    bob_analyzers,
-    encode_state,
-    encoded_symbol,
-    estimate_qber,
-    exact_qber,
-    key_rate,
-    mc_qber,
-    modulator_pattern,
-    outcome_to_bit,
-    predicted_qber,
-    sift,
-)
-from .qstate import (
-    PHI_PLUS,
-    PSI_MINUS,
-    apply_collective,
-    apply_photon,
-    basis_ket,
-    born_probs,
-    herald_photon1,
-    overlap2,
-    sample_outcome,
-    tensor,
-    werner_mix,
-)
-from .session import (
-    ConfigError,
-    HandshakeMismatch,
-    Seeds,
-    SessionConfig,
-    SessionSummary,
-    SlotRecord,
-    alice_sift_exchange,
-    bob_sift_exchange,
-    exact_session_summary,
-    finalize,
-    poisson_pairs,
-    run_alice_endpoint,
-    run_bob_endpoint,
-    run_session,
-    run_session_detailed,
-    simulate_quantum,
-)
-from .transport import (
-    Message,
-    StreamTransport,
-    TransportClosed,
-    TransportError,
-    decode_frame,
-    encode_frame,
-    memory_pair,
-)
+from .optics import DetectorParams, PerSlotUniformChannel, RandomWalkChannel, StaticChannel
+from .session import Seeds, SessionConfig, exact_session_summary, run_session, run_session_detailed
+from .transport import TransportError
 
 __version__ = "0.1.0"

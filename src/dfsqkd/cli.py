@@ -120,6 +120,9 @@ def build_config(args) -> SessionConfig:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         d.update(file_cfg)
+        for key in ("channel", "detectors", "seeds"):
+            if not isinstance(d[key], dict):
+                raise ConfigError(f"config field {key!r} must be a JSON object")
 
     scalar_flags = {
         "protocol": args.protocol,

@@ -8,19 +8,12 @@ to its optical axis; the plate angle never appears in an interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 # Fixed axis angles of the four electro-optic modulators (as polarization
 # half-angles): M1 at 0, M2 at 45 deg, M3 and M4 at 22.5 deg.
 MODULATOR_AXES = {1: 0.0, 2: np.pi / 4, 3: np.pi / 8, 4: np.pi / 8}
-
-
-def canonical_angle(theta: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    wrapped = np.remainder(theta + np.pi, 2 * np.pi) - np.pi
-    return float(np.pi) if wrapped == -np.pi else float(wrapped)
 
 
 def hwp_unitary(theta: float) -> np.ndarray:
@@ -92,9 +85,6 @@ def eom_unitary(setting: EomSetting) -> np.ndarray:
 
 
 class ChannelSampler:
-    def sample(self, slot_index: int, rng: np.random.Generator) -> float:
-        raise NotImplementedError
-
     def sample_batch(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
@@ -173,9 +163,6 @@ class _StaticSampler(ChannelSampler):
     def __init__(self, theta: float):
         self.theta = float(theta)
 
-    def sample(self, slot_index: int, rng: np.random.Generator) -> float:
-        return self.theta
-
     def sample_batch(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return np.full(len(slots), self.theta)
 
@@ -183,9 +170,6 @@ class _StaticSampler(ChannelSampler):
 class _UniformSampler(ChannelSampler):
     def __init__(self, lo: float, hi: float):
         self.lo, self.hi = float(lo), float(hi)
-
-    def sample(self, slot_index: int, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.lo, self.hi))
 
     def sample_batch(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=len(slots))
@@ -199,18 +183,6 @@ class _WalkSampler(ChannelSampler):
         self.theta = float(theta0)
         self.step_sigma = float(step_sigma)
         self._last_slot = 0
-
-    def sample(self, slot_index: int, rng: np.random.Generator) -> float:
-        if slot_index < self._last_slot:
-            raise ValueError(
-                f"random-walk channel queried out of order: slot {slot_index} "
-                f"after slot {self._last_slot}"
-            )
-        n_steps = slot_index - self._last_slot
-        if n_steps:
-            self.theta += float(rng.normal(0.0, self.step_sigma, size=n_steps).sum())
-            self._last_slot = slot_index
-        return self.theta
 
     def sample_batch(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         slots = np.asarray(slots, dtype=np.int64)
@@ -242,7 +214,6 @@ class DetectorParams:
 
     efficiency: float = 1.0
     dark_count_prob: float = 0.0
-    coincidence_window_ns: float = 5.0
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
@@ -254,7 +225,6 @@ class DetectorParams:
         return {
             "efficiency": float(self.efficiency),
             "dark_count_prob": float(self.dark_count_prob),
-            "coincidence_window_ns": float(self.coincidence_window_ns),
         }
 
     @classmethod
@@ -262,69 +232,16 @@ class DetectorParams:
         return cls(**d)
 
 
-@dataclass(frozen=True)
-class DetectionEvent:
-    """One clock slot seen from the detector rack. detector_photon1 is
-    1 or 2 (None unless exactly one of D1/D2 fired); detector_photon2 is
-    3 or 4 likewise. is_coincidence means both sides resolved."""
-
-    slot_index: int
-    detector_photon1: Optional[int]
-    detector_photon2: Optional[int]
-    is_coincidence: bool
-    multi_pair: bool = False
-
-
-def outcome_detectors(outcome: int) -> tuple[int, int]:
-    """Map a joint Born outcome index (0..3) to its detector pair."""
-    if outcome not in (0, 1, 2, 3):
-        raise ValueError(f"outcome index must be 0..3, got {outcome}")
-    return 1 + (outcome >> 1), 3 + (outcome & 1)
-
-
-def detect(
-    true_outcome: Optional[int],
-    params: DetectorParams,
-    rng: np.random.Generator,
-    *,
-    slot_index: int = 0,
-    multi_pair: bool = False,
-) -> DetectionEvent:
-    """Pass one slot through the detector layer.
-
-    The photon's true detector fires with probability `efficiency`; every
-    detector additionally fires with `dark_count_prob`. A side resolves
-    only if exactly one of its two detectors fired (double fires within
-    the window are discarded).
-    """
-    fired = [False, False, False, False]
-    if true_outcome is not None:
-        d1, d2 = outcome_detectors(true_outcome)
-        if rng.random() < params.efficiency:
-            fired[d1 - 1] = True
-        if rng.random() < params.efficiency:
-            fired[d2 - 1] = True
-    for k in range(4):
-        if rng.random() < params.dark_count_prob:
-            fired[k] = True
-
-    side1 = fired[0] != fired[1]
-    side2 = fired[2] != fired[3]
-    det1 = (1 if fired[0] else 2) if side1 else None
-    det2 = (3 if fired[2] else 4) if side2 else None
-    return DetectionEvent(
-        slot_index=slot_index,
-        detector_photon1=det1,
-        detector_photon2=det2,
-        is_coincidence=side1 and side2,
-        multi_pair=multi_pair,
-    )
-
-
 def detect_batch(
     true_outcomes: np.ndarray, params: DetectorParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized detector layer over pair slots.
+
+    Outcome index o names the detector pair (1 + o // 2, 3 + o % 2). Each
+    photon's true detector fires with probability `efficiency`; every
+    detector additionally fires with `dark_count_prob`. A side resolves
+    only if exactly one of its two detectors fired (double fires within
+    the window are discarded).
 
     Draw order: (n, 2) efficiency uniforms, then (n, 4) dark uniforms.
     Returns (coincidence mask, detector_photon1, detector_photon2); the

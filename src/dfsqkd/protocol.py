@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import optics, qstate
+from . import qstate
 from .optics import eom_unitary, modulator, rotation_batch, rotation_unitary
 from .qstate import KET_H, KET_MINUS, KET_PLUS, KET_V, PHI_PLUS, PSI_MINUS
 
@@ -92,23 +92,6 @@ def alice_unitary(x: int, y: int) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class EncodedSymbol:
-    x: int
-    y: int
-    modulators: tuple[bool, bool, bool]
-    target: np.ndarray
-
-
-def encoded_symbol(x: int, y: int) -> EncodedSymbol:
-    return EncodedSymbol(
-        x=_check_bit("x", x),
-        y=_check_bit("y", y),
-        modulators=modulator_pattern(x, y),
-        target=ENCODED_TARGETS[(x, y)].copy(),
-    )
-
-
 def encode_state(x: int, y: int, source: np.ndarray) -> np.ndarray:
     """Run the source state (singlet, pure or mixed) through Alice's
     modulators. Matches the corresponding encoded target up to a global
@@ -142,17 +125,6 @@ def outcome_to_bit(det1: int, det2: int) -> int:
     if det1 not in (1, 2) or det2 not in (3, 4):
         raise ValueError(f"invalid coincidence detectors {(det1, det2)}")
     return 0 if (det1, det2) in ((1, 4), (2, 3)) else 1
-
-
-def decode_convention() -> dict[int, tuple[str, str]]:
-    """Fixed detector roles: D1/D3 are the transmit (H) ports, D2/D4 the
-    reflect (V) ports of the two PBS cubes."""
-    return {
-        1: ("photon1", "H"),
-        2: ("photon1", "V"),
-        3: ("photon2", "H"),
-        4: ("photon2", "V"),
-    }
 
 
 # --------------------------------------------------------------------------
@@ -234,33 +206,9 @@ def bb84_port1_batch(
     return visibility * np.abs(amps) ** 2 + (1.0 - visibility) / 2.0
 
 
-def bb84_round(
-    x: int, y: int, z: int, theta: float, visibility: float, rng: np.random.Generator
-) -> tuple[bool, int]:
-    """One baseline round: returns (bases matched, Bob's bit)."""
-    p1 = bb84_port1_prob(x, y, z, theta, visibility)
-    port = 0 if rng.random() < p1 else 1
-    return x == z, int(BB84_PORT_BIT[z, port])
-
-
 # --------------------------------------------------------------------------
-# Sifting and error estimation
+# Error estimation (sifting itself is the conversation in session.py)
 # --------------------------------------------------------------------------
-
-
-def sift(alice_x: np.ndarray, bob_z: np.ndarray, coincidence_slots: np.ndarray) -> np.ndarray:
-    """Keep exactly the coincidence slots where the bases agree.
-
-    The three arrays must be aligned (one entry per coincidence).
-    """
-    alice_x = np.asarray(alice_x)
-    bob_z = np.asarray(bob_z)
-    slots = np.asarray(coincidence_slots)
-    if not (len(alice_x) == len(bob_z) == len(slots)):
-        raise ValueError(
-            f"misaligned sift inputs: {len(alice_x)} bases, {len(bob_z)} bases, {len(slots)} slots"
-        )
-    return slots[alice_x == bob_z]
 
 
 @dataclass(frozen=True)
@@ -299,28 +247,6 @@ def sample_positions(n: int, fraction: float, rng: np.random.Generator) -> np.nd
         return np.empty(0, dtype=np.int64)
     m = min(n, max(1, int(round(fraction * n))))
     return np.sort(rng.permutation(n)[:m]).astype(np.int64)
-
-
-def estimate_qber(
-    alice_bits: np.ndarray,
-    bob_bits: np.ndarray,
-    sample_fraction: float,
-    rng: np.random.Generator,
-) -> tuple[QberReport, np.ndarray]:
-    """Disclose a random sample of the sifted keys and count disagreements.
-
-    Returns the report and the disclosed positions, which must be removed
-    from the final key.
-    """
-    a = np.asarray(alice_bits)
-    b = np.asarray(bob_bits)
-    if len(a) != len(b):
-        raise ValueError(f"sifted keys differ in length: {len(a)} vs {len(b)}")
-    if len(a) == 0:
-        raise ValueError("cannot estimate an error rate from empty keys")
-    positions = sample_positions(len(a), sample_fraction, rng)
-    n_errors = int(np.count_nonzero(a[positions] != b[positions]))
-    return qber_report(len(positions), n_errors), positions
 
 
 # --------------------------------------------------------------------------
@@ -384,61 +310,39 @@ def predicted_qber(protocol: str, theta: float, visibility: float) -> float:
     return base + visibility * float(np.sin(theta)) ** 2
 
 
-def exact_qber(protocol: str, theta: float, visibility: float) -> float:
-    """Matched-basis error rate via the full density pipeline, pooled
-    uniformly over the four symbols. Independent of
-    :func:`predicted_qber`."""
-    p = _check_protocol(protocol)
-    total = 0.0
+def _symbol_error_probs(p: str, theta: float, visibility: float) -> list[float]:
+    """Matched-basis error probability of each symbol, in (x, y) order
+    (0,0), (0,1), (1,0), (1,1), via the full density pipeline."""
+    out = []
     for x in (0, 1):
         for y in (0, 1):
             if p == "dfs2":
                 probs = dfs2_outcome_probs(x, y, x, theta, visibility)
-                total += float(probs[OUTCOME_BIT != y].sum())
+                out.append(float(probs[OUTCOME_BIT != y].sum()))
             else:
                 p1 = bb84_port1_prob(x, y, x, theta, visibility)
                 ports = np.array([p1, 1.0 - p1])
-                total += float(ports[BB84_PORT_BIT[x] != y].sum())
-    return total / 4.0
+                out.append(float(ports[BB84_PORT_BIT[x] != y].sum()))
+    return out
 
 
-def mc_qber(
-    protocol: str,
-    theta: float,
-    visibility: float,
-    n_bits: int,
-    rng: np.random.Generator,
-    chunk: int = 1 << 21,
-) -> float:
+def exact_qber(protocol: str, theta: float, visibility: float) -> float:
+    """Matched-basis error rate via the full density pipeline, pooled
+    uniformly over the four symbols. Independent of
+    :func:`predicted_qber`."""
+    return sum(_symbol_error_probs(_check_protocol(protocol), theta, visibility)) / 4.0
+
+
+def mc_qber(protocol: str, theta: float, visibility: float, n_bits: int, rng: np.random.Generator) -> float:
     """Monte-Carlo matched-basis error rate over n_bits sampled rounds.
 
-    Outcome distributions come from the scalar density pipeline (an
-    independent route from the closed form), then rounds are sampled in
-    chunks to keep memory flat at large n_bits.
+    Per-symbol error probabilities come from the scalar density pipeline
+    (an independent route from the closed form). Rounds are drawn as
+    counts: symbol counts from a uniform multinomial, then each symbol's
+    error count from a binomial. That is the distribution of sampling
+    every round, at a cost that does not grow with n_bits.
     """
-    p = _check_protocol(protocol)
-    if p == "dfs2":
-        cum = np.stack(
-            [np.cumsum(dfs2_outcome_probs(x, y, x, theta, visibility)) for x in (0, 1) for y in (0, 1)]
-        )
-    else:
-        port1 = np.array(
-            [bb84_port1_prob(x, y, x, theta, visibility) for x in (0, 1) for y in (0, 1)]
-        )
-    n_errors = 0
-    remaining = int(n_bits)
-    while remaining:
-        n = min(remaining, chunk)
-        x = rng.integers(0, 2, size=n)
-        y = rng.integers(0, 2, size=n)
-        u = rng.random(n)
-        if p == "dfs2":
-            rows = cum[2 * x + y]
-            outcome = np.minimum((rows < u[:, None]).sum(axis=1), 3)
-            bits = OUTCOME_BIT[outcome]
-        else:
-            port = (u >= port1[2 * x + y]).astype(np.int64)
-            bits = BB84_PORT_BIT[x, port]
-        n_errors += int(np.count_nonzero(bits != y))
-        remaining -= n
-    return n_errors / n_bits
+    # With a perfect source, rounding leaves some "zero" errors at -1e-17.
+    p_err = np.clip(_symbol_error_probs(_check_protocol(protocol), theta, visibility), 0.0, 1.0)
+    counts = rng.multinomial(int(n_bits), [0.25] * 4)
+    return int(rng.binomial(counts, p_err).sum()) / n_bits

@@ -78,11 +78,6 @@ def orthogonal_ket(ket: np.ndarray) -> np.ndarray:
     return np.array([-np.conj(ket[1]), np.conj(ket[0])], dtype=complex)
 
 
-def is_unitary(u: np.ndarray, tol: float = TOL_ALGEBRA) -> bool:
-    u = np.asarray(u)
-    return bool(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) < tol)
-
-
 def _embed(u: np.ndarray, which: int) -> np.ndarray:
     eye = np.eye(2, dtype=complex)
     if which == 1:

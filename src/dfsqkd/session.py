@@ -35,13 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import protocol, transport as tp
-from .optics import (
-    DetectionEvent,
-    DetectorParams,
-    StaticChannel,
-    channel_from_dict,
-    detect_batch,
-)
+from .optics import DetectorParams, StaticChannel, channel_from_dict, detect_batch
 from .protocol import (
     BB84_PORT_BIT,
     OUTCOME_BIT,
@@ -148,27 +142,26 @@ class SessionConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(d)
-        if "channel" in kwargs:
-            kwargs["channel"] = channel_from_dict(kwargs["channel"])
-        if "detectors" in kwargs:
-            kwargs["detectors"] = DetectorParams.from_dict(kwargs["detectors"])
-        if "seeds" in kwargs:
-            kwargs["seeds"] = Seeds(**kwargs["seeds"])
+        sections = {
+            "channel": channel_from_dict,
+            "detectors": DetectorParams.from_dict,
+            "seeds": lambda seeds: Seeds(**seeds),
+        }
+        for key, parse in sections.items():
+            if key not in kwargs:
+                continue
+            if not isinstance(kwargs[key], dict):
+                raise ConfigError(f"config field {key!r} must be a JSON object")
+            try:
+                kwargs[key] = parse(kwargs[key])
+            except KeyError as exc:
+                raise ConfigError(f"config field {key!r} is missing {exc.args[0]!r}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config field {key!r}: {exc}") from exc
         try:
             return cls(**kwargs)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-
-
-@dataclass(frozen=True)
-class SlotRecord:
-    slot_index: int
-    n_pairs: int
-    alice_x: int
-    alice_y: int
-    bob_z: int
-    theta: float
-    event: Optional[DetectionEvent]
 
 
 @dataclass(frozen=True)
@@ -211,13 +204,6 @@ class SessionSummary:
         )
 
 
-def poisson_pairs(mu: float, rng: np.random.Generator) -> int:
-    """Pair count for one encoding period."""
-    if not 0.0 <= mu < 1.0:
-        raise ValueError(f"mean pairs per slot must be in [0, 1), got {mu}")
-    return int(rng.poisson(mu))
-
-
 # --------------------------------------------------------------------------
 # Quantum-side engine
 # --------------------------------------------------------------------------
@@ -249,32 +235,6 @@ class SimulationResult:
         """(slots, z, bits, multi_pair) restricted to coincidences."""
         m = self.coinc
         return self.pair_slots[m], self.z[m], self.bob_bits[m], self.multi_pair[m]
-
-    def slot_records(self) -> list[SlotRecord]:
-        """Materialized per-pair-slot records (debug/inspection scale)."""
-        out = []
-        for i, slot in enumerate(self.pair_slots):
-            event = None
-            if self.coinc[i]:
-                event = DetectionEvent(
-                    slot_index=int(slot),
-                    detector_photon1=int(self.det1[i]),
-                    detector_photon2=int(self.det2[i]),
-                    is_coincidence=True,
-                    multi_pair=bool(self.multi_pair[i]),
-                )
-            out.append(
-                SlotRecord(
-                    slot_index=int(slot),
-                    n_pairs=int(self.n_pairs[i]),
-                    alice_x=int(self.x[i]),
-                    alice_y=int(self.y[i]),
-                    bob_z=int(self.z[i]),
-                    theta=float(self.theta[i]),
-                    event=event,
-                )
-            )
-        return out
 
 
 def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
@@ -557,8 +517,9 @@ def run_session_detailed(
         thread.join()
         bob_link.close()
     # Bob's failure is usually the root cause (Alice then just sees the
-    # channel drop), so report it first.
-    if bob_error:
+    # channel drop), so report it first -- unless all Bob saw was the
+    # channel drop that Alice's own failure caused.
+    if bob_error and not (alice_error is not None and isinstance(bob_error[0], tp.TransportClosed)):
         raise bob_error[0]
     if alice_error is not None:
         raise alice_error

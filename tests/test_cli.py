@@ -88,10 +88,21 @@ class TestRun:
         assert abs(summary["qber"]["qber"] - 0.06) < 6 * summary["qber"]["stderr"]
 
     def test_bad_config_file_exits_2(self, tmp_path, capsys):
+        # each file paired with the name the diagnostic must mention
+        cases = [
+            ('{"prtocol": "dfs2"}', "prtocol"),
+            ('{"channel": {"kind": "static"}}', "theta_deg"),
+            ('{"channel": "static"}', "channel"),
+            ('{"channel": {"kind": "random_walk", "theta0_deg": 0}}', "step_sigma_deg"),
+            ('{"detectors": {"efficency": 0.9}}', "efficency"),
+            ('{"seeds": [1, 2]}', "seeds"),
+        ]
         bad = tmp_path / "cfg.json"
-        bad.write_text('{"prtocol": "dfs2"}')
-        code, _, err = run_main(capsys, ["run", "--config", str(bad)])
-        assert code == 2
+        for text, name in cases:
+            bad.write_text(text)
+            code, _, err = run_main(capsys, ["run", "--config", str(bad)])
+            assert code == 2, text
+            assert "config error" in err and name in err, (text, err)
 
     def test_config_file_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from dfsqkd import optics
 from dfsqkd.optics import (
     DetectorParams,
     PerSlotUniformChannel,
@@ -11,26 +10,15 @@ from dfsqkd.optics import (
     StaticChannel,
     channel_from_dict,
     channel_unitary,
-    detect,
     detect_batch,
     eom_unitary,
     hwp_unitary,
     modulator,
-    outcome_detectors,
     rotation_unitary,
 )
 from dfsqkd.qstate import PSI_MINUS, apply_collective, overlap2
 
 DEG_GRID = np.radians(np.arange(-180, 181, 1.0))
-
-
-class TestAngles:
-    def test_canonical_angle_wraps_to_half_open_interval(self):
-        assert optics.canonical_angle(0.0) == 0.0
-        assert optics.canonical_angle(np.pi) == pytest.approx(np.pi)
-        assert optics.canonical_angle(-np.pi) == pytest.approx(np.pi)
-        assert optics.canonical_angle(3 * np.pi / 2) == pytest.approx(-np.pi / 2)
-        assert optics.canonical_angle(2 * np.pi + 0.25) == pytest.approx(0.25)
 
 
 class TestWavePlates:
@@ -112,14 +100,13 @@ class TestChannelModels:
     def test_static_always_returns_theta(self):
         s = StaticChannel(0.3).sampler()
         rng = np.random.default_rng(0)
-        assert s.sample(0, rng) == 0.3
-        assert s.sample(123456, rng) == 0.3
+        np.testing.assert_array_equal(s.sample_batch(np.array([0, 123456]), rng), [0.3, 0.3])
         np.testing.assert_array_equal(s.sample_batch(np.arange(5), rng), [0.3] * 5)
 
     def test_uniform_degenerate(self):
         s = PerSlotUniformChannel(0.0, 0.0).sampler()
         rng = np.random.default_rng(0)
-        assert s.sample(7, rng) == 0.0
+        np.testing.assert_array_equal(s.sample_batch(np.array([7]), rng), [0.0])
 
     def test_uniform_bounds(self):
         s = PerSlotUniformChannel(-0.2, 0.5).sampler()
@@ -129,24 +116,29 @@ class TestChannelModels:
     def test_walk_degenerate_sigma_zero(self):
         s = RandomWalkChannel(0.7, 0.0).sampler()
         rng = np.random.default_rng(2)
-        for slot in (0, 10, 10, 5000):
-            assert s.sample(slot, rng) == pytest.approx(0.7)
+        np.testing.assert_allclose(s.sample_batch(np.array([0, 10, 10, 5000]), rng), 0.7)
 
     def test_walk_out_of_order_rejected(self):
         s = RandomWalkChannel(0.0, 0.1).sampler()
         rng = np.random.default_rng(3)
-        s.sample(10, rng)
+        s.sample_batch(np.array([10]), rng)
         with pytest.raises(ValueError, match="out of order"):
-            s.sample(4, rng)
+            s.sample_batch(np.array([4]), rng)
+        with pytest.raises(ValueError, match="out of order"):
+            RandomWalkChannel(0.0, 0.1).sampler().sample_batch(np.array([5, 3]), rng)
 
     def test_walk_batch_matches_sequential(self):
+        # two consecutive slices continue the walk exactly where one call
+        # over all the slots would, and both follow the running step sum
         slots = np.array([3, 4, 9, 20, 21, 100])
-        seq = RandomWalkChannel(0.1, 0.05).sampler()
-        rng1 = np.random.default_rng(7)
-        expected = [seq.sample(int(s), rng1) for s in slots]
-        batch = RandomWalkChannel(0.1, 0.05).sampler()
-        got = batch.sample_batch(slots, np.random.default_rng(7))
-        np.testing.assert_allclose(got, expected, atol=1e-12)
+        theta0, sigma = 0.1, 0.05
+        split = RandomWalkChannel(theta0, sigma).sampler()
+        rng = np.random.default_rng(7)
+        in_two = np.concatenate([split.sample_batch(slots[:3], rng), split.sample_batch(slots[3:], rng)])
+        at_once = RandomWalkChannel(theta0, sigma).sampler().sample_batch(slots, np.random.default_rng(7))
+        walk = theta0 + np.cumsum(np.random.default_rng(7).normal(0.0, sigma, size=slots[-1]))
+        np.testing.assert_allclose(in_two, at_once, atol=1e-12)
+        np.testing.assert_allclose(at_once, walk[slots - 1], atol=1e-12)
 
     def test_invalid_model_parameters_rejected(self):
         with pytest.raises(ValueError, match="lo <= hi"):
@@ -170,28 +162,27 @@ class TestDetectorParams:
 
 class TestDetect:
     def test_outcome_detector_map(self):
-        assert outcome_detectors(0) == (1, 3)
-        assert outcome_detectors(1) == (1, 4)
-        assert outcome_detectors(2) == (2, 3)
-        assert outcome_detectors(3) == (2, 4)
+        coinc, det1, det2 = detect_batch(np.arange(4), DetectorParams(), np.random.default_rng(0))
+        assert coinc.all()
+        assert list(zip(det1, det2)) == [(1, 3), (1, 4), (2, 3), (2, 4)]
 
     def test_ideal_detectors_pass_the_outcome_through(self):
-        rng = np.random.default_rng(0)
-        event = detect(1, DetectorParams(), rng, slot_index=42)
-        assert event.is_coincidence
-        assert (event.detector_photon1, event.detector_photon2) == (1, 4)
-        assert event.slot_index == 42
+        coinc, det1, det2 = detect_batch(np.array([1]), DetectorParams(), np.random.default_rng(0))
+        assert coinc.tolist() == [True]
+        assert (det1[0], det2[0]) == (1, 4)
 
     def test_dead_detectors_never_coincide(self):
         rng = np.random.default_rng(0)
-        params = DetectorParams(efficiency=0.0)
-        for outcome in range(4):
-            assert not detect(outcome, params, rng).is_coincidence
+        coinc, _, _ = detect_batch(np.tile(np.arange(4), 100), DetectorParams(efficiency=0.0), rng)
+        assert not coinc.any()
 
     def test_no_pair_no_darks_is_silent(self):
-        event = detect(None, DetectorParams(), np.random.default_rng(0))
-        assert not event.is_coincidence
-        assert event.detector_photon1 is None and event.detector_photon2 is None
+        # a session without pair slots hands the layer nothing; it must
+        # return nothing and leave the source stream untouched
+        rng = np.random.default_rng(0)
+        coinc, det1, det2 = detect_batch(np.empty(0, dtype=np.int64), DetectorParams(), rng)
+        assert len(coinc) == len(det1) == len(det2) == 0
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_identity_on_a_million_slots(self):
         # noiseless detector layer: coincidence rate equals pair rate exactly
@@ -215,5 +206,5 @@ class TestDetect:
         # with dark probability 1 every detector fires: no side resolves
         rng = np.random.default_rng(12)
         params = DetectorParams(efficiency=1.0, dark_count_prob=0.999999999)
-        event = detect(0, params, rng)
-        assert not event.is_coincidence
+        coinc, _, _ = detect_batch(np.arange(4), params, rng)
+        assert not coinc.any()

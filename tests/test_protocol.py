@@ -10,22 +10,18 @@ import numpy as np
 import pytest
 
 from dfsqkd import protocol, qstate
-from dfsqkd.optics import rotation_unitary
+from dfsqkd.optics import DetectorParams, StaticChannel, detect_batch
 from dfsqkd.protocol import (
     ENCODED_TARGETS,
     OUTCOME_BIT,
     alice_unitary,
     bb84_port1_prob,
     bb84_prepare,
-    bb84_round,
     binary_entropy,
     bob_analyzers,
     bob_photon1_analyzer,
-    decode_convention,
     dfs2_outcome_probs,
     encode_state,
-    encoded_symbol,
-    estimate_qber,
     exact_qber,
     key_rate,
     mc_qber,
@@ -33,9 +29,11 @@ from dfsqkd.protocol import (
     outcome_to_bit,
     predicted_qber,
     qber_report,
-    sift,
+    sample_positions,
 )
 from dfsqkd.qstate import KET_H, KET_MINUS, KET_PLUS, KET_V, PSI_MINUS, overlap2
+from dfsqkd.session import Seeds, SessionConfig, run_session_detailed, simulate_quantum
+from dfsqkd.transport import ProtocolError
 
 # Hand-expanded code states in the (HH, HV, VH, VV) basis.
 HAND_TARGETS = {
@@ -61,12 +59,6 @@ class TestSwitchingTable:
     def test_non_bit_rejected(self):
         with pytest.raises(ValueError):
             modulator_pattern(2, 0)
-
-    def test_encoded_symbol_carries_table_and_target(self):
-        sym = encoded_symbol(1, 1)
-        assert sym.modulators == (True, False, True)
-        assert overlap2(sym.target, HAND_TARGETS[(1, 1)]) == pytest.approx(1.0, abs=1e-12)
-
 
 class TestAliceUnitary:
     def test_matches_frozen_matrix_products(self):
@@ -125,13 +117,12 @@ class TestBobMeasurement:
             outcome_to_bit(3, 4)
 
     def test_outcome_bit_table_consistent_with_rule(self):
-        from dfsqkd.optics import outcome_detectors
-
+        # ideal detectors turn outcome o into its detector pair
+        _, det1, det2 = detect_batch(np.arange(4), DetectorParams(), np.random.default_rng(0))
         for o in range(4):
-            assert OUTCOME_BIT[o] == outcome_to_bit(*outcome_detectors(o))
+            assert OUTCOME_BIT[o] == outcome_to_bit(det1[o], det2[o])
 
-    def test_decode_convention_reproduces_the_bit_values(self):
-        assert decode_convention()[1] == ("photon1", "H")
+    def test_detector_pair_rule_reproduces_the_bit_values(self):
         # singlet (y=0 state) in the z=0 basis: only bit-0 pairs fire
         probs = dfs2_outcome_probs(0, 0, 0, 0.0, 1.0)
         np.testing.assert_allclose(probs[[0, 3]], [0, 0], atol=1e-12)
@@ -162,36 +153,61 @@ class TestFaultTolerance:
 
 
 class TestSift:
-    def test_all_match(self):
-        kept = sift([0, 1, 0], [0, 1, 0], [5, 9, 11])
-        np.testing.assert_array_equal(kept, [5, 9, 11])
+    """The sifting rule, run through the session's two sifting halves."""
 
-    def test_none_match(self):
-        assert len(sift([0, 1], [1, 0], [2, 3])) == 0
+    def test_all_match(self, sift_halves):
+        (a_key, a_kept), (b_key, b_kept) = sift_halves(
+            pair_slots=[5, 9, 11], x=[0, 1, 0], y=[1, 1, 0], slots=[5, 9, 11], z=[0, 1, 0], bits=[1, 1, 0]
+        )
+        np.testing.assert_array_equal(a_kept, [5, 9, 11])
+        np.testing.assert_array_equal(b_kept, [5, 9, 11])
+        np.testing.assert_array_equal(a_key, b_key)
 
-    def test_misaligned_inputs(self):
-        with pytest.raises(ValueError, match="misaligned"):
-            sift([0, 1], [0], [1, 2])
+    def test_none_match(self, sift_halves):
+        (a_key, a_kept), (b_key, b_kept) = sift_halves(
+            pair_slots=[2, 3], x=[0, 1], y=[1, 0], slots=[2, 3], z=[1, 0], bits=[1, 0]
+        )
+        assert len(a_kept) == len(b_kept) == len(a_key) == len(b_key) == 0
 
-    def test_kept_fraction_is_half_for_uniform_bases(self):
+    def test_misaligned_inputs(self, sift_halves):
+        # a declaration whose bases do not cover its slots is refused
+        with pytest.raises(ProtocolError, match="too short"):
+            sift_halves(
+                pair_slots=range(9), x=[0] * 9, y=[0] * 9, slots=range(9), z=[0], bits=[0] * 9
+            )
+
+    def test_kept_fraction_is_half_for_uniform_bases(self, sift_halves):
         rng = np.random.default_rng(21)
         n = 10**5
         x = rng.integers(0, 2, n)
         z = rng.integers(0, 2, n)
-        kept = sift(x, z, np.arange(n))
+        (_, kept), _ = sift_halves(np.arange(n), x, np.zeros(n), np.arange(n), z, np.zeros(n))
+        np.testing.assert_array_equal(kept, np.flatnonzero(x == z))
         sigma = np.sqrt(0.25 / n)
         assert abs(len(kept) / n - 0.5) < 4 * sigma
 
 
 class TestQberEstimate:
+    """The error test on the disclosed sample, as sessions run it."""
+
     def test_identical_keys(self):
-        report, positions = estimate_qber(np.ones(100), np.ones(100), 0.5, np.random.default_rng(0))
+        cfg = SessionConfig(duration_s=0.5, visibility=1.0, sample_fraction=0.5, seeds=Seeds(5, 6, 7, 8))
+        alice, bob = run_session_detailed(cfg)
+        np.testing.assert_array_equal(alice.sifted_key, bob.sifted_key)
+        report = alice.summary.qber
         assert report.qber == 0.0
-        assert report.n_compared == len(positions) == 50
+        assert report.n_compared == len(alice.disclosed_positions) == round(0.5 * len(alice.sifted_key))
 
     def test_complementary_keys(self):
-        report, _ = estimate_qber(np.zeros(80), np.ones(80), 0.25, np.random.default_rng(0))
-        assert report.qber == 1.0
+        # a quarter-turn swaps H and V and maps the diagonal basis onto
+        # itself with the bits exchanged: every sifted BB84 bit flips
+        cfg = SessionConfig(
+            protocol="bb84", duration_s=0.5, visibility=1.0, sample_fraction=0.25,
+            channel=StaticChannel(np.pi / 2), seeds=Seeds(5, 6, 7, 8),
+        )
+        alice, bob = run_session_detailed(cfg)
+        np.testing.assert_array_equal(alice.sifted_key, 1 - bob.sifted_key)
+        assert alice.summary.qber.qber == 1.0
 
     def test_stderr_matches_binomial_formula(self):
         # 6% errors over 1e5 compared bits -> stderr about 7.5e-4 (0.1%)
@@ -199,13 +215,8 @@ class TestQberEstimate:
         assert report.qber == pytest.approx(0.06)
         assert report.stderr == pytest.approx(7.509993342207434e-4, abs=1e-12)
 
-    def test_empty_keys_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            estimate_qber(np.array([]), np.array([]), 0.5, np.random.default_rng(0))
-
     def test_disclosed_positions_are_valid_and_unique(self):
-        rng = np.random.default_rng(5)
-        report, positions = estimate_qber(np.zeros(1000), np.zeros(1000), 0.1, rng)
+        positions = sample_positions(1000, 0.1, np.random.default_rng(5))
         assert len(np.unique(positions)) == len(positions) == 100
         assert positions.min() >= 0 and positions.max() < 1000
         assert np.all(np.diff(positions) > 0)
@@ -265,15 +276,23 @@ class TestBB84Baseline:
                     assert p_err == pytest.approx(expected, abs=1e-12)
 
     def test_round_is_deterministic_without_noise(self):
-        rng = np.random.default_rng(3)
-        for (x, y) in HAND_TARGETS:
-            ok, bit = bb84_round(x, y, x, 0.0, 1.0, rng)
-            assert ok and bit == y
+        sim = simulate_quantum(
+            SessionConfig(protocol="bb84", duration_s=0.1, visibility=1.0, seeds=Seeds(3, 3, 3, 3))
+        )
+        matched = sim.x == sim.z
+        assert {(x, y) for x, y in zip(sim.x[matched], sim.y[matched])} == set(HAND_TARGETS)
+        np.testing.assert_array_equal(sim.bob_bits[matched], sim.y[matched])
 
     def test_round_at_45_degrees_is_a_coin_flip(self):
-        rng = np.random.default_rng(4)
-        n = 20_000
-        errors = sum(bb84_round(0, 0, 0, np.pi / 4, 1.0, rng)[1] != 0 for _ in range(n))
+        cfg = SessionConfig(
+            protocol="bb84", duration_s=10.0, visibility=1.0,
+            channel=StaticChannel(np.pi / 4), seeds=Seeds(4, 4, 4, 4),
+        )
+        sim = simulate_quantum(cfg)
+        matched = sim.x == sim.z
+        n = int(matched.sum())
+        errors = np.count_nonzero(sim.bob_bits[matched] != sim.y[matched])
+        assert n > 10_000
         assert abs(errors / n - 0.5) < 4 * np.sqrt(0.25 / n)
 
 

@@ -15,7 +15,6 @@ from dfsqkd.session import (
     SessionConfig,
     SimulationResult,
     exact_session_summary,
-    poisson_pairs,
     run_session,
     run_session_detailed,
     simulate_quantum,
@@ -65,17 +64,6 @@ class TestConfig:
 
 
 class TestPoissonPairs:
-    def test_zero_rate(self):
-        rng = np.random.default_rng(0)
-        assert all(poisson_pairs(0.0, rng) == 0 for _ in range(100))
-
-    def test_out_of_range(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            poisson_pairs(-0.1, rng)
-        with pytest.raises(ValueError):
-            poisson_pairs(1.0, rng)
-
     def test_mean_and_multi_pair_tail_at_mu_0p04(self):
         rng = np.random.default_rng(123)
         n = 10**7
@@ -88,14 +76,19 @@ class TestPoissonPairs:
 
 class TestEngine:
     def test_slot_record_invariants(self):
-        sim = simulate_quantum(small_cfg(duration_s=0.02))
-        records = sim.slot_records()
-        assert records, "expected some pair slots"
-        for rec in records:
-            assert rec.n_pairs >= 1
-            if rec.event is not None:
-                assert rec.event.is_coincidence
-                assert rec.event.multi_pair == (rec.n_pairs >= 2)
+        cfg = small_cfg(duration_s=0.05, detectors=DetectorParams(efficiency=0.8, dark_count_prob=0.01))
+        sim = simulate_quantum(cfg)
+        k = len(sim.pair_slots)
+        assert k, "expected some pair slots"
+        for arr in (sim.n_pairs, sim.x, sim.y, sim.z, sim.theta, sim.coinc, sim.det1, sim.det2,
+                    sim.bob_bits, sim.multi_pair):
+            assert len(arr) == k
+        assert np.all(np.diff(sim.pair_slots) > 0)
+        assert np.all((sim.pair_slots >= 0) & (sim.pair_slots < cfg.n_slots))
+        assert np.all(sim.n_pairs >= 1)
+        np.testing.assert_array_equal(sim.multi_pair, sim.n_pairs >= 2)
+        assert 0 < np.count_nonzero(sim.coinc) < k
+        assert set(sim.det1[sim.coinc]) <= {1, 2} and set(sim.det2[sim.coinc]) <= {3, 4}
 
     def test_zero_pair_rate_produces_nothing(self):
         sim = simulate_quantum(small_cfg(pair_rate_hz=0.0))
@@ -194,36 +187,9 @@ class TestTransportSubstitution:
 class TestSiftExchange:
     """The two halves of the sifting conversation, driven directly."""
 
-    def _run_halves(self, pair_slots, x, y, slots, z, bits):
-        import threading
-
-        from dfsqkd.session import alice_sift_exchange, bob_sift_exchange
-        from dfsqkd.transport import TransportClosed, memory_pair
-
-        a_link, b_link = memory_pair()
-        out = {}
-
-        def bob():
-            try:
-                out["bob"] = bob_sift_exchange(b_link, np.asarray(slots), np.asarray(z), np.asarray(bits))
-            except TransportClosed:
-                pass
-
-        t = threading.Thread(target=bob)
-        t.start()
-        try:
-            out["alice"] = alice_sift_exchange(
-                a_link, np.asarray(pair_slots), np.asarray(x), np.asarray(y)
-            )
-        finally:
-            a_link.close()
-            t.join()
-            b_link.close()
-        return out["alice"], out["bob"]
-
-    def test_matching_and_mismatching_bases(self):
+    def test_matching_and_mismatching_bases(self, sift_halves):
         # slots 2 and 9 match bases, slot 5 does not
-        (a_key, a_kept), (b_key, b_kept) = self._run_halves(
+        (a_key, a_kept), (b_key, b_kept) = sift_halves(
             pair_slots=[2, 5, 9], x=[0, 1, 1], y=[1, 0, 1], slots=[2, 5, 9], z=[0, 0, 1], bits=[1, 0, 1]
         )
         np.testing.assert_array_equal(a_kept, [2, 9])
@@ -231,11 +197,11 @@ class TestSiftExchange:
         np.testing.assert_array_equal(a_key, [1, 1])
         np.testing.assert_array_equal(b_key, [1, 1])
 
-    def test_unknown_slot_rejected(self):
+    def test_unknown_slot_rejected(self, sift_halves):
         import dfsqkd.transport as tp
 
         with pytest.raises(tp.ProtocolError, match="without pairs"):
-            self._run_halves(
+            sift_halves(
                 pair_slots=[2, 5], x=[0, 1], y=[1, 0], slots=[3], z=[0], bits=[1]
             )
 
@@ -286,6 +252,15 @@ class TestCraftedConversations:
         import dfsqkd.transport as tp
 
         with pytest.raises(tp.ProtocolError, match="disagrees"):
+            run_session_detailed(small_cfg())
+
+    def test_alice_failure_is_reported_over_bobs_closed_channel(self, monkeypatch):
+        # Bob only sees the transport close; the error to surface is Alice's
+        def boom(cfg):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(session_mod, "simulate_quantum", boom)
+        with pytest.raises(ValueError, match="boom"):
             run_session_detailed(small_cfg())
 
 
