@@ -84,6 +84,10 @@ def eom_unitary(setting: EomSetting) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+# Walk steps drawn per chunk; bounds the walk's memory by the chunk size.
+WALK_CHUNK = 1 << 20
+
+
 class ChannelSampler:
     def sample_batch(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -146,17 +150,28 @@ class RandomWalkChannel:
         }
 
 
+# Fields of each channel kind in a config dict, besides "kind".
+_CHANNEL_FIELDS = {
+    "static": ("theta_deg",),
+    "per_slot_uniform": ("lo_deg", "hi_deg"),
+    "random_walk": ("theta0_deg", "step_sigma_deg"),
+}
+
+
 def channel_from_dict(d: dict):
     kind = d.get("kind")
+    if kind not in _CHANNEL_FIELDS:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    unknown = set(d) - {"kind", *_CHANNEL_FIELDS[kind]}
+    if unknown:
+        raise ValueError(f"unknown fields for a {kind} channel: {sorted(unknown)}")
     if kind == "static":
         return StaticChannel(theta=np.radians(d["theta_deg"]))
     if kind == "per_slot_uniform":
         return PerSlotUniformChannel(lo=np.radians(d["lo_deg"]), hi=np.radians(d["hi_deg"]))
-    if kind == "random_walk":
-        return RandomWalkChannel(
-            theta0=np.radians(d["theta0_deg"]), step_sigma=np.radians(d["step_sigma_deg"])
-        )
-    raise ValueError(f"unknown channel kind {kind!r}")
+    return RandomWalkChannel(
+        theta0=np.radians(d["theta0_deg"]), step_sigma=np.radians(d["step_sigma_deg"])
+    )
 
 
 class _StaticSampler(ChannelSampler):
@@ -177,7 +192,12 @@ class _UniformSampler(ChannelSampler):
 
 class _WalkSampler(ChannelSampler):
     """Walk state advances one Gaussian step per slot; queries must come
-    in non-decreasing slot order (the step draws are consumed lazily)."""
+    in non-decreasing slot order (the step draws are consumed lazily).
+
+    Steps are drawn WALK_CHUNK at a time. The running step sum is carried
+    into each chunk's cumulative sum and the start angle added after it,
+    so the angles equal those of one draw over every step.
+    """
 
     def __init__(self, theta0: float, step_sigma: float):
         self.theta = float(theta0)
@@ -191,12 +211,20 @@ class _WalkSampler(ChannelSampler):
         if np.any(np.diff(slots) < 0) or slots[0] < self._last_slot:
             raise ValueError("random-walk channel queried out of order")
         total = int(slots[-1] - self._last_slot)
-        steps = rng.normal(0.0, self.step_sigma, size=total)
-        walk = self.theta + np.cumsum(steps) if total else np.empty(0)
         offsets = slots - self._last_slot  # 0 means "no new step yet"
-        values = np.where(offsets > 0, walk[np.maximum(offsets - 1, 0)] if total else 0.0, self.theta)
+        values = np.full(len(slots), self.theta)
+        step_sum = 0.0
+        for start in range(0, total, WALK_CHUNK):
+            steps = rng.normal(0.0, self.step_sigma, size=min(WALK_CHUNK, total - start))
+            if start:
+                steps[0] += step_sum
+            sums = np.cumsum(steps)
+            step_sum = sums[-1]
+            # the slots at offsets start + 1 .. start + len(steps)
+            lo, hi = np.searchsorted(offsets, [start, start + len(steps)], side="right")
+            values[lo:hi] = self.theta + sums[offsets[lo:hi] - 1 - start]
         if total:
-            self.theta = float(walk[-1])
+            self.theta = float(self.theta + step_sum)
             self._last_slot = int(slots[-1])
         return values
 

@@ -13,7 +13,9 @@ bit-identical sessions:
 
 * source: Poisson pair counts for every slot, then one outcome uniform
   per pair slot, then the detector draws (2 efficiency + 4 dark uniforms
-  per pair slot);
+  per pair slot). The pair counts are drawn in chunks of SOURCE_CHUNK
+  slots, keeping only the pair slots; the counts equal one draw over
+  every slot, so memory grows with pair slots, not clock slots;
 * alice: x bits, then y bits (one batch each over pair slots), then the
   error-test sample positions;
 * bob: z bits over pair slots;
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -48,6 +50,10 @@ from .protocol import (
 from .transport import Message, Transport, expect, memory_pair, pack_bits, unpack_bits
 
 PRECURSOR_CHUNK = 100_000
+# Clock slots per Poisson draw of the source stream.
+SOURCE_CHUNK = 1 << 20
+# Pair slots per Born-kernel call on a channel whose angle varies.
+BORN_BLOCK = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -64,6 +70,12 @@ class Seeds:
     bob: int = 2
     channel: int = 3
     source: int = 4
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ConfigError(f"seed {f.name!r} must be a non-negative integer, got {value!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -237,6 +249,42 @@ class SimulationResult:
         return self.pair_slots[m], self.z[m], self.bob_bits[m], self.multi_pair[m]
 
 
+def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair slots and their pair counts from one Poisson count per clock
+    slot. The counts are drawn SOURCE_CHUNK slots at a time, which equals
+    one draw over every slot, and only the nonzero ones are kept."""
+    slots = [np.empty(0, dtype=np.int64)]
+    counts = [np.empty(0, dtype=np.int64)]
+    for start in range(0, n_slots, SOURCE_CHUNK):
+        chunk = rng.poisson(mu, min(SOURCE_CHUNK, n_slots - start))
+        nonzero = np.flatnonzero(chunk)
+        slots.append(nonzero + start)
+        counts.append(chunk[nonzero])
+    return np.concatenate(slots), np.concatenate(counts)
+
+
+def _born_probs(
+    cfg: SessionConfig, x: np.ndarray, y: np.ndarray, z: np.ndarray, theta: np.ndarray
+) -> np.ndarray:
+    """The protocol's Born kernel per pair slot.
+
+    On a static channel every pair slot sees one angle, so the kernel runs
+    once on the 8 (x, y, z) symbols and each slot reads row 4x + 2y + z.
+    Otherwise it runs over BORN_BLOCK rows at a time, which bounds the
+    kernel's temporaries. Each row is computed on its own, so both give
+    the values of one call over every pair slot.
+    """
+    # Looked up on the module at each call, so that a span recorder that
+    # replaces these attributes (perfbench/spans.py) sees the calls.
+    kernel = protocol.dfs2_probs_batch if cfg.protocol == "dfs2" else protocol.bb84_port1_batch
+    if isinstance(cfg.channel, StaticChannel):
+        s = np.arange(8)
+        table = kernel(s >> 2, (s >> 1) & 1, s & 1, np.full(8, float(cfg.channel.theta)), cfg.visibility)
+        return table[4 * x + 2 * y + z]
+    blocks = [slice(i, i + BORN_BLOCK) for i in range(0, len(x), BORN_BLOCK)] or [slice(0, 0)]
+    return np.concatenate([kernel(x[b], y[b], z[b], theta[b], cfg.visibility) for b in blocks])
+
+
 def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
     """Run the quantum side of a session (see module docstring for the
     exact stream-consumption order)."""
@@ -245,9 +293,7 @@ def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
     rng_channel = np.random.default_rng(cfg.seeds.channel)
     rng_source = np.random.default_rng(cfg.seeds.source)
 
-    n_slots = cfg.n_slots
-    pair_counts = rng_source.poisson(cfg.mean_pairs_per_slot, n_slots)
-    pair_slots = np.flatnonzero(pair_counts).astype(np.int64)
+    pair_slots, n_pairs = _draw_pair_slots(rng_source, cfg.mean_pairs_per_slot, cfg.n_slots)
     k = len(pair_slots)
 
     x = rng_alice.integers(0, 2, size=k)
@@ -256,14 +302,13 @@ def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
     theta = cfg.channel.sampler().sample_batch(pair_slots, rng_channel)
 
     u = rng_source.random(k)
+    probs = _born_probs(cfg, x, y, z, theta)
     if cfg.protocol == "dfs2":
-        probs = protocol.dfs2_probs_batch(x, y, z, theta, cfg.visibility)
         cum = np.cumsum(probs, axis=1)
         outcome = np.minimum((cum < u[:, None]).sum(axis=1), 3)
     else:
         # Photon 2 is the heralding trigger on D3; photon 1's port decides.
-        p1 = protocol.bb84_port1_batch(x, y, z, theta, cfg.visibility)
-        outcome = 2 * (u >= p1).astype(np.int64)
+        outcome = 2 * (u >= probs).astype(np.int64)
 
     coinc, det1, det2 = detect_batch(outcome, cfg.detectors, rng_source)
 
@@ -273,9 +318,9 @@ def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
         bob_bits = BB84_PORT_BIT[z, det1 - 1]
 
     return SimulationResult(
-        n_slots=n_slots,
+        n_slots=cfg.n_slots,
         pair_slots=pair_slots,
-        n_pairs=pair_counts[pair_slots],
+        n_pairs=n_pairs,
         x=x,
         y=y,
         z=z,
@@ -284,7 +329,7 @@ def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
         det1=det1,
         det2=det2,
         bob_bits=bob_bits,
-        multi_pair=pair_counts[pair_slots] >= 2,
+        multi_pair=n_pairs >= 2,
         alice_rng=rng_alice,
     )
 
@@ -333,11 +378,28 @@ class EndpointResult:
     disclosed_positions: np.ndarray
 
 
+_ABSENT = object()
+
+
+def _differing_keys(ours, theirs, path: str = "") -> list[str]:
+    """Dotted paths of the config entries that differ between two dicts
+    (an entry only one side has differs too)."""
+    if not (isinstance(ours, dict) and isinstance(theirs, dict)):
+        return [] if ours == theirs else [path or "config"]
+    diffs = []
+    for key in sorted(set(ours) | set(theirs)):
+        sub = f"{path}.{key}" if path else key
+        diffs += _differing_keys(ours.get(key, _ABSENT), theirs.get(key, _ABSENT), sub)
+    return diffs
+
+
 def _hello_exchange(cfg: SessionConfig, link: Transport) -> None:
-    link.send(Message("HELLO", {"config": cfg.to_dict()}))
+    ours = cfg.to_dict()
+    link.send(Message("HELLO", {"config": ours}))
     theirs = expect(link, "HELLO").payload.get("config")
-    if theirs != cfg.to_dict():
-        raise HandshakeMismatch("peer configuration differs from ours")
+    if theirs != ours:
+        keys = ", ".join(_differing_keys(ours, theirs))
+        raise HandshakeMismatch(f"peer configuration differs from ours in: {keys}")
 
 
 def _send_detection_stream(link: Transport, slots, z, bits) -> None:
@@ -350,7 +412,7 @@ def _send_detection_stream(link: Transport, slots, z, bits) -> None:
             Message(
                 "DETECTIONS",
                 {
-                    "slots": [int(s) for s in slots[chunk]],
+                    "slots": slots[chunk].tolist(),
                     "bases": pack_bits(z[chunk]),
                     "bits": pack_bits(bits[chunk]),
                     "final": end == n,
@@ -396,7 +458,7 @@ def alice_sift_exchange(
         raise tp.ProtocolError("peer declared a detection in a slot without pairs")
     keep_mask = x[idx] == decl_z
     kept_slots = decl_slots[keep_mask]
-    link.send(Message("SIFT_KEEP", {"keep": [int(s) for s in kept_slots]}))
+    link.send(Message("SIFT_KEEP", {"keep": kept_slots.tolist()}))
     return y[idx][keep_mask].astype(np.uint8), kept_slots
 
 
@@ -405,7 +467,7 @@ def bob_sift_exchange(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bob's half of sifting: declare every coincidence with its basis,
     then keep the slots Alice confirms. Returns (bob key, kept slots)."""
-    link.send(Message("DETECTIONS", {"slots": [int(s) for s in slots], "bases": pack_bits(z)}))
+    link.send(Message("DETECTIONS", {"slots": slots.tolist(), "bases": pack_bits(z)}))
     keep = expect(link, "SIFT_KEEP")
     kept_slots = np.asarray(keep.payload["keep"], dtype=np.int64)
     pos_in_decl = np.searchsorted(slots, kept_slots)
@@ -432,7 +494,7 @@ def run_alice_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
         if n_sifted
         else np.empty(0, dtype=np.int64)
     )
-    link.send(Message("SAMPLE_REQUEST", {"positions": [int(p) for p in positions]}))
+    link.send(Message("SAMPLE_REQUEST", {"positions": positions.tolist()}))
     sample = expect(link, "SAMPLE_BITS")
     bob_sample = unpack_bits(sample.payload["bits"], len(positions))
     n_errors = int(np.count_nonzero(alice_key[positions] != bob_sample))

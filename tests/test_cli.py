@@ -96,6 +96,9 @@ class TestRun:
             ('{"channel": {"kind": "random_walk", "theta0_deg": 0}}', "step_sigma_deg"),
             ('{"detectors": {"efficency": 0.9}}', "efficency"),
             ('{"seeds": [1, 2]}', "seeds"),
+            ('{"seeds": {"alice": -1}}', "alice"),
+            ('{"seeds": {"alice": 1.5}}', "alice"),
+            ('{"channel": {"kind": "static", "theta_deg": 5, "sigma": 1}}', "sigma"),
         ]
         bad = tmp_path / "cfg.json"
         for text, name in cases:
@@ -236,9 +239,12 @@ class TestNetworkedMode:
             text=True,
             timeout=120,
         )
-        alice.communicate(timeout=120)
+        _, alice_err = alice.communicate(timeout=120)
         assert alice.returncode == 4
         assert bob.returncode == 4
+        # both ends name the field that differs
+        assert "seeds.alice" in alice_err
+        assert "seeds.alice" in bob.stderr
 
     def test_peer_disconnect_exits_3_with_diagnostic(self):
         port = _free_port()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dfsqkd.optics import (
+    WALK_CHUNK,
     DetectorParams,
     PerSlotUniformChannel,
     RandomWalkChannel,
@@ -128,9 +129,11 @@ class TestChannelModels:
             RandomWalkChannel(0.0, 0.1).sampler().sample_batch(np.array([5, 3]), rng)
 
     def test_walk_batch_matches_sequential(self):
-        # two consecutive slices continue the walk exactly where one call
-        # over all the slots would, and both follow the running step sum
-        slots = np.array([3, 4, 9, 20, 21, 100])
+        # two consecutive slices continue the walk where one call over all
+        # the slots would (up to rounding: the second restarts its sum);
+        # one call, drawn in chunks, equals the one-shot running step sum
+        chunk = WALK_CHUNK
+        slots = np.array([3, 4, 9, 20, 21, 100, chunk, chunk + 1, 2 * chunk + 5])
         theta0, sigma = 0.1, 0.05
         split = RandomWalkChannel(theta0, sigma).sampler()
         rng = np.random.default_rng(7)
@@ -138,7 +141,7 @@ class TestChannelModels:
         at_once = RandomWalkChannel(theta0, sigma).sampler().sample_batch(slots, np.random.default_rng(7))
         walk = theta0 + np.cumsum(np.random.default_rng(7).normal(0.0, sigma, size=slots[-1]))
         np.testing.assert_allclose(in_two, at_once, atol=1e-12)
-        np.testing.assert_allclose(at_once, walk[slots - 1], atol=1e-12)
+        np.testing.assert_array_equal(at_once, walk[slots - 1])
 
     def test_invalid_model_parameters_rejected(self):
         with pytest.raises(ValueError, match="lo <= hi"):

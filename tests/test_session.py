@@ -2,12 +2,14 @@
 
 import math
 import socket
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dfsqkd.session as session_mod
-from dfsqkd.optics import DetectorParams, PerSlotUniformChannel, StaticChannel
+from dfsqkd import protocol
+from dfsqkd.optics import DetectorParams, PerSlotUniformChannel, RandomWalkChannel, StaticChannel
 from dfsqkd.protocol import QberReport
 from dfsqkd.session import (
     ConfigError,
@@ -102,6 +104,66 @@ class TestEngine:
         expected = cfg.n_slots * (1 - math.exp(-cfg.mean_pairs_per_slot))
         sigma = math.sqrt(expected)
         assert abs(len(sim.pair_slots) - expected) < 4 * sigma
+
+
+KERNELS = {"dfs2": protocol.dfs2_probs_batch, "bb84": protocol.bb84_port1_batch}
+
+
+class TestBoundedMemory:
+    """The engine's memory grows with pair slots, not clock slots, and its
+    chunked draws and tabled kernel give the values of one-shot ones."""
+
+    @pytest.mark.parametrize(
+        "channel", [StaticChannel(0.3), RandomWalkChannel(0.1, 1e-4)], ids=["static", "random_walk"]
+    )
+    def test_peak_memory_is_bounded_by_pair_slots(self, channel):
+        # 2e7 clock slots (8 B each would be 153 MiB) but about 1e4 pair slots
+        cfg = small_cfg(pair_rate_hz=50, duration_s=200, channel=channel)
+        tracemalloc.start()
+        try:
+            sim = simulate_quantum(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sim.pair_slots) < 20_000
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_chunked_pair_counts_equal_one_draw_over_every_slot(self):
+        cfg = small_cfg(duration_s=26.0)
+        n, mu = cfg.n_slots, cfg.mean_pairs_per_slot
+        assert n > 2 * session_mod.SOURCE_CHUNK and n % session_mod.SOURCE_CHUNK
+        sim = simulate_quantum(cfg)
+        one_shot = np.random.default_rng(cfg.seeds.source)
+        counts = one_shot.poisson(mu, n)
+        slots = np.flatnonzero(counts)
+        np.testing.assert_array_equal(sim.pair_slots, slots)
+        np.testing.assert_array_equal(sim.n_pairs, counts[slots])
+        # the stream continues exactly where one draw would leave it
+        chunked = np.random.default_rng(cfg.seeds.source)
+        session_mod._draw_pair_slots(chunked, mu, n)
+        np.testing.assert_array_equal(chunked.random(16), one_shot.random(16))
+
+    @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
+    def test_static_table_equals_the_per_row_kernel(self, protocol_name):
+        kernel = KERNELS[protocol_name]
+        x, y, z = np.random.default_rng(5).integers(0, 2, size=(3, 1000))
+        for deg in (0.0, 7.5, 20.0, 45.0, 90.0, -33.0):
+            cfg = small_cfg(protocol=protocol_name, channel=StaticChannel(np.radians(deg)))
+            theta = np.full(1000, np.radians(deg))
+            per_row = kernel(x, y, z, theta, cfg.visibility)
+            np.testing.assert_array_equal(session_mod._born_probs(cfg, x, y, z, theta), per_row)
+
+    @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
+    @pytest.mark.parametrize("block", [7, 4096])
+    def test_kernel_blocks_equal_one_call(self, monkeypatch, protocol_name, block):
+        kernel = KERNELS[protocol_name]
+        rng = np.random.default_rng(6)
+        x, y, z = rng.integers(0, 2, size=(3, 10_000))
+        theta = rng.uniform(-np.pi, np.pi, 10_000)
+        cfg = small_cfg(protocol=protocol_name, channel=PerSlotUniformChannel(-np.pi, np.pi))
+        monkeypatch.setattr(session_mod, "BORN_BLOCK", block)
+        blocked = session_mod._born_probs(cfg, x, y, z, theta)
+        np.testing.assert_array_equal(blocked, kernel(x, y, z, theta, cfg.visibility))
 
 
 class TestSessions:
