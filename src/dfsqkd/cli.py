@@ -13,7 +13,7 @@ import json
 import math
 import socket
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Optional
 
 import numpy as np
@@ -84,8 +84,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--channel-lo", type=float, metavar="DEG")
     p.add_argument("--channel-hi", type=float, metavar="DEG")
     p.add_argument("--channel-sigma", type=float, metavar="DEG", help="random-walk step width")
-    for who in ("alice", "bob", "channel", "source"):
-        p.add_argument(f"--seed-{who}", type=int, metavar="N")
+    for f in fields(Seeds):
+        p.add_argument(f"--seed-{f.name}", type=int, metavar="N")
 
 
 def _channel_dict(args) -> Optional[dict]:
@@ -148,10 +148,10 @@ def build_config(args) -> SessionConfig:
     d["detectors"] = detectors
 
     seeds = dict(d["seeds"])
-    for who in ("alice", "bob", "channel", "source"):
-        value = getattr(args, f"seed_{who}")
+    for f in fields(Seeds):
+        value = getattr(args, f"seed_{f.name}")
         if value is not None:
-            seeds[who] = value
+            seeds[f.name] = value
     d["seeds"] = seeds
 
     try:
@@ -161,18 +161,10 @@ def build_config(args) -> SessionConfig:
 
 
 def _offset_seeds(cfg: SessionConfig, ordinal: int) -> SessionConfig:
-    s = cfg.seeds
     shift = SEED_STRIDE * ordinal
     mask = (1 << 63) - 1
-    return replace(
-        cfg,
-        seeds=Seeds(
-            alice=(s.alice + shift) & mask,
-            bob=(s.bob + shift) & mask,
-            channel=(s.channel + shift) & mask,
-            source=(s.source + shift) & mask,
-        ),
-    )
+    seeds = {f.name: (getattr(cfg.seeds, f.name) + shift) & mask for f in fields(Seeds)}
+    return replace(cfg, seeds=Seeds(**seeds))
 
 
 # --------------------------------------------------------------------------

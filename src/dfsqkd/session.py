@@ -22,16 +22,17 @@ bit-identical sessions:
 * channel: per the channel model's own contract.
 
 Networked mode simulates the quantum side on Alice's process and streams
-Bob's measurement records to him as DETECTIONS precursor messages
-(payload extended with a "bits" array and a "final" flag); everything
-after that is identical in both modes.
+Bob's measurement records to him as DETECTIONS that also carry his
+"bits"; everything after that is identical in both modes. Every slot
+list (that stream, Bob's declaration, SIFT_KEEP, SAMPLE_REQUEST) goes as
+validated frames of at most SLOT_CHUNK entries, the last flagged "final".
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -49,7 +50,10 @@ from .protocol import (
 )
 from .transport import Message, Transport, expect, memory_pair, pack_bits, unpack_bits
 
-PRECURSOR_CHUNK = 100_000
+# Version of the conversation's wire format, checked in HELLO.
+WIRE_VERSION = 2
+# Entries of a slot list per frame.
+SLOT_CHUNK = 100_000
 # Clock slots per Poisson draw of the source stream.
 SOURCE_CHUNK = 1 << 20
 # Pair slots per Born-kernel call on a channel whose angle varies.
@@ -78,12 +82,7 @@ class Seeds:
                 raise ConfigError(f"seed {f.name!r} must be a non-negative integer, got {value!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "alice": int(self.alice),
-            "bob": int(self.bob),
-            "channel": int(self.channel),
-            "source": int(self.source),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -139,18 +138,7 @@ class SessionConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SessionConfig":
-        known = {
-            "protocol",
-            "clock_hz",
-            "pair_rate_hz",
-            "duration_s",
-            "visibility",
-            "channel",
-            "detectors",
-            "sample_fraction",
-            "seeds",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(d)
@@ -394,52 +382,51 @@ def _differing_keys(ours, theirs, path: str = "") -> list[str]:
 
 
 def _hello_exchange(cfg: SessionConfig, link: Transport) -> None:
-    ours = cfg.to_dict()
-    link.send(Message("HELLO", {"config": ours}))
-    theirs = expect(link, "HELLO").payload.get("config")
+    ours = {"config": cfg.to_dict(), "wire_version": WIRE_VERSION}
+    link.send(Message("HELLO", ours))
+    theirs = expect(link, "HELLO").payload
     if theirs != ours:
         keys = ", ".join(_differing_keys(ours, theirs))
-        raise HandshakeMismatch(f"peer configuration differs from ours in: {keys}")
+        raise HandshakeMismatch(f"peer handshake differs from ours in: {keys}")
 
 
-def _send_detection_stream(link: Transport, slots, z, bits) -> None:
+def _send_slots(link: Transport, kind: str, key: str, slots: np.ndarray, **bits: np.ndarray) -> None:
+    """Send a sorted slot list as `kind` frames of at most SLOT_CHUNK
+    entries under `key`, each with its share of the named bit arrays
+    packed alongside. The last frame (the only one for an empty list)
+    carries final: true."""
     n = len(slots)
-    sent = 0
-    while True:
-        end = min(sent + PRECURSOR_CHUNK, n)
-        chunk = slice(sent, end)
-        link.send(
-            Message(
-                "DETECTIONS",
-                {
-                    "slots": slots[chunk].tolist(),
-                    "bases": pack_bits(z[chunk]),
-                    "bits": pack_bits(bits[chunk]),
-                    "final": end == n,
-                },
-            )
-        )
-        sent = end
-        if sent == n:
-            break
+    for start in range(0, max(n, 1), SLOT_CHUNK):
+        chunk = slice(start, start + SLOT_CHUNK)
+        payload = {name: pack_bits(b[chunk]) for name, b in bits.items()}
+        payload.update({key: slots[chunk].tolist(), "final": start + SLOT_CHUNK >= n})
+        link.send(Message(kind, payload))
 
 
-def _recv_detection_stream(link: Transport) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    slots: list[int] = []
-    z_parts: list[np.ndarray] = []
-    bit_parts: list[np.ndarray] = []
+def _recv_slots(link: Transport, kind: str, key: str, *bit_names: str) -> tuple[np.ndarray, ...]:
+    """Receive a slot list sent by _send_slots, validating every frame
+    and the order across frames. Returns the slots, then each named bit
+    array."""
+    frames = []
+    prev = -1
     while True:
-        msg = expect(link, "DETECTIONS")
-        tp.validate_detections_payload(msg.payload)
-        chunk_slots = msg.payload["slots"]
-        slots.extend(chunk_slots)
-        z_parts.append(unpack_bits(msg.payload["bases"], len(chunk_slots)))
-        bit_parts.append(unpack_bits(msg.payload["bits"], len(chunk_slots)))
-        if msg.payload.get("final"):
-            break
-    z = np.concatenate(z_parts) if z_parts else np.empty(0, dtype=np.uint8)
-    bits = np.concatenate(bit_parts) if bit_parts else np.empty(0, dtype=np.uint8)
-    return np.asarray(slots, dtype=np.int64), z, bits
+        payload = expect(link, kind).payload
+        slots = tp.validate_detections_payload(payload, key, prev)
+        frames.append([slots] + [unpack_bits(payload.get(name), len(slots)) for name in bit_names])
+        prev = slots[-1] if len(slots) else prev
+        if payload.get("final"):
+            return tuple(np.concatenate(column) for column in zip(*frames))
+
+
+def _indices_in(known: np.ndarray, slots: np.ndarray, complaint: str) -> np.ndarray:
+    """Index of each slot in the sorted array `known`; a slot that `known`
+    lacks is a ProtocolError that names it."""
+    idx = np.searchsorted(known, slots)
+    # The -1 past the end matches no slot, since slots are non-negative.
+    missing = np.flatnonzero(np.append(known, -1)[idx] != slots)
+    if len(missing):
+        raise tp.ProtocolError(f"{complaint}: slot {slots[missing[0]]}")
+    return idx
 
 
 def alice_sift_exchange(
@@ -448,17 +435,11 @@ def alice_sift_exchange(
     """Alice's half of sifting: receive Bob's declaration (slots and
     bases), reply with the slots whose bases match hers, and build her
     sifted key. Returns (alice key, kept slots)."""
-    decl = expect(link, "DETECTIONS")
-    tp.validate_detections_payload(decl.payload)
-    decl_slots = np.asarray(decl.payload["slots"], dtype=np.int64)
-    decl_z = unpack_bits(decl.payload["bases"], len(decl_slots))
-
-    idx = np.searchsorted(pair_slots, decl_slots)
-    if np.any(idx >= len(pair_slots)) or np.any(pair_slots[idx] != decl_slots):
-        raise tp.ProtocolError("peer declared a detection in a slot without pairs")
+    decl_slots, decl_z = _recv_slots(link, "DETECTIONS", "slots", "bases")
+    idx = _indices_in(pair_slots, decl_slots, "peer declared a detection in a slot without pairs")
     keep_mask = x[idx] == decl_z
     kept_slots = decl_slots[keep_mask]
-    link.send(Message("SIFT_KEEP", {"keep": kept_slots.tolist()}))
+    _send_slots(link, "SIFT_KEEP", "keep", kept_slots)
     return y[idx][keep_mask].astype(np.uint8), kept_slots
 
 
@@ -467,12 +448,9 @@ def bob_sift_exchange(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bob's half of sifting: declare every coincidence with its basis,
     then keep the slots Alice confirms. Returns (bob key, kept slots)."""
-    link.send(Message("DETECTIONS", {"slots": slots.tolist(), "bases": pack_bits(z)}))
-    keep = expect(link, "SIFT_KEEP")
-    kept_slots = np.asarray(keep.payload["keep"], dtype=np.int64)
-    pos_in_decl = np.searchsorted(slots, kept_slots)
-    if np.any(pos_in_decl >= len(slots)) or np.any(slots[pos_in_decl] != kept_slots):
-        raise tp.ProtocolError("peer kept a slot we never declared")
+    _send_slots(link, "DETECTIONS", "slots", slots, bases=z)
+    (kept_slots,) = _recv_slots(link, "SIFT_KEEP", "keep")
+    pos_in_decl = _indices_in(slots, kept_slots, "peer kept a slot we never declared")
     return bits[pos_in_decl].astype(np.uint8), kept_slots
 
 
@@ -483,7 +461,7 @@ def run_alice_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
 
     sim = simulate_quantum(cfg)
     c_slots, c_z, c_bits, c_multi = sim.coincidence_view()
-    _send_detection_stream(link, c_slots, c_z, c_bits)
+    _send_slots(link, "DETECTIONS", "slots", c_slots, bases=c_z, bits=c_bits)
 
     alice_key, kept_slots = alice_sift_exchange(link, sim.pair_slots, sim.x, sim.y)
     n_sifted = len(alice_key)
@@ -494,7 +472,7 @@ def run_alice_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
         if n_sifted
         else np.empty(0, dtype=np.int64)
     )
-    link.send(Message("SAMPLE_REQUEST", {"positions": positions.tolist()}))
+    _send_slots(link, "SAMPLE_REQUEST", "positions", positions)
     sample = expect(link, "SAMPLE_BITS")
     bob_sample = unpack_bits(sample.payload["bits"], len(positions))
     n_errors = int(np.count_nonzero(alice_key[positions] != bob_sample))
@@ -512,13 +490,12 @@ def run_bob_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
     sift, answer the error test, and verify the summary."""
     _hello_exchange(cfg, link)
 
-    slots, z, bits = _recv_detection_stream(link)
+    slots, z, bits = _recv_slots(link, "DETECTIONS", "slots", "bases", "bits")
     bob_key, kept_slots = bob_sift_exchange(link, slots, z, bits)
 
-    req = expect(link, "SAMPLE_REQUEST")
-    positions = np.asarray(req.payload["positions"], dtype=np.int64)
-    if len(positions) and (positions.min() < 0 or positions.max() >= len(bob_key)):
-        raise tp.ProtocolError("error-test positions out of range")
+    (positions,) = _recv_slots(link, "SAMPLE_REQUEST", "positions")
+    if len(positions) and positions[-1] >= len(bob_key):
+        raise tp.ProtocolError(f"error-test position {positions[-1]} at {len(positions) - 1} is past the key")
     link.send(Message("SAMPLE_BITS", {"bits": pack_bits(bob_key[positions])}))
 
     summary_msg = expect(link, "SUMMARY")

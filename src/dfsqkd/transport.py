@@ -70,7 +70,10 @@ def pack_bits(bits) -> str:
 
 
 def unpack_bits(data: str, n: int) -> np.ndarray:
-    raw = np.frombuffer(base64.b64decode(data), dtype=np.uint8)
+    try:
+        raw = np.frombuffer(base64.b64decode(data, validate=True), dtype=np.uint8)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"bit array is not base-64 text: {exc}") from exc
     bits = np.unpackbits(raw)
     if len(bits) < n:
         raise ProtocolError(f"bit array too short: {len(bits)} < {n}")
@@ -207,9 +210,26 @@ def expect(transport: Transport, expected_type: str) -> Message:
     return msg
 
 
-def validate_detections_payload(payload: dict) -> None:
-    slots = payload.get("slots")
-    if not isinstance(slots, list):
-        raise ProtocolError("DETECTIONS payload must carry a slot list")
-    if any(b <= a for a, b in zip(slots, slots[1:])):
-        raise ProtocolError("DETECTIONS slot indices must be strictly increasing")
+def validate_detections_payload(payload: dict, key: str = "slots", prev: int = -1) -> np.ndarray:
+    """The slot list under `key` of one slot-carrying frame, as int64.
+
+    Entries must be 64-bit integers that strictly increase from above
+    `prev`, the last entry of the list's previous frame; from the default
+    -1 that also makes them non-negative.
+    """
+    values = payload.get(key)
+    if not isinstance(values, list):
+        raise ProtocolError(f"{key!r} must be a list of slot indices, got {values!r:.40}")
+    try:
+        # type(), not isinstance(): a bool is an int too.
+        slots = np.array(values, dtype=np.int64) if set(map(type, values)) <= {int} else None
+    except OverflowError:
+        slots = None
+    if slots is None:
+        i = next(i for i, v in enumerate(values) if type(v) is not int or not -(2**63) <= v < 2**63)
+        raise ProtocolError(f"{key!r} entries must be 64-bit integers, got {values[i]!r:.40} at {i}")
+    bad = np.flatnonzero(slots <= np.concatenate(([prev], slots))[:-1])
+    if len(bad):
+        rule = "non-negative" if slots[bad[0]] < 0 else "strictly increasing"
+        raise ProtocolError(f"{key!r} must be {rule}, got {slots[bad[0]]} at {bad[0]}")
+    return slots

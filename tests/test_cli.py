@@ -10,6 +10,8 @@ import pytest
 
 from dfsqkd.cli import main
 from dfsqkd.protocol import predicted_qber
+from dfsqkd.session import SessionConfig
+from dfsqkd.transport import Message, StreamTransport
 
 FAST = ["--duration", "0.5"]
 
@@ -245,6 +247,21 @@ class TestNetworkedMode:
         # both ends name the field that differs
         assert "seeds.alice" in alice_err
         assert "seeds.alice" in bob.stderr
+
+    @pytest.mark.parametrize("version", [1, None], ids=["older", "missing"])
+    def test_other_wire_version_exits_4_naming_the_field(self, version):
+        port = _free_port()
+        alice = _spawn(["serve-alice", "--listen", f"127.0.0.1:{port}", *FAST])
+        assert "listening on" in alice.stderr.readline()
+        hello = {"config": SessionConfig(duration_s=0.5).to_dict()}
+        if version is not None:
+            hello["wire_version"] = version
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            StreamTransport(sock).send(Message("HELLO", hello))
+            sock.shutdown(socket.SHUT_WR)  # an Alice that accepts it meets end of stream
+            _, err = alice.communicate(timeout=120)
+        assert alice.returncode == 4
+        assert "differs from ours in: wire_version\n" in err
 
     def test_peer_disconnect_exits_3_with_diagnostic(self):
         port = _free_port()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dfsqkd.session as session_mod
+import dfsqkd.transport as tp
 from dfsqkd import protocol
 from dfsqkd.optics import DetectorParams, PerSlotUniformChannel, RandomWalkChannel, StaticChannel
 from dfsqkd.protocol import QberReport
@@ -16,12 +17,15 @@ from dfsqkd.session import (
     Seeds,
     SessionConfig,
     SimulationResult,
+    alice_sift_exchange,
+    bob_sift_exchange,
     exact_session_summary,
+    run_bob_endpoint,
     run_session,
     run_session_detailed,
     simulate_quantum,
 )
-from dfsqkd.transport import StreamTransport
+from dfsqkd.transport import Message, ProtocolError, StreamTransport, memory_pair, pack_bits
 
 
 def small_cfg(**overrides) -> SessionConfig:
@@ -245,6 +249,25 @@ class TestTransportSubstitution:
         np.testing.assert_array_equal(st_alice.sifted_key, mem_alice.sifted_key)
         np.testing.assert_array_equal(st_bob.sifted_key, mem_bob.sifted_key)
 
+    def test_session_above_the_old_frame_cap_over_both_transports(self, monkeypatch):
+        # about 2.4 M coincidences: one frame per slot list would pass 16 MiB
+        cfg = SessionConfig(pair_rate_hz=9e4, duration_s=40)
+        sizes = []
+        encode = tp.encode_frame
+
+        def measured(message):
+            frame = encode(message)
+            sizes.append(len(frame))
+            return frame
+
+        monkeypatch.setattr(tp, "encode_frame", measured)
+        in_process = run_session(cfg)
+        left, right = socket.socketpair()
+        over_socket = run_session(cfg, link=(StreamTransport(left), StreamTransport(right)))
+        assert in_process.n_coincidences > 2_000_000
+        assert over_socket.to_dict() == in_process.to_dict()
+        assert max(sizes) <= 2 * 2**20
+
 
 class TestSiftExchange:
     """The two halves of the sifting conversation, driven directly."""
@@ -260,12 +283,86 @@ class TestSiftExchange:
         np.testing.assert_array_equal(b_key, [1, 1])
 
     def test_unknown_slot_rejected(self, sift_halves):
-        import dfsqkd.transport as tp
-
-        with pytest.raises(tp.ProtocolError, match="without pairs"):
+        with pytest.raises(ProtocolError, match="without pairs: slot 3"):
             sift_halves(
                 pair_slots=[2, 5], x=[0, 1], y=[1, 0], slots=[3], z=[0], bits=[1]
             )
+
+
+def _slot_frames(key, chunks, *bit_names):
+    """Payloads carrying one slot list in the given chunks (None leaves
+    the key out), each with an all-zero bit array per name in bit_names.
+    The helpers below queue them and close the peer, so a receiver that
+    accepts them meets a closed channel rather than waiting forever."""
+    frames = []
+    for i, chunk in enumerate(chunks):
+        payload = {name: pack_bits([0] * len(chunk or [])) for name in bit_names}
+        if chunk is not None:
+            payload[key] = chunk
+        frames.append({**payload, "final": i == len(chunks) - 1})
+    return frames
+
+
+def _alice_receives_declaration(chunks):
+    link, peer = memory_pair()
+    for payload in _slot_frames("slots", chunks, "bases"):
+        peer.send(Message("DETECTIONS", payload))
+    peer.close()
+    alice_sift_exchange(link, np.arange(8), np.zeros(8, dtype=np.int64), np.zeros(8, dtype=np.int64))
+
+
+def _bob_receives_keep(chunks):
+    link, peer = memory_pair()
+    for payload in _slot_frames("keep", chunks):
+        peer.send(Message("SIFT_KEEP", payload))
+    peer.close()
+    bob_sift_exchange(link, np.arange(8), np.zeros(8, dtype=np.uint8), np.zeros(8, dtype=np.uint8))
+
+
+def _bob_receives_sample_request(chunks):
+    cfg = small_cfg()
+    link, peer = memory_pair()
+    peer.send(Message("HELLO", {"config": cfg.to_dict(), "wire_version": session_mod.WIRE_VERSION}))
+    for payload in _slot_frames("slots", [list(range(8))], "bases", "bits"):
+        peer.send(Message("DETECTIONS", payload))
+    for payload in _slot_frames("keep", [list(range(8))]):
+        peer.send(Message("SIFT_KEEP", payload))
+    for payload in _slot_frames("positions", chunks):
+        peer.send(Message("SAMPLE_REQUEST", payload))
+    peer.close()
+    run_bob_endpoint(cfg, link)
+
+
+class TestHostileSlotLists:
+    """Every site that receives a slot list refuses a malformed one with a
+    ProtocolError that says what was wrong."""
+
+    @pytest.mark.parametrize(
+        "receive", [_alice_receives_declaration, _bob_receives_keep, _bob_receives_sample_request]
+    )
+    @pytest.mark.parametrize(
+        "chunks, match",
+        [
+            ([[1, 5, 3]], "strictly increasing, got 3 at 2"),
+            ([[1, 3, 3]], "strictly increasing, got 3 at 2"),
+            ([[-1, 3]], "non-negative, got -1 at 0"),
+            ([[1, 2.5]], "integers, got 2.5 at 1"),
+            ([["3"]], "integers, got '3' at 0"),
+            ([[[3]]], r"integers, got \[3\] at 0"),
+            ([[2**70]], f"64-bit integers, got {2**70} at 0"),
+            ([None], "must be a list"),
+            ([[1, 3], [3, 5]], "strictly increasing, got 3 at 0"),
+        ],
+        ids=["unsorted", "duplicate", "negative", "float", "string", "nested", "2**70", "missing",
+             "duplicate-across-chunks"],
+    )
+    def test_malformed_list_is_a_protocol_error(self, receive, chunks, match):
+        with pytest.raises(ProtocolError, match=match):
+            receive(chunks)
+
+    def test_sample_position_past_the_key_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError, match="position 8 at 1 is past the key"):
+            _bob_receives_sample_request([[2, 8]])
 
 
 class TestCraftedConversations:

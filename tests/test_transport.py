@@ -92,6 +92,11 @@ class TestBitPacking:
         with pytest.raises(ProtocolError, match="too short"):
             unpack_bits(pack_bits([1, 0]), 99)
 
+    @pytest.mark.parametrize("data", [None, 5, "not base-64!", "é"])
+    def test_non_base64_payload_rejected(self, data):
+        with pytest.raises(ProtocolError, match="not base-64"):
+            unpack_bits(data, 1)
+
 
 # ---------------------------------------------------------------------------
 # Property suite: random valid messages survive the codec unchanged.
@@ -204,3 +209,41 @@ class TestDetectionsValidation:
 
     def test_valid_payload_passes(self):
         validate_detections_payload({"slots": [1, 2, 5]})
+
+    @pytest.mark.parametrize(
+        "payload, key, prev, expected",
+        [
+            ({"slots": [1, 2, 5]}, "slots", -1, [1, 2, 5]),
+            ({"keep": [0, 2**63 - 1]}, "keep", -1, [0, 2**63 - 1]),
+            ({"positions": []}, "positions", 9, []),
+            ({"slots": [6, 7]}, "slots", 5, [6, 7]),
+        ],
+    )
+    def test_returns_the_slots_as_int64(self, payload, key, prev, expected):
+        slots = validate_detections_payload(payload, key, prev)
+        assert slots.dtype == np.int64
+        np.testing.assert_array_equal(slots, expected)
+
+    @pytest.mark.parametrize(
+        "payload, prev, match",
+        [
+            ({}, -1, "'slots' must be a list of slot indices, got None"),
+            ({"slots": "1,2"}, -1, "must be a list of slot indices, got '1,2'"),
+            ({"slots": [1, 5, 3]}, -1, "strictly increasing, got 3 at 2"),
+            ({"slots": [1, 3, 3]}, -1, "strictly increasing, got 3 at 2"),
+            ({"slots": [5, 6]}, 5, "strictly increasing, got 5 at 0"),
+            ({"slots": [2**63 - 1, -(2**63)]}, -1, f"non-negative, got {-(2**63)} at 1"),
+            ({"slots": [-1, 3]}, -1, "non-negative, got -1 at 0"),
+            ({"slots": [1, 2.5]}, -1, "integers, got 2.5 at 1"),
+            ({"slots": [1.0]}, -1, "integers, got 1.0 at 0"),
+            ({"slots": ["3"]}, -1, "integers, got '3' at 0"),
+            ({"slots": [1, True]}, -1, "integers, got True at 1"),
+            ({"slots": [0, None]}, -1, "integers, got None at 1"),
+            ({"slots": [[3]]}, -1, r"integers, got \[3\] at 0"),
+            ({"slots": [1, 2**63]}, -1, f"64-bit integers, got {2**63} at 1"),
+            ({"slots": [2**70]}, -1, f"64-bit integers, got {2**70} at 0"),
+        ],
+    )
+    def test_malformed_frame_names_what_is_wrong(self, payload, prev, match):
+        with pytest.raises(ProtocolError, match=match):
+            validate_detections_payload(payload, "slots", prev)
