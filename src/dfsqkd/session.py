@@ -26,14 +26,18 @@ Bob's measurement records to him as DETECTIONS that also carry his
 "bits"; everything after that is identical in both modes. Every slot
 list (that stream, Bob's declaration, SIFT_KEEP, SAMPLE_REQUEST) goes as
 validated frames of at most SLOT_CHUNK entries, the last flagged "final".
+Inside a frame the entries travel as one base-64 string of gap varints
+(transport.pack_slots): the first gap counts from the previous frame's
+last entry, so a decoded list always increases strictly, across frames
+too.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -48,10 +52,10 @@ from .protocol import (
     qber_report,
     sample_positions,
 )
-from .transport import Message, Transport, expect, memory_pair, pack_bits, unpack_bits
+from .transport import Message, Transport, expect, memory_pair, pack_bits, pack_slots, unpack_bits
 
 # Version of the conversation's wire format, checked in HELLO.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 # Entries of a slot list per frame.
 SLOT_CHUNK = 100_000
 # Clock slots per Poisson draw of the source stream.
@@ -191,17 +195,42 @@ class SessionSummary:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SessionSummary":
-        return cls(
-            n_slots=d["n_slots"],
-            n_coincidences=d["n_coincidences"],
-            n_sifted=d["n_sifted"],
-            raw_rate_hz=d["raw_rate_hz"],
-            sifted_rate_hz=d["sifted_rate_hz"],
-            qber=QberReport(**d["qber"]),
-            key_rate=KeyRateResult(**d["key_rate"]),
-            multi_pair_fraction=d["multi_pair_fraction"],
-            final_key_bits=d["final_key_bits"],
-        )
+        """The summary of a peer's SUMMARY payload. A missing, extra or
+        ill-typed field, in `qber` and `key_rate` too, is a ProtocolError
+        that names it."""
+        return _from_wire(cls, d)
+
+
+# What a summary field of each type accepts from JSON (type(), not
+# isinstance(): a bool is an int too).
+_WIRE_TYPES = {
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    bool: ("a boolean", (bool,)),
+    Optional[float]: ("a number or null", (int, float, type(None))),
+}
+
+
+def _from_wire(cls, d, path: str = "summary"):
+    """Dataclass `cls` from the JSON object `d` found at `path` in a
+    peer's message, refusing a missing, extra or ill-typed field."""
+    if not isinstance(d, dict):
+        raise tp.ProtocolError(f"{path} must be a JSON object, got {d!r:.40}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise tp.ProtocolError(f"{path} has an unknown field {unknown[0]!r}")
+    kwargs = {}
+    for name, kind in get_type_hints(cls).items():
+        if name not in d:
+            raise tp.ProtocolError(f"{path} lacks the field {name!r}")
+        if is_dataclass(kind):
+            kwargs[name] = _from_wire(kind, d[name], f"{path}.{name}")
+            continue
+        expected, types = _WIRE_TYPES[kind]
+        if type(d[name]) not in types:
+            raise tp.ProtocolError(f"{path}.{name} must be {expected}, got {d[name]!r:.40}")
+        kwargs[name] = d[name]
+    return cls(**kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -392,21 +421,22 @@ def _hello_exchange(cfg: SessionConfig, link: Transport) -> None:
 
 def _send_slots(link: Transport, kind: str, key: str, slots: np.ndarray, **bits: np.ndarray) -> None:
     """Send a sorted slot list as `kind` frames of at most SLOT_CHUNK
-    entries under `key`, each with its share of the named bit arrays
+    entries under `key`, as gap varints that continue from the previous
+    frame's last entry, each with its share of the named bit arrays
     packed alongside. The last frame (the only one for an empty list)
     carries final: true."""
     n = len(slots)
     for start in range(0, max(n, 1), SLOT_CHUNK):
         chunk = slice(start, start + SLOT_CHUNK)
         payload = {name: pack_bits(b[chunk]) for name, b in bits.items()}
-        payload.update({key: slots[chunk].tolist(), "final": start + SLOT_CHUNK >= n})
+        prev = slots[start - 1] if start else -1
+        payload.update({key: pack_slots(slots[chunk], prev), "final": start + SLOT_CHUNK >= n})
         link.send(Message(kind, payload))
 
 
 def _recv_slots(link: Transport, kind: str, key: str, *bit_names: str) -> tuple[np.ndarray, ...]:
-    """Receive a slot list sent by _send_slots, validating every frame
-    and the order across frames. Returns the slots, then each named bit
-    array."""
+    """Receive a slot list sent by _send_slots, decoding and validating
+    every frame. Returns the slots, then each named bit array."""
     frames = []
     prev = -1
     while True:
@@ -474,7 +504,7 @@ def run_alice_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
     )
     _send_slots(link, "SAMPLE_REQUEST", "positions", positions)
     sample = expect(link, "SAMPLE_BITS")
-    bob_sample = unpack_bits(sample.payload["bits"], len(positions))
+    bob_sample = unpack_bits(sample.payload.get("bits"), len(positions))
     n_errors = int(np.count_nonzero(alice_key[positions] != bob_sample))
     report = qber_report(len(positions), n_errors)
 

@@ -5,6 +5,7 @@ followed by a UTF-8 JSON body ``{"type": "<TYPE>", "payload": {...}}``.
 Encoding is canonical (sorted keys, no whitespace) so equal messages
 produce equal bytes. Frames are capped at 16 MiB. Bit arrays travel
 base-64 encoded, packed 8 bits per byte, most significant bit first.
+Slot lists travel base-64 encoded as gap varints (see pack_slots).
 
 Two interchangeable transports are provided: an in-process pair backed
 by queues, and a length-framed byte-stream transport for sockets. A
@@ -70,14 +71,46 @@ def pack_bits(bits) -> str:
 
 
 def unpack_bits(data: str, n: int) -> np.ndarray:
+    raw = _b64_bytes(data, "bit array")
+    size = -(-n // 8)
+    if len(raw) != size:
+        rule = "too short" if len(raw) < size else "too long"
+        raise ProtocolError(f"bit array {rule}: {len(raw)} bytes for {n} bits")
+    return np.unpackbits(raw)[:n]
+
+
+def _b64_bytes(data, what: str) -> np.ndarray:
     try:
-        raw = np.frombuffer(base64.b64decode(data, validate=True), dtype=np.uint8)
+        return np.frombuffer(base64.b64decode(data, validate=True), dtype=np.uint8)
     except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"bit array is not base-64 text: {exc}") from exc
-    bits = np.unpackbits(raw)
-    if len(bits) < n:
-        raise ProtocolError(f"bit array too short: {len(bits)} < {n}")
-    return bits[:n]
+        raise ProtocolError(f"{what} is not base-64 text: {exc}") from exc
+
+
+def pack_slots(slots, prev: int = -1) -> str:
+    """Strictly increasing slots above `prev` -> base-64 gap varints.
+
+    Each entry is sent as its gap `slot - prev - 1`, `prev` being the
+    entry before it (for the first, the argument), written as an unsigned
+    LEB128 varint: 7 bits per byte, low group first, the high bit set on
+    every byte but the entry's last. A gap below 2**63 takes at most 9
+    bytes.
+    """
+    slots = np.asarray(slots, dtype=np.int64)
+    # int64 arithmetic wraps modulo 2**64 and every true gap lies in
+    # [0, 2**63), so the gaps come out exact even from prev = -1 to 2**63 - 1.
+    gaps = (np.diff(slots, prepend=np.int64(prev)) - 1).view(np.uint64)
+    n_bytes = np.ones(len(gaps), dtype=np.int64)
+    rest = gaps >> np.uint64(7)
+    while rest.any():
+        n_bytes += rest != 0
+        rest >>= np.uint64(7)
+    start = np.cumsum(n_bytes) - n_bytes
+    raw = np.empty(n_bytes.sum(), dtype=np.uint8)
+    for k in range(n_bytes.max(initial=0)):
+        at = np.flatnonzero(n_bytes > k)
+        more = (n_bytes[at] > k + 1).astype(np.uint8) << 7
+        raw[start[at] + k] = (gaps[at] >> np.uint64(7 * k)).astype(np.uint8) & 0x7F | more
+    return base64.b64encode(raw.tobytes()).decode("ascii")
 
 
 def encode_frame(message: Message) -> bytes:
@@ -211,25 +244,38 @@ def expect(transport: Transport, expected_type: str) -> Message:
 
 
 def validate_detections_payload(payload: dict, key: str = "slots", prev: int = -1) -> np.ndarray:
-    """The slot list under `key` of one slot-carrying frame, as int64.
+    """Decode the slot list under `key` of one slot-carrying frame, as
+    int64 (see pack_slots; `prev` is the last entry of the list's
+    previous frame, -1 for the first).
 
-    Entries must be 64-bit integers that strictly increase from above
-    `prev`, the last entry of the list's previous frame; from the default
-    -1 that also makes them non-negative.
+    Gaps are non-negative, so a decoded list always increases strictly
+    from above `prev`. A field that is missing, not a string or not
+    base-64, a last byte that does not end a varint, a varint longer than
+    9 bytes and a slot past 2**63 - 1 are ProtocolErrors naming the entry.
     """
-    values = payload.get(key)
-    if not isinstance(values, list):
-        raise ProtocolError(f"{key!r} must be a list of slot indices, got {values!r:.40}")
-    try:
-        # type(), not isinstance(): a bool is an int too.
-        slots = np.array(values, dtype=np.int64) if set(map(type, values)) <= {int} else None
-    except OverflowError:
-        slots = None
-    if slots is None:
-        i = next(i for i, v in enumerate(values) if type(v) is not int or not -(2**63) <= v < 2**63)
-        raise ProtocolError(f"{key!r} entries must be 64-bit integers, got {values[i]!r:.40} at {i}")
-    bad = np.flatnonzero(slots <= np.concatenate(([prev], slots))[:-1])
-    if len(bad):
-        rule = "non-negative" if slots[bad[0]] < 0 else "strictly increasing"
-        raise ProtocolError(f"{key!r} must be {rule}, got {slots[bad[0]]} at {bad[0]}")
-    return slots
+    text = payload.get(key)
+    if not isinstance(text, str):
+        raise ProtocolError(f"{key!r} must be a base-64 string of slot gaps, got {text!r:.40}")
+    raw = _b64_bytes(text, f"{key!r}")
+    ends = np.flatnonzero(raw < 0x80)
+    lengths = np.diff(ends, prepend=-1)
+    too_long = np.flatnonzero(lengths > 9)
+    if len(too_long):
+        raise ProtocolError(f"{key!r} has a varint longer than 9 bytes at {too_long[0]}")
+    if len(raw) and raw[-1] >= 0x80:
+        raise ProtocolError(f"{key!r} ends inside a varint at {len(ends)}")
+    if not len(ends):
+        return np.empty(0, dtype=np.int64)
+    starts = ends - lengths + 1
+    gaps = (raw[starts] & 0x7F).astype(np.uint64)
+    for k in range(1, lengths.max()):
+        at = np.flatnonzero(lengths > k)
+        gaps[at] |= (raw[starts[at] + k] & 0x7F).astype(np.uint64) << np.uint64(7 * k)
+    # steps = slot - prev per entry; the uint64 cumsum can wrap past 2**64,
+    # which shows as a step that does not increase.
+    steps = np.cumsum(gaps + np.uint64(1))
+    bad = steps > np.uint64(2**63 - 1 - int(prev))
+    bad[1:] |= steps[1:] <= steps[:-1]
+    if bad.any():
+        raise ProtocolError(f"{key!r} has a slot past 2**63 - 1 at {np.argmax(bad)}")
+    return (steps - np.uint64(1)).astype(np.int64) + np.int64(prev + 1)

@@ -10,8 +10,8 @@ import pytest
 
 from dfsqkd.cli import main
 from dfsqkd.protocol import predicted_qber
-from dfsqkd.session import SessionConfig
-from dfsqkd.transport import Message, StreamTransport
+from dfsqkd.session import WIRE_VERSION, SessionConfig
+from dfsqkd.transport import Message, StreamTransport, expect
 
 FAST = ["--duration", "0.5"]
 
@@ -248,7 +248,7 @@ class TestNetworkedMode:
         assert "seeds.alice" in alice_err
         assert "seeds.alice" in bob.stderr
 
-    @pytest.mark.parametrize("version", [1, None], ids=["older", "missing"])
+    @pytest.mark.parametrize("version", [WIRE_VERSION - 1, None], ids=["older", "missing"])
     def test_other_wire_version_exits_4_naming_the_field(self, version):
         port = _free_port()
         alice = _spawn(["serve-alice", "--listen", f"127.0.0.1:{port}", *FAST])
@@ -262,6 +262,28 @@ class TestNetworkedMode:
             _, err = alice.communicate(timeout=120)
         assert alice.returncode == 4
         assert "differs from ours in: wire_version\n" in err
+
+    def test_malformed_summary_exits_3_naming_the_field(self):
+        # a raw-socket Alice that is honest until her SUMMARY, which lacks fields
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            server.settimeout(120)
+            bob = _spawn(["connect-bob", "--connect", f"127.0.0.1:{server.getsockname()[1]}", *FAST])
+            conn, _ = server.accept()
+            with conn:
+                conn.settimeout(120)
+                alice = StreamTransport(conn)
+                hello = {"config": SessionConfig(duration_s=0.5).to_dict(), "wire_version": WIRE_VERSION}
+                alice.send(Message("HELLO", hello))
+                expect(alice, "HELLO")
+                alice.send(Message("DETECTIONS", {"slots": "", "bases": "", "bits": "", "final": True}))
+                expect(alice, "DETECTIONS")
+                alice.send(Message("SIFT_KEEP", {"keep": "", "final": True}))
+                alice.send(Message("SAMPLE_REQUEST", {"positions": "", "final": True}))
+                expect(alice, "SAMPLE_BITS")
+                alice.send(Message("SUMMARY", {"n_slots": 50_000}))
+                _, err = bob.communicate(timeout=120)
+        assert bob.returncode == 3
+        assert "summary lacks the field 'n_coincidences'" in err
 
     def test_peer_disconnect_exits_3_with_diagnostic(self):
         port = _free_port()

@@ -1,6 +1,8 @@
 """Session engine, conversation, and summary bookkeeping tests."""
 
+import base64
 import math
+import re
 import socket
 import tracemalloc
 
@@ -20,12 +22,13 @@ from dfsqkd.session import (
     alice_sift_exchange,
     bob_sift_exchange,
     exact_session_summary,
+    run_alice_endpoint,
     run_bob_endpoint,
     run_session,
     run_session_detailed,
     simulate_quantum,
 )
-from dfsqkd.transport import Message, ProtocolError, StreamTransport, memory_pair, pack_bits
+from dfsqkd.transport import Message, ProtocolError, StreamTransport, memory_pair, pack_bits, pack_slots
 
 
 def small_cfg(**overrides) -> SessionConfig:
@@ -239,6 +242,21 @@ class TestSessions:
         assert summary.raw_rate_hz == pytest.approx(expected, rel=0.05)
 
 
+@pytest.fixture
+def frame_sizes(monkeypatch):
+    """The length of every frame encoded while the test runs."""
+    sizes = []
+    encode = tp.encode_frame
+
+    def measured(message):
+        frame = encode(message)
+        sizes.append(len(frame))
+        return frame
+
+    monkeypatch.setattr(tp, "encode_frame", measured)
+    return sizes
+
+
 class TestTransportSubstitution:
     def test_stream_and_memory_give_identical_sessions(self):
         cfg = small_cfg()
@@ -249,24 +267,20 @@ class TestTransportSubstitution:
         np.testing.assert_array_equal(st_alice.sifted_key, mem_alice.sifted_key)
         np.testing.assert_array_equal(st_bob.sifted_key, mem_bob.sifted_key)
 
-    def test_session_above_the_old_frame_cap_over_both_transports(self, monkeypatch):
+    def test_session_above_the_old_frame_cap_over_both_transports(self, frame_sizes):
         # about 2.4 M coincidences: one frame per slot list would pass 16 MiB
         cfg = SessionConfig(pair_rate_hz=9e4, duration_s=40)
-        sizes = []
-        encode = tp.encode_frame
-
-        def measured(message):
-            frame = encode(message)
-            sizes.append(len(frame))
-            return frame
-
-        monkeypatch.setattr(tp, "encode_frame", measured)
         in_process = run_session(cfg)
         left, right = socket.socketpair()
         over_socket = run_session(cfg, link=(StreamTransport(left), StreamTransport(right)))
         assert in_process.n_coincidences > 2_000_000
         assert over_socket.to_dict() == in_process.to_dict()
-        assert max(sizes) <= 2 * 2**20
+        assert max(frame_sizes) <= 2 * 2**20
+
+    def test_default_session_sends_at_most_10_bytes_per_sifted_bit(self, frame_sizes):
+        # every frame of both endpoints, length prefixes included
+        summary = run_session(SessionConfig(duration_s=10))
+        assert sum(frame_sizes) / summary.n_sifted <= 10
 
 
 class TestSiftExchange:
@@ -290,14 +304,21 @@ class TestSiftExchange:
 
 
 def _slot_frames(key, chunks, *bit_names):
-    """Payloads carrying one slot list in the given chunks (None leaves
-    the key out), each with an all-zero bit array per name in bit_names.
-    The helpers below queue them and close the peer, so a receiver that
-    accepts them meets a closed channel rather than waiting forever."""
+    """Payloads carrying one slot list in the given chunks, each with an
+    all-zero bit array per name in bit_names. A chunk that is a list of
+    slots is packed, continuing from the previous chunk; any other value
+    goes under `key` as it is, and None leaves `key` out. The helpers
+    below queue the frames and close the peer, so a receiver that accepts
+    them meets a closed channel rather than waiting forever."""
     frames = []
+    prev = -1
     for i, chunk in enumerate(chunks):
-        payload = {name: pack_bits([0] * len(chunk or [])) for name in bit_names}
-        if chunk is not None:
+        slots = chunk if isinstance(chunk, list) else []
+        payload = {name: pack_bits([0] * len(slots)) for name in bit_names}
+        if isinstance(chunk, list):
+            payload[key] = pack_slots(chunk, prev)
+            prev = chunk[-1] if chunk else prev
+        elif chunk is not None:
             payload[key] = chunk
         frames.append({**payload, "final": i == len(chunks) - 1})
     return frames
@@ -319,7 +340,9 @@ def _bob_receives_keep(chunks):
     bob_sift_exchange(link, np.arange(8), np.zeros(8, dtype=np.uint8), np.zeros(8, dtype=np.uint8))
 
 
-def _bob_receives_sample_request(chunks):
+def _run_bob_against(*frames):
+    """Bob's whole endpoint against a scripted Alice who sends HELLO, then
+    eight records on slots 0-7, keeps them all, then sends `frames`."""
     cfg = small_cfg()
     link, peer = memory_pair()
     peer.send(Message("HELLO", {"config": cfg.to_dict(), "wire_version": session_mod.WIRE_VERSION}))
@@ -327,15 +350,25 @@ def _bob_receives_sample_request(chunks):
         peer.send(Message("DETECTIONS", payload))
     for payload in _slot_frames("keep", [list(range(8))]):
         peer.send(Message("SIFT_KEEP", payload))
-    for payload in _slot_frames("positions", chunks):
-        peer.send(Message("SAMPLE_REQUEST", payload))
+    for kind, payload in frames:
+        peer.send(Message(kind, payload))
     peer.close()
     run_bob_endpoint(cfg, link)
 
 
+def _bob_receives_sample_request(chunks):
+    _run_bob_against(*[("SAMPLE_REQUEST", payload) for payload in _slot_frames("positions", chunks)])
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
 class TestHostileSlotLists:
     """Every site that receives a slot list refuses a malformed one with a
-    ProtocolError that says what was wrong."""
+    ProtocolError that says what was wrong. A well-formed list is always
+    non-negative and strictly increasing (see the property tests in
+    test_transport.py), so order, sign and type need no checks here."""
 
     @pytest.mark.parametrize(
         "receive", [_alice_receives_declaration, _bob_receives_keep, _bob_receives_sample_request]
@@ -343,18 +376,14 @@ class TestHostileSlotLists:
     @pytest.mark.parametrize(
         "chunks, match",
         [
-            ([[1, 5, 3]], "strictly increasing, got 3 at 2"),
-            ([[1, 3, 3]], "strictly increasing, got 3 at 2"),
-            ([[-1, 3]], "non-negative, got -1 at 0"),
-            ([[1, 2.5]], "integers, got 2.5 at 1"),
-            ([["3"]], "integers, got '3' at 0"),
-            ([[[3]]], r"integers, got \[3\] at 0"),
-            ([[2**70]], f"64-bit integers, got {2**70} at 0"),
-            ([None], "must be a list"),
-            ([[1, 3], [3, 5]], "strictly increasing, got 3 at 0"),
+            ([None], "must be a base-64 string of slot gaps, got None"),
+            ([[1, 3, 5], 7], "must be a base-64 string of slot gaps, got 7"),
+            (["@@@@"], "is not base-64 text"),
+            ([_b64(b"\x00\x80")], "ends inside a varint at 1"),
+            ([_b64(b"\x80" * 9 + b"\x00")], "varint longer than 9 bytes at 0"),
+            ([[2**63 - 1], _b64(b"\x00")], re.escape("slot past 2**63 - 1 at 0")),
         ],
-        ids=["unsorted", "duplicate", "negative", "float", "string", "nested", "2**70", "missing",
-             "duplicate-across-chunks"],
+        ids=["missing", "non-string", "non-base-64", "unterminated", "10-byte-varint", "past-int64-after-prev"],
     )
     def test_malformed_list_is_a_protocol_error(self, receive, chunks, match):
         with pytest.raises(ProtocolError, match=match):
@@ -363,6 +392,75 @@ class TestHostileSlotLists:
     def test_sample_position_past_the_key_is_a_protocol_error(self):
         with pytest.raises(ProtocolError, match="position 8 at 1 is past the key"):
             _bob_receives_sample_request([[2, 8]])
+
+
+def _honest_summary() -> dict:
+    """The summary Bob derives for _run_bob_against's eight sifted bits
+    and an empty error test."""
+    cfg = small_cfg()
+    return session_mod.finalize(cfg, cfg.n_slots, 8, 8, protocol.qber_report(0, 0), 0.0).to_dict()
+
+
+def _alice_receives_sample_bits(payload):
+    """Alice's whole endpoint against a scripted Bob who declares no
+    detections and then answers the (empty) error test with `payload`."""
+    cfg = small_cfg()
+    link, peer = memory_pair()
+    peer.send(Message("HELLO", {"config": cfg.to_dict(), "wire_version": session_mod.WIRE_VERSION}))
+    for frame in _slot_frames("slots", [[]], "bases"):
+        peer.send(Message("DETECTIONS", frame))
+    peer.send(Message("SAMPLE_BITS", payload))
+    peer.close()
+    run_alice_endpoint(cfg, link)
+
+
+class TestHostilePayloads:
+    """A SUMMARY or SAMPLE_BITS payload that is malformed ends the session
+    with a ProtocolError naming the field, never another exception."""
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda d: {"n_slots": d["n_slots"]}, "summary lacks the field 'n_coincidences'"),
+            (lambda d: {**d, "n_pairs": 3}, "summary has an unknown field 'n_pairs'"),
+            (lambda d: {**d, "n_sifted": 8.0}, "summary.n_sifted must be an integer, got 8.0"),
+            (lambda d: {**d, "final_key_bits": True}, "summary.final_key_bits must be an integer, got True"),
+            (lambda d: {**d, "raw_rate_hz": "16"}, "summary.raw_rate_hz must be a number, got '16'"),
+            (lambda d: {**d, "qber": None}, "summary.qber must be a JSON object, got None"),
+            (lambda d: {**d, "qber": {"n_compared": 0, "n_errors": 0, "qber": None}},
+             "summary.qber lacks the field 'stderr'"),
+            (lambda d: {**d, "qber": {**d["qber"], "qber": [0.1]}}, r"summary.qber.qber must be a number or null"),
+            (lambda d: {**d, "key_rate": {**d["key_rate"], "secure": 0}},
+             "summary.key_rate.secure must be a boolean, got 0"),
+            (lambda d: {**d, "key_rate": {**d["key_rate"], "bits": 1}},
+             "summary.key_rate has an unknown field 'bits'"),
+        ],
+        ids=["missing", "extra", "float-count", "bool-count", "string-rate", "qber-not-object",
+             "qber-missing", "qber-ill-typed", "key-rate-ill-typed", "key-rate-extra"],
+    )
+    def test_malformed_summary_is_a_protocol_error(self, edit, match):
+        sample_request = _slot_frames("positions", [[]])[0]
+        with pytest.raises(ProtocolError, match=match):
+            _run_bob_against(("SAMPLE_REQUEST", sample_request), ("SUMMARY", edit(_honest_summary())))
+
+    def test_honest_summary_is_accepted(self):
+        # the scripted conversation above is honest up to the summary
+        sample_request = _slot_frames("positions", [[]])[0]
+        _run_bob_against(("SAMPLE_REQUEST", sample_request), ("SUMMARY", _honest_summary()))
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            ({}, "bit array is not base-64 text"),
+            ({"bits": 5}, "bit array is not base-64 text"),
+            ({"bits": "@@@@"}, "bit array is not base-64 text"),
+            ({"bits": pack_bits([0])}, "bit array too long: 1 bytes for 0 bits"),
+        ],
+        ids=["missing", "non-string", "non-base-64", "too-long"],
+    )
+    def test_malformed_sample_bits_are_a_protocol_error(self, payload, match):
+        with pytest.raises(ProtocolError, match=match):
+            _alice_receives_sample_bits(payload)
 
 
 class TestCraftedConversations:

@@ -1,12 +1,14 @@
 """Framing, canonical encoding, and transport behavior."""
 
+import base64
+import re
 import socket
 import struct
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfsqkd.transport import (
@@ -20,6 +22,7 @@ from dfsqkd.transport import (
     encode_frame,
     memory_pair,
     pack_bits,
+    pack_slots,
     unpack_bits,
     validate_detections_payload,
 )
@@ -88,9 +91,13 @@ class TestBitPacking:
     def test_empty(self):
         assert len(unpack_bits(pack_bits([]), 0)) == 0
 
-    def test_short_payload_rejected(self):
-        with pytest.raises(ProtocolError, match="too short"):
-            unpack_bits(pack_bits([1, 0]), 99)
+    @pytest.mark.parametrize(
+        "bits, n, match",
+        [([1, 0], 99, "too short: 1 bytes for 99 bits"), ([1] * 9, 8, "too long: 2 bytes for 8 bits"), ([0], 0, "too long")],
+    )
+    def test_wrong_length_rejected(self, bits, n, match):
+        with pytest.raises(ProtocolError, match=match):
+            unpack_bits(pack_bits(bits), n)
 
     @pytest.mark.parametrize("data", [None, 5, "not base-64!", "é"])
     def test_non_base64_payload_rejected(self, data):
@@ -123,16 +130,16 @@ def messages(draw):
         return Message(
             kind,
             {
-                "slots": slots,
+                "slots": pack_slots(slots),
                 "bases": draw(_bit_field(len(slots))),
                 "bits": draw(_bit_field(len(slots))),
                 "final": draw(st.booleans()),
             },
         )
     if kind == "SIFT_KEEP":
-        return Message(kind, {"keep": sorted(draw(st.sets(st.integers(0, 10**9), max_size=50)))})
+        return Message(kind, {"keep": pack_slots(sorted(draw(st.sets(st.integers(0, 10**9), max_size=50))))})
     if kind == "SAMPLE_REQUEST":
-        return Message(kind, {"positions": draw(st.lists(st.integers(0, 10**6), max_size=50))})
+        return Message(kind, {"positions": pack_slots(sorted(draw(st.sets(st.integers(0, 10**6), max_size=50))))})
     if kind == "SAMPLE_BITS":
         n = draw(st.integers(0, 64))
         return Message(kind, {"bits": draw(_bit_field(n))})
@@ -168,8 +175,8 @@ class TestInMemoryTransport:
 
     def test_large_detections_round_trip(self):
         a, b = memory_pair()
-        slots = list(range(0, 10**5))
-        bits = np.random.default_rng(0).integers(0, 2, len(slots))
+        slots = pack_slots(np.arange(10**5))
+        bits = np.random.default_rng(0).integers(0, 2, 10**5)
         msg = Message("DETECTIONS", {"slots": slots, "bases": pack_bits(bits), "bits": pack_bits(bits), "final": True})
         a.send(msg)
         assert b.recv() == msg
@@ -202,48 +209,116 @@ class TestStreamTransport:
             StreamTransport(left).recv()
 
 
+def _varints(*gaps) -> str:
+    """Base-64 LEB128 varints of the given gaps, written one byte at a time."""
+    out = bytearray()
+    for gap in gaps:
+        while gap >= 0x80:
+            out.append(gap & 0x7F | 0x80)
+            gap >>= 7
+        out.append(gap)
+    return base64.b64encode(bytes(out)).decode("ascii")
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
 class TestDetectionsValidation:
-    def test_strictly_increasing_required(self):
-        with pytest.raises(ProtocolError, match="strictly increasing"):
-            validate_detections_payload({"slots": [1, 1, 2]})
-
-    def test_valid_payload_passes(self):
-        validate_detections_payload({"slots": [1, 2, 5]})
-
     @pytest.mark.parametrize(
-        "payload, key, prev, expected",
+        "slots, prev, gaps",
         [
-            ({"slots": [1, 2, 5]}, "slots", -1, [1, 2, 5]),
-            ({"keep": [0, 2**63 - 1]}, "keep", -1, [0, 2**63 - 1]),
-            ({"positions": []}, "positions", 9, []),
-            ({"slots": [6, 7]}, "slots", 5, [6, 7]),
+            ([], -1, []),
+            ([0, 1, 2], -1, [0, 0, 0]),
+            ([5, 133, 134], -1, [5, 127, 0]),
+            ([6, 200, 2**20], 5, [0, 193, 2**20 - 201]),
+            ([2**63 - 1], -1, [2**63 - 1]),
+            ([0, 2**63 - 1], -1, [0, 2**63 - 2]),
         ],
     )
-    def test_returns_the_slots_as_int64(self, payload, key, prev, expected):
-        slots = validate_detections_payload(payload, key, prev)
-        assert slots.dtype == np.int64
-        np.testing.assert_array_equal(slots, expected)
+    def test_slots_travel_as_gap_varints(self, slots, prev, gaps):
+        assert pack_slots(np.array(slots, dtype=np.int64), prev) == _varints(*gaps)
+
+    def test_gap_bytes_are_leb128(self):
+        # gaps 0, 127 and 128 take one, one and two bytes; 2**63 - 1 takes nine
+        assert base64.b64decode(pack_slots([0, 128, 257])) == b"\x00\x7f\x80\x01"
+        assert base64.b64decode(pack_slots([2**63 - 1])) == b"\xff" * 8 + b"\x7f"
+
+    @pytest.mark.parametrize(
+        "slots, key, prev",
+        [
+            ([1, 2, 5], "slots", -1),
+            ([0, 2**63 - 1], "keep", -1),
+            ([], "positions", 9),
+            ([6, 7], "slots", 5),
+        ],
+    )
+    def test_returns_the_slots_as_int64(self, slots, key, prev):
+        decoded = validate_detections_payload({key: pack_slots(slots, prev)}, key, prev)
+        assert decoded.dtype == np.int64
+        np.testing.assert_array_equal(decoded, slots)
 
     @pytest.mark.parametrize(
         "payload, prev, match",
         [
-            ({}, -1, "'slots' must be a list of slot indices, got None"),
-            ({"slots": "1,2"}, -1, "must be a list of slot indices, got '1,2'"),
-            ({"slots": [1, 5, 3]}, -1, "strictly increasing, got 3 at 2"),
-            ({"slots": [1, 3, 3]}, -1, "strictly increasing, got 3 at 2"),
-            ({"slots": [5, 6]}, 5, "strictly increasing, got 5 at 0"),
-            ({"slots": [2**63 - 1, -(2**63)]}, -1, f"non-negative, got {-(2**63)} at 1"),
-            ({"slots": [-1, 3]}, -1, "non-negative, got -1 at 0"),
-            ({"slots": [1, 2.5]}, -1, "integers, got 2.5 at 1"),
-            ({"slots": [1.0]}, -1, "integers, got 1.0 at 0"),
-            ({"slots": ["3"]}, -1, "integers, got '3' at 0"),
-            ({"slots": [1, True]}, -1, "integers, got True at 1"),
-            ({"slots": [0, None]}, -1, "integers, got None at 1"),
-            ({"slots": [[3]]}, -1, r"integers, got \[3\] at 0"),
-            ({"slots": [1, 2**63]}, -1, f"64-bit integers, got {2**63} at 1"),
-            ({"slots": [2**70]}, -1, f"64-bit integers, got {2**70} at 0"),
+            ({}, -1, "'slots' must be a base-64 string of slot gaps, got None"),
+            ({"slots": [1, 2, 5]}, -1, r"must be a base-64 string of slot gaps, got \[1, 2, 5\]"),
+            ({"slots": 7}, -1, "must be a base-64 string of slot gaps, got 7"),
+            ({"slots": "AA="}, -1, "'slots' is not base-64 text"),
+            ({"slots": "@@@@"}, -1, "'slots' is not base-64 text"),
+            ({"slots": "é"}, -1, "'slots' is not base-64 text"),
+            ({"slots": _b64(b"\x00\x80")}, -1, "ends inside a varint at 1"),
+            ({"slots": _b64(b"\xff" * 3)}, -1, "ends inside a varint at 0"),
+            ({"slots": _b64(b"\x00" + b"\x80" * 9 + b"\x00")}, -1, "varint longer than 9 bytes at 1"),
+            ({"slots": _b64(b"\x80" * 12)}, -1, "ends inside a varint at 0"),
+            ({"slots": _varints(0, 0)}, 2**63 - 2, re.escape("slot past 2**63 - 1 at 1")),
+            ({"slots": _varints(0)}, 2**63 - 1, re.escape("slot past 2**63 - 1 at 0")),
+            ({"slots": _varints(2**63 - 1)}, 5, re.escape("slot past 2**63 - 1 at 0")),
+            # the second step wraps a uint64 sum to exactly 2**64
+            ({"slots": _varints(2**63 - 1, 2**63 - 1)}, -1, re.escape("slot past 2**63 - 1 at 1")),
         ],
     )
     def test_malformed_frame_names_what_is_wrong(self, payload, prev, match):
         with pytest.raises(ProtocolError, match=match):
             validate_detections_payload(payload, "slots", prev)
+
+
+_slot_lists = st.lists(st.integers(0, 2**63 - 1), unique=True, max_size=40).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_slot_lists, st.lists(st.integers(0, 40), max_size=4))
+@example([], [])
+@example([0], [])
+@example([2**63 - 1], [])
+@example([0, 2**63 - 1], [1])
+@example([0, 1, 2**63 - 2, 2**63 - 1], [2, 2, 3])
+def test_slot_lists_round_trip_in_any_chunks(slots, cuts):
+    """Chunks encoded and decoded with prev carried give back the list."""
+    arr = np.array(slots, dtype=np.int64)
+    bounds = [0, *sorted(c for c in cuts if c <= len(arr)), len(arr)]
+    decoded = []
+    prev = -1
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = validate_detections_payload({"slots": pack_slots(arr[lo:hi], prev)}, "slots", prev)
+        decoded.append(chunk)
+        prev = chunk[-1] if len(chunk) else prev
+    out = np.concatenate(decoded)
+    assert out.dtype == np.int64
+    np.testing.assert_array_equal(out, arr)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(st.text(max_size=40), st.binary(max_size=40).map(_b64)),
+    st.one_of(st.just(-1), st.integers(-1, 2**63 - 1)),
+)
+@example(_b64((b"\xff" * 8 + b"\x7f") * 2), -1)  # the uint64 sum of steps wraps to 0
+@example(_b64(b"\x7f"), 2**63 - 129)
+def test_any_text_decodes_to_an_increasing_list_or_is_refused(text, prev):
+    try:
+        slots = validate_detections_payload({"slots": text}, "slots", prev)
+    except ProtocolError:
+        return
+    assert slots.dtype == np.int64
+    assert np.all(np.diff(slots, prepend=prev) > 0)
