@@ -78,14 +78,8 @@ def eom_unitary(setting: EomSetting) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 # Channel models. The frozen model describes the noise process; sampler()
-# returns the per-session cursor that actually draws angles. A sampler must
-# not be shared across concurrent sessions; RandomWalk samplers must be
-# queried with non-decreasing slot indices.
+# returns the object that draws its angles at the given slots from a stream.
 # --------------------------------------------------------------------------
-
-
-# Walk steps drawn per chunk; bounds the walk's memory by the chunk size.
-WALK_CHUNK = 1 << 20
 
 
 class ChannelSampler:
@@ -130,7 +124,8 @@ class PerSlotUniformChannel:
 
 @dataclass(frozen=True)
 class RandomWalkChannel:
-    """Gaussian random walk: one step of width step_sigma per clock slot."""
+    """Gaussian random walk: one step of width step_sigma per clock slot,
+    from theta0 at slot 0."""
 
     theta0: float
     step_sigma: float
@@ -191,42 +186,20 @@ class _UniformSampler(ChannelSampler):
 
 
 class _WalkSampler(ChannelSampler):
-    """Walk state advances one Gaussian step per slot; queries must come
-    in non-decreasing slot order (the step draws are consumed lazily).
-
-    Steps are drawn WALK_CHUNK at a time. The running step sum is carried
-    into each chunk's cumulative sum and the start angle added after it,
-    so the angles equal those of one draw over every step.
-    """
+    """The walk at the queried slots, which must not decrease: one normal
+    per slot, scaled by the square root of the steps since the previous
+    one (or since slot 0), gives each angle the law of one step per clock
+    slot."""
 
     def __init__(self, theta0: float, step_sigma: float):
-        self.theta = float(theta0)
+        self.theta0 = float(theta0)
         self.step_sigma = float(step_sigma)
-        self._last_slot = 0
 
     def sample_batch(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        slots = np.asarray(slots, dtype=np.int64)
-        if len(slots) == 0:
-            return np.empty(0)
-        if np.any(np.diff(slots) < 0) or slots[0] < self._last_slot:
+        gaps = np.diff(np.asarray(slots, dtype=np.int64), prepend=0)
+        if np.any(gaps < 0):
             raise ValueError("random-walk channel queried out of order")
-        total = int(slots[-1] - self._last_slot)
-        offsets = slots - self._last_slot  # 0 means "no new step yet"
-        values = np.full(len(slots), self.theta)
-        step_sum = 0.0
-        for start in range(0, total, WALK_CHUNK):
-            steps = rng.normal(0.0, self.step_sigma, size=min(WALK_CHUNK, total - start))
-            if start:
-                steps[0] += step_sum
-            sums = np.cumsum(steps)
-            step_sum = sums[-1]
-            # the slots at offsets start + 1 .. start + len(steps)
-            lo, hi = np.searchsorted(offsets, [start, start + len(steps)], side="right")
-            values[lo:hi] = self.theta + sums[offsets[lo:hi] - 1 - start]
-        if total:
-            self.theta = float(self.theta + step_sum)
-            self._last_slot = int(slots[-1])
-        return values
+        return self.theta0 + np.cumsum(rng.normal(0.0, self.step_sigma, len(gaps)) * np.sqrt(gaps))
 
 
 # --------------------------------------------------------------------------

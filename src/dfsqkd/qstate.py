@@ -4,11 +4,9 @@ States are plain numpy arrays: single-photon kets are complex vectors of
 shape (2,) on the (H, V) basis, two-photon kets are shape (4,) on the
 (HH, HV, VH, VV) product basis with photon 1 as the left tensor factor,
 and mixed states are density matrices of shape (2, 2) or (4, 4) on the
-same orderings. All operations are pure; only :func:`sample_outcome`
-touches a random stream, and it mutates nothing but that stream.
+same orderings. All operations are pure and draw nothing at random.
 
-Tolerances: 1e-12 for algebraic identities, 1e-9 for accumulated
-pipelines.
+Tolerance: 1e-12 for algebraic identities.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 TOL_ALGEBRA = 1e-12
-TOL_PIPELINE = 1e-9
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -31,28 +28,6 @@ PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / _SQRT2
 
 for _arr in (KET_H, KET_V, KET_PLUS, KET_MINUS, PSI_MINUS, PHI_PLUS):
     _arr.setflags(write=False)
-
-_BASIS_KETS = {
-    "H": KET_H,
-    "V": KET_V,
-    "PLUS": KET_PLUS,
-    "MINUS": KET_MINUS,
-    "+": KET_PLUS,
-    "-": KET_MINUS,
-}
-
-
-def basis_ket(label: str) -> np.ndarray:
-    """Return the unit ket for one of the four polarizer labels.
-
-    Accepts "H", "V", "PLUS"/"+", "MINUS"/"-" (case-insensitive for the
-    word forms).
-    """
-    key = label.upper() if label not in ("+", "-") else label
-    try:
-        return _BASIS_KETS[key].copy()
-    except KeyError:
-        raise ValueError(f"unknown polarization label {label!r}") from None
 
 
 def normalize(ket: np.ndarray) -> np.ndarray:
@@ -152,22 +127,6 @@ def born_probs(state: np.ndarray, analyzer1: np.ndarray, analyzer2: np.ndarray) 
         return np.abs(amps) ** 2
     probs = np.einsum("oi,ij,oj->o", bras, state, bras.conj())
     return np.real(probs)
-
-
-def sample_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one outcome index from a probability vector.
-
-    Consumes exactly one uniform variate, so the result is deterministic
-    given the stream state (inverse-CDF sampling).
-    """
-    p = np.asarray(probs, dtype=float)
-    if np.any(p < -TOL_ALGEBRA):
-        raise ValueError(f"negative probability in {p}")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-    cum = np.cumsum(np.clip(p, 0.0, None))
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(idx, len(p) - 1)
 
 
 def herald_photon1(state: np.ndarray, analyzer2: np.ndarray) -> tuple[float, np.ndarray]:

@@ -2,7 +2,7 @@
 
 One session walks a 100 kHz clock: each slot may carry photon pairs
 (Poisson), Alice encodes on pair slots, the channel angle is sampled per
-slot, Bob measures, and the detector layer decides coincidences. The
+pair slot, Bob measures, and the detector layer decides coincidences. The
 classical conversation (detection declaration, basis sifting, error
 test, summary) then runs over a Transport pair, so the same code drives
 both the in-process mode and the two-process networked mode.
@@ -11,21 +11,25 @@ All randomness comes from four seeded streams. The engine consumes them
 in a fixed, documented order, which is what makes identical configs give
 bit-identical sessions:
 
-* source: Poisson pair counts for every slot, then one outcome uniform
-  per pair slot, then the detector draws (2 efficiency + 4 dark uniforms
-  per pair slot). The pair counts are drawn in chunks of SOURCE_CHUNK
-  slots, keeping only the pair slots; the counts equal one draw over
-  every slot, so memory grows with pair slots, not clock slots;
+* source: geometric gaps between pair slots, GAP_BATCH per draw, until
+  one batch passes the last slot; then one count uniform per pair slot
+  (the pair count, from the Poisson law truncated at zero); then one
+  outcome uniform per pair slot; then the detector draws (2 efficiency +
+  4 dark uniforms per pair slot). Time and memory grow with pair slots,
+  not clock slots;
 * alice: x bits, then y bits (one batch each over pair slots), then the
   error-test sample positions;
 * bob: z bits over pair slots;
-* channel: per the channel model's own contract.
+* channel: per pair slot, nothing on a static channel, one uniform on a
+  per-slot uniform one, one normal step (scaled by the square root of
+  the gap from the previous pair slot, or from slot 0) on a random walk.
 
 Networked mode simulates the quantum side on Alice's process and streams
 Bob's measurement records to him as DETECTIONS that also carry his
 "bits"; everything after that is identical in both modes. Every slot
 list (that stream, Bob's declaration, SIFT_KEEP, SAMPLE_REQUEST) goes as
-validated frames of at most SLOT_CHUNK entries, the last flagged "final".
+validated frames of at most SLOT_CHUNK entries, the last flagged "final",
+and each entry must lie below a bound the receiver knows (_recv_slots).
 Inside a frame the entries travel as one base-64 string of gap varints
 (transport.pack_slots): the first gap counts from the previous frame's
 last entry, so a decoded list always increases strictly, across frames
@@ -54,12 +58,13 @@ from .protocol import (
 )
 from .transport import Message, Transport, expect, memory_pair, pack_bits, pack_slots, unpack_bits
 
-# Version of the conversation's wire format, checked in HELLO.
-WIRE_VERSION = 3
+# Version of the conversation's wire format and of the draw order, checked
+# in HELLO.
+WIRE_VERSION = 4
 # Entries of a slot list per frame.
 SLOT_CHUNK = 100_000
-# Clock slots per Poisson draw of the source stream.
-SOURCE_CHUNK = 1 << 20
+# Geometric gaps per draw of the source stream.
+GAP_BATCH = 1 << 16
 # Pair slots per Born-kernel call on a channel whose angle varies.
 BORN_BLOCK = 1 << 16
 
@@ -267,17 +272,29 @@ class SimulationResult:
 
 
 def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair slots and their pair counts from one Poisson count per clock
-    slot. The counts are drawn SOURCE_CHUNK slots at a time, which equals
-    one draw over every slot, and only the nonzero ones are kept."""
-    slots = [np.empty(0, dtype=np.int64)]
-    counts = [np.empty(0, dtype=np.int64)]
-    for start in range(0, n_slots, SOURCE_CHUNK):
-        chunk = rng.poisson(mu, min(SOURCE_CHUNK, n_slots - start))
-        nonzero = np.flatnonzero(chunk)
-        slots.append(nonzero + start)
-        counts.append(chunk[nonzero])
-    return np.concatenate(slots), np.concatenate(counts)
+    """Pair slots and their pair counts by the skip method (Devroye, 1986),
+    which has the joint law of one Poisson(mu) count per clock slot. The
+    gaps between pair slots are geometric with p = 1 - e^-mu, drawn
+    GAP_BATCH at a time until a batch passes n_slots. Each pair slot's
+    count is Poisson(mu) given at least one pair, by inverse CDF on one
+    uniform."""
+    if mu == 0.0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    p = -math.expm1(-mu)
+    batches, last = [], -1
+    while last < n_slots:
+        # Any gap past n_slots ends the list; the cap keeps the sum in int64.
+        batches.append(last + np.cumsum(np.minimum(rng.geometric(p, GAP_BATCH), n_slots + 1)))
+        last = batches[-1][-1]
+    slots = np.concatenate(batches)
+    slots = slots[: np.searchsorted(slots, n_slots)]
+    # P(count = n | count >= 1) for n = 1, 2, ... until a term is below rounding
+    terms = [mu * math.exp(-mu) / p]
+    while terms[-1] > 1e-17:
+        terms.append(terms[-1] * mu / (len(terms) + 1))
+    cdf = np.cumsum(terms)
+    counts = 1 + np.searchsorted(cdf, rng.random(len(slots)), side="right")
+    return slots, np.minimum(counts, len(cdf))
 
 
 def _born_probs(
@@ -434,18 +451,30 @@ def _send_slots(link: Transport, kind: str, key: str, slots: np.ndarray, **bits:
         link.send(Message(kind, payload))
 
 
-def _recv_slots(link: Transport, kind: str, key: str, *bit_names: str) -> tuple[np.ndarray, ...]:
+def _recv_slots(link: Transport, kind: str, key: str, bound: int, *bit_names: str) -> tuple[np.ndarray, ...]:
     """Receive a slot list sent by _send_slots, decoding and validating
-    every frame. Returns the slots, then each named bit array."""
+    every frame. Every entry must lie below `bound`, and only the final
+    frame may be empty, so a peer that never sends one can send at most
+    `bound` entries. Returns the slots, then each named bit array."""
     frames = []
-    prev = -1
+    prev, n = -1, 0
     while True:
         payload = expect(link, kind).payload
         slots = tp.validate_detections_payload(payload, key, prev)
+        if len(slots) and slots[-1] >= bound:
+            i = int(np.searchsorted(slots, bound))
+            raise tp.ProtocolError(f"{kind} {key!r} entry {slots[i]} at {n + i} is not below {bound}")
         frames.append([slots] + [unpack_bits(payload.get(name), len(slots)) for name in bit_names])
-        prev = slots[-1] if len(slots) else prev
         if payload.get("final"):
             return tuple(np.concatenate(column) for column in zip(*frames))
+        if not len(slots):
+            raise tp.ProtocolError(f"{kind} {key!r} frame is empty but not final")
+        prev, n = slots[-1], n + len(slots)
+
+
+def _end(slots: np.ndarray) -> int:
+    """One past the last entry of a sorted slot list, 0 for an empty one."""
+    return int(slots[-1]) + 1 if len(slots) else 0
 
 
 def _indices_in(known: np.ndarray, slots: np.ndarray, complaint: str) -> np.ndarray:
@@ -465,7 +494,7 @@ def alice_sift_exchange(
     """Alice's half of sifting: receive Bob's declaration (slots and
     bases), reply with the slots whose bases match hers, and build her
     sifted key. Returns (alice key, kept slots)."""
-    decl_slots, decl_z = _recv_slots(link, "DETECTIONS", "slots", "bases")
+    decl_slots, decl_z = _recv_slots(link, "DETECTIONS", "slots", _end(pair_slots), "bases")
     idx = _indices_in(pair_slots, decl_slots, "peer declared a detection in a slot without pairs")
     keep_mask = x[idx] == decl_z
     kept_slots = decl_slots[keep_mask]
@@ -479,7 +508,7 @@ def bob_sift_exchange(
     """Bob's half of sifting: declare every coincidence with its basis,
     then keep the slots Alice confirms. Returns (bob key, kept slots)."""
     _send_slots(link, "DETECTIONS", "slots", slots, bases=z)
-    (kept_slots,) = _recv_slots(link, "SIFT_KEEP", "keep")
+    (kept_slots,) = _recv_slots(link, "SIFT_KEEP", "keep", _end(slots))
     pos_in_decl = _indices_in(slots, kept_slots, "peer kept a slot we never declared")
     return bits[pos_in_decl].astype(np.uint8), kept_slots
 
@@ -520,12 +549,10 @@ def run_bob_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
     sift, answer the error test, and verify the summary."""
     _hello_exchange(cfg, link)
 
-    slots, z, bits = _recv_slots(link, "DETECTIONS", "slots", "bases", "bits")
+    slots, z, bits = _recv_slots(link, "DETECTIONS", "slots", cfg.n_slots, "bases", "bits")
     bob_key, kept_slots = bob_sift_exchange(link, slots, z, bits)
 
-    (positions,) = _recv_slots(link, "SAMPLE_REQUEST", "positions")
-    if len(positions) and positions[-1] >= len(bob_key):
-        raise tp.ProtocolError(f"error-test position {positions[-1]} at {len(positions) - 1} is past the key")
+    (positions,) = _recv_slots(link, "SAMPLE_REQUEST", "positions", len(bob_key))
     link.send(Message("SAMPLE_BITS", {"bits": pack_bits(bob_key[positions])}))
 
     summary_msg = expect(link, "SUMMARY")

@@ -1,12 +1,19 @@
 """Shared fixtures."""
 
+import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dfsqkd.session import alice_sift_exchange, bob_sift_exchange
 from dfsqkd.transport import TransportClosed, memory_pair
+
+# pytest imports dfsqkd from src/ (pyproject's `pythonpath`); the CLI tests'
+# child processes find it there too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -24,30 +24,30 @@ from dfsqkd.session import SessionConfig, simulate_quantum
 GOLDEN_STDOUT = {
     "dfs2-static-20": (
         ["run", "--duration", "2", "--theta", "20"],
-        "a3b3a5aaed9d3ec116da4fa1a5d76294a89d2034d1dd33eda97bc7d6c9ee1b3b",
+        "4f0b64449326383287b011a2bc082eb2d782464adc106d99895a165b657f30c1",
     ),
     "bb84-static-20": (
         ["run", "--duration", "2", "--theta", "20", "--protocol", "bb84"],
-        "7c0275b4d35294d428b263309dd412a7a36e0108469057c6fdc627a350339710",
+        "9ac7412a548b1a2bf79c79dda28f2a007e41d337bd4cb5f60f14bdb1ed17b283",
     ),
     "dfs2-random-walk": (
         ["run", "--duration", "2", "--channel", "random-walk", "--theta", "5", "--channel-sigma", "0.5"],
-        "a3b3a5aaed9d3ec116da4fa1a5d76294a89d2034d1dd33eda97bc7d6c9ee1b3b",
+        "4f0b64449326383287b011a2bc082eb2d782464adc106d99895a165b657f30c1",
     ),
     "dfs2-uniform-lossy": (
         [
             "run", "--duration", "2", "--channel", "per-slot-uniform", "--channel-lo", "-30",
             "--channel-hi", "30", "--efficiency", "0.8", "--dark", "1e-4",
         ],
-        "3b2f79e86771e7695fec9c6f985d0dc0804f8e3e63aba9187680306e466c2395",
+        "497c82e5e92e7fa2f89fe6e19f0e48c6215bd09062408c408ad5376562f1236e",
     ),
     "sweep-4-points": (
         ["sweep", "--duration", "1", "--thetas", "0,30", "--protocols", "dfs2,bb84"],
-        "b4210e5fc6af4f082d8c2c10fdebdce9074ed746a2d63370fa53e81d9e8722ff",
+        "cb3415a62c77610169aef9bbfb15be646d2ee29ad646923a13c73be504b2a112",
     ),
 }
 
-WALK_THETAS_SHA256 = "945a07dd809e9e3cfece314e60d65910f89dd191b75bc3613fa734c41aba5f2b"
+WALK_THETAS_SHA256 = "9cf87592929e8e1da6b64d3ed7c3a33d9e56873b2e4c09b375754d2f03a23e18"
 
 
 def _sha256(data: bytes) -> str:
@@ -64,5 +64,5 @@ def test_stdout_matches_golden(case, capsys):
 def test_random_walk_angles_match_golden():
     cfg = SessionConfig(duration_s=2.0, channel=RandomWalkChannel(np.radians(5.0), np.radians(0.5)))
     theta = simulate_quantum(cfg).theta
-    assert len(theta) == 7667
+    assert len(theta) == 7905
     assert _sha256(np.ascontiguousarray(theta, dtype="<f8").tobytes()) == WALK_THETAS_SHA256

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dfsqkd.optics import (
-    WALK_CHUNK,
     DetectorParams,
     PerSlotUniformChannel,
     RandomWalkChannel,
@@ -120,28 +119,35 @@ class TestChannelModels:
         np.testing.assert_allclose(s.sample_batch(np.array([0, 10, 10, 5000]), rng), 0.7)
 
     def test_walk_out_of_order_rejected(self):
-        s = RandomWalkChannel(0.0, 0.1).sampler()
         rng = np.random.default_rng(3)
-        s.sample_batch(np.array([10]), rng)
-        with pytest.raises(ValueError, match="out of order"):
-            s.sample_batch(np.array([4]), rng)
         with pytest.raises(ValueError, match="out of order"):
             RandomWalkChannel(0.0, 0.1).sampler().sample_batch(np.array([5, 3]), rng)
+        with pytest.raises(ValueError, match="out of order"):
+            RandomWalkChannel(0.0, 0.1).sampler().sample_batch(np.array([-1, 3]), rng)
 
-    def test_walk_batch_matches_sequential(self):
-        # two consecutive slices continue the walk where one call over all
-        # the slots would (up to rounding: the second restarts its sum);
-        # one call, drawn in chunks, equals the one-shot running step sum
-        chunk = WALK_CHUNK
-        slots = np.array([3, 4, 9, 20, 21, 100, chunk, chunk + 1, 2 * chunk + 5])
+    def test_walk_is_one_scaled_step_per_slot_and_keeps_no_state(self):
+        slots = np.array([3, 4, 9, 9, 20, 100, 5000])
         theta0, sigma = 0.1, 0.05
-        split = RandomWalkChannel(theta0, sigma).sampler()
-        rng = np.random.default_rng(7)
-        in_two = np.concatenate([split.sample_batch(slots[:3], rng), split.sample_batch(slots[3:], rng)])
-        at_once = RandomWalkChannel(theta0, sigma).sampler().sample_batch(slots, np.random.default_rng(7))
-        walk = theta0 + np.cumsum(np.random.default_rng(7).normal(0.0, sigma, size=slots[-1]))
-        np.testing.assert_allclose(in_two, at_once, atol=1e-12)
-        np.testing.assert_array_equal(at_once, walk[slots - 1])
+        sampler = RandomWalkChannel(theta0, sigma).sampler()
+        steps = np.random.default_rng(7).normal(0.0, sigma, len(slots))
+        walk = theta0 + np.cumsum(steps * np.sqrt(np.diff(slots, prepend=0)))
+        np.testing.assert_array_equal(sampler.sample_batch(slots, np.random.default_rng(7)), walk)
+        # a second query starts again from theta0 at slot 0
+        np.testing.assert_array_equal(sampler.sample_batch(slots, np.random.default_rng(7)), walk)
+
+    def test_walk_increment_variance_is_sigma_squared_per_slot(self):
+        # 50 000 increments over each gap size, in shuffled order
+        gap_sizes = np.array([1, 7, 50, 400])
+        rng = np.random.default_rng(8)
+        gaps = rng.permutation(np.repeat(gap_sizes, 50_000))
+        theta0, sigma = 0.2, 0.01
+        theta = RandomWalkChannel(theta0, sigma).sampler().sample_batch(np.cumsum(gaps), rng)
+        increments = np.diff(theta, prepend=theta0)
+        for g in gap_sizes:
+            d = increments[gaps == g]
+            var = sigma**2 * g
+            assert abs(d.mean()) < 5 * np.sqrt(var / len(d))
+            assert abs(np.mean(d**2) / var - 1) < 5 * np.sqrt(2 / len(d))
 
     def test_invalid_model_parameters_rejected(self):
         with pytest.raises(ValueError, match="lo <= hi"):

@@ -16,11 +16,9 @@ from dfsqkd.qstate import (
     PSI_MINUS,
     apply_collective,
     apply_photon,
-    basis_ket,
     born_probs,
     herald_photon1,
     overlap2,
-    sample_outcome,
     tensor,
     werner_mix,
 )
@@ -40,16 +38,6 @@ def random_unitary(rng, dim):
 
 
 class TestBasisAndTensor:
-    def test_basis_kets(self):
-        np.testing.assert_allclose(basis_ket("H"), [1, 0])
-        np.testing.assert_allclose(basis_ket("PLUS"), [INV_SQRT2, INV_SQRT2])
-        np.testing.assert_allclose(basis_ket("MINUS"), [INV_SQRT2, -INV_SQRT2])
-        np.testing.assert_allclose(basis_ket("-"), basis_ket("minus"))
-
-    def test_unknown_label_raises(self):
-        with pytest.raises(ValueError, match="unknown polarization label"):
-            basis_ket("X")
-
     def test_tensor_products(self):
         np.testing.assert_allclose(tensor(KET_H, KET_V), [0, 1, 0, 0])
         np.testing.assert_allclose(tensor(KET_PLUS, KET_H), [INV_SQRT2, 0, INV_SQRT2, 0])
@@ -151,30 +139,6 @@ class TestBornProbs:
         probs = born_probs(state, random_ket(rng, 2), random_ket(rng, 2))
         assert np.all(probs >= -1e-12)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestSampling:
-    def test_degenerate_distributions(self):
-        rng = np.random.default_rng(0)
-        assert all(sample_outcome([1, 0, 0, 0], rng) == 0 for _ in range(50))
-        assert all(sample_outcome([0, 0, 0, 1], rng) == 3 for _ in range(50))
-
-    def test_negative_probability_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            sample_outcome([0.5, 0.6, -0.1, 0.0], np.random.default_rng(0))
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="sum"):
-            sample_outcome([0.3, 0.3, 0.3, 0.3], np.random.default_rng(0))
-
-    def test_uniform_frequencies_within_4_sigma(self):
-        rng = np.random.default_rng(42)
-        n = 10**5
-        probs = [0.25] * 4
-        counts = np.bincount([sample_outcome(probs, rng) for _ in range(n)], minlength=4)
-        sigma = np.sqrt(0.25 * 0.75 / n)
-        for freq in counts / n:
-            assert abs(freq - 0.25) < 4 * sigma
 
 
 class TestHeralding:

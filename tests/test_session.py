@@ -4,6 +4,7 @@ import base64
 import math
 import re
 import socket
+import time
 import tracemalloc
 
 import numpy as np
@@ -72,15 +73,44 @@ class TestConfig:
             SessionConfig.from_dict({"prtocol": "dfs2"})
 
 
+# Chi-square quantiles at 1 - 1e-6 by degrees of freedom, from the
+# regularized incomplete gamma function (scipy is not a dependency).
+CHI2_1E6 = {2: 27.63, 4: 33.38, 20: 65.42, 100: 182.13}
+
+# (mean pairs per slot, clock slots, gap bins, count bins): over 1e6 pair
+# slots each, with the last bin of each law its tail.
+SOURCE_LAWS = [(0.04, 26_000_000, 101, 3), (0.5, 2_600_000, 21, 5)]
+
+
+def _chi2(observed, probs):
+    """Chi-square statistic of counts against bin probabilities whose last
+    bin takes the tail."""
+    expected = observed.sum() * np.asarray(probs)
+    return float(np.sum((observed - expected) ** 2 / expected))
+
+
 class TestPoissonPairs:
-    def test_mean_and_multi_pair_tail_at_mu_0p04(self):
-        rng = np.random.default_rng(123)
-        n = 10**7
-        draws = rng.poisson(0.04, n)
-        assert abs(draws.mean() - 0.04) < 4 * math.sqrt(0.04 / n)
-        p_tail = 1 - math.exp(-0.04) * 1.04  # P(n >= 2) = 7.79e-4
-        tail = np.count_nonzero(draws >= 2) / n
-        assert abs(tail - p_tail) < 4 * math.sqrt(p_tail * (1 - p_tail) / n)
+    """The source's skip method: geometric gaps between pair slots and
+    Poisson counts truncated at zero, against their laws."""
+
+    @pytest.mark.parametrize("mu, n_slots, bins, _", SOURCE_LAWS)
+    def test_gaps_are_geometric(self, mu, n_slots, bins, _):
+        slots, _counts = session_mod._draw_pair_slots(np.random.default_rng(21), mu, n_slots)
+        assert len(slots) > 10**6
+        gaps = np.diff(slots, prepend=-1)
+        p = -math.expm1(-mu)
+        probs = p * (1 - p) ** np.arange(bins - 1)
+        observed = np.bincount(np.minimum(gaps, bins) - 1, minlength=bins)
+        assert _chi2(observed, [*probs, 1 - probs.sum()]) < CHI2_1E6[bins - 1]
+
+    @pytest.mark.parametrize("mu, n_slots, _, bins", SOURCE_LAWS)
+    def test_counts_are_zero_truncated_poisson(self, mu, n_slots, _, bins):
+        _slots, counts = session_mod._draw_pair_slots(np.random.default_rng(22), mu, n_slots)
+        assert len(counts) > 10**6
+        n = np.arange(1, bins)
+        probs = np.exp(-mu) * mu**n / np.array([math.factorial(i) for i in n]) / -math.expm1(-mu)
+        observed = np.bincount(np.minimum(counts, bins) - 1, minlength=bins)
+        assert _chi2(observed, [*probs, 1 - probs.sum()]) < CHI2_1E6[bins - 1]
 
 
 class TestEngine:
@@ -103,6 +133,11 @@ class TestEngine:
         sim = simulate_quantum(small_cfg(pair_rate_hz=0.0))
         assert len(sim.pair_slots) == 0
 
+    def test_tiny_pair_rate_produces_nothing(self):
+        # gaps near 2**63: a batch of them would overflow int64 uncapped
+        for rate in (1e-12, 1e-300):
+            assert len(simulate_quantum(small_cfg(pair_rate_hz=rate)).pair_slots) == 0
+
     def test_coincidence_count_matches_pair_slots_for_ideal_detectors(self):
         cfg = small_cfg()
         sim = simulate_quantum(cfg)
@@ -117,8 +152,9 @@ KERNELS = {"dfs2": protocol.dfs2_probs_batch, "bb84": protocol.bb84_port1_batch}
 
 
 class TestBoundedMemory:
-    """The engine's memory grows with pair slots, not clock slots, and its
-    chunked draws and tabled kernel give the values of one-shot ones."""
+    """The engine's time and memory grow with pair slots, not clock slots,
+    and its batched draws and tabled kernel give the values of one-shot
+    ones."""
 
     @pytest.mark.parametrize(
         "channel", [StaticChannel(0.3), RandomWalkChannel(0.1, 1e-4)], ids=["static", "random_walk"]
@@ -135,20 +171,34 @@ class TestBoundedMemory:
         assert len(sim.pair_slots) < 20_000
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
-    def test_chunked_pair_counts_equal_one_draw_over_every_slot(self):
-        cfg = small_cfg(duration_s=26.0)
-        n, mu = cfg.n_slots, cfg.mean_pairs_per_slot
-        assert n > 2 * session_mod.SOURCE_CHUNK and n % session_mod.SOURCE_CHUNK
+    def test_gap_batches_equal_one_geometric_draw(self):
+        cfg = small_cfg(duration_s=60.0)
+        n, mu, batch = cfg.n_slots, cfg.mean_pairs_per_slot, session_mod.GAP_BATCH
         sim = simulate_quantum(cfg)
+        k = len(sim.pair_slots)
+        # the batches end with the one that holds the first slot past the session
+        n_batches = k // batch + 1
+        assert n_batches >= 3
         one_shot = np.random.default_rng(cfg.seeds.source)
-        counts = one_shot.poisson(mu, n)
-        slots = np.flatnonzero(counts)
-        np.testing.assert_array_equal(sim.pair_slots, slots)
-        np.testing.assert_array_equal(sim.n_pairs, counts[slots])
-        # the stream continues exactly where one draw would leave it
-        chunked = np.random.default_rng(cfg.seeds.source)
-        session_mod._draw_pair_slots(chunked, mu, n)
-        np.testing.assert_array_equal(chunked.random(16), one_shot.random(16))
+        slots = np.cumsum(one_shot.geometric(-math.expm1(-mu), n_batches * batch)) - 1
+        assert slots[k - 1] < n <= slots[k]
+        np.testing.assert_array_equal(sim.pair_slots, slots[:k])
+        # the stream continues exactly where that draw and the count uniforms leave it
+        batched = np.random.default_rng(cfg.seeds.source)
+        session_mod._draw_pair_slots(batched, mu, n)
+        one_shot.random(k)
+        np.testing.assert_array_equal(batched.random(16), one_shot.random(16))
+
+    def test_a_billion_clock_slots_take_seconds(self):
+        # 1e4 s at 40 pairs/s: 1e9 clock slots, about 4e5 pair slots
+        cfg = small_cfg(pair_rate_hz=40, duration_s=1e4)
+        start = time.perf_counter()
+        sim = simulate_quantum(cfg)
+        elapsed = time.perf_counter() - start
+        expected = cfg.n_slots * -math.expm1(-cfg.mean_pairs_per_slot)
+        assert cfg.n_slots == 10**9
+        assert abs(len(sim.pair_slots) - expected) < 5 * math.sqrt(expected)
+        assert elapsed < 5.0, f"{elapsed:.2f} s"
 
     @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
     def test_static_table_equals_the_per_row_kernel(self, protocol_name):
@@ -340,15 +390,16 @@ def _bob_receives_keep(chunks):
     bob_sift_exchange(link, np.arange(8), np.zeros(8, dtype=np.uint8), np.zeros(8, dtype=np.uint8))
 
 
-def _run_bob_against(*frames):
+def _run_bob_against(*frames, records=tuple(range(8))):
     """Bob's whole endpoint against a scripted Alice who sends HELLO, then
-    eight records on slots 0-7, keeps them all, then sends `frames`."""
+    records on the slots `records` (eight on slots 0-7 by default), keeps
+    them all, then sends `frames`."""
     cfg = small_cfg()
     link, peer = memory_pair()
     peer.send(Message("HELLO", {"config": cfg.to_dict(), "wire_version": session_mod.WIRE_VERSION}))
-    for payload in _slot_frames("slots", [list(range(8))], "bases", "bits"):
+    for payload in _slot_frames("slots", [list(records)], "bases", "bits"):
         peer.send(Message("DETECTIONS", payload))
-    for payload in _slot_frames("keep", [list(range(8))]):
+    for payload in _slot_frames("keep", [list(records)]):
         peer.send(Message("SIFT_KEEP", payload))
     for kind, payload in frames:
         peer.send(Message(kind, payload))
@@ -381,7 +432,8 @@ class TestHostileSlotLists:
             (["@@@@"], "is not base-64 text"),
             ([_b64(b"\x00\x80")], "ends inside a varint at 1"),
             ([_b64(b"\x80" * 9 + b"\x00")], "varint longer than 9 bytes at 0"),
-            ([[2**63 - 1], _b64(b"\x00")], re.escape("slot past 2**63 - 1 at 0")),
+            # a 9-byte varint of 2**63 - 1 after the entry 5
+            ([[5], _b64(b"\xff" * 8 + b"\x7f")], re.escape("slot past 2**63 - 1 at 0")),
         ],
         ids=["missing", "non-string", "non-base-64", "unterminated", "10-byte-varint", "past-int64-after-prev"],
     )
@@ -389,9 +441,31 @@ class TestHostileSlotLists:
         with pytest.raises(ProtocolError, match=match):
             receive(chunks)
 
-    def test_sample_position_past_the_key_is_a_protocol_error(self):
-        with pytest.raises(ProtocolError, match="position 8 at 1 is past the key"):
-            _bob_receives_sample_request([[2, 8]])
+    @pytest.mark.parametrize(
+        "receive, kind",
+        [
+            (_alice_receives_declaration, "DETECTIONS 'slots'"),
+            (_bob_receives_keep, "SIFT_KEEP 'keep'"),
+            (_bob_receives_sample_request, "SAMPLE_REQUEST 'positions'"),
+        ],
+        ids=["declaration", "keep", "sample-request"],
+    )
+    def test_entry_at_the_bound_is_a_protocol_error(self, receive, kind):
+        # each of these lists is bounded by 8: past Alice's last pair slot,
+        # past Bob's last declared slot, past the end of the sifted key
+        with pytest.raises(ProtocolError, match=f"{kind} entry 8 at 2 is not below 8"):
+            receive([[1], [3, 8]])
+
+    def test_record_at_n_slots_is_a_protocol_error(self):
+        n = small_cfg().n_slots
+        with pytest.raises(ProtocolError, match=f"DETECTIONS 'slots' entry {n} at 8 is not below {n}"):
+            _run_bob_against(records=[*range(8), n])
+
+    def test_empty_frame_that_is_not_final_is_a_protocol_error(self):
+        # an honest sender sends an empty frame only for an empty list, as
+        # its final frame; refusing others bounds the frames of a list too
+        with pytest.raises(ProtocolError, match="SIFT_KEEP 'keep' frame is empty but not final"):
+            _bob_receives_keep([[], [1]])
 
 
 def _honest_summary() -> dict:
