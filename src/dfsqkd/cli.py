@@ -154,10 +154,7 @@ def build_config(args) -> SessionConfig:
             seeds[f.name] = value
     d["seeds"] = seeds
 
-    try:
-        return SessionConfig.from_dict(d)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return SessionConfig.from_dict(d)
 
 
 def _offset_seeds(cfg: SessionConfig, ordinal: int) -> SessionConfig:

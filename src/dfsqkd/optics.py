@@ -7,6 +7,7 @@ to its optical axis; the plate angle never appears in an interface.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,22 @@ def eom_unitary(setting: EomSetting) -> np.ndarray:
     return hwp_unitary(2.0 * setting.axis_angle)
 
 
+class ConfigError(ValueError):
+    """Invalid session configuration."""
+
+
+def require_finite(owner, *names: str) -> None:
+    """Refuse each named field of `owner` that is not a finite real number
+    with a ConfigError naming it. A bool is not one."""
+    for name in names:
+        value = getattr(owner, name)
+        # The comparison is false for NaN, the infinities and an int past
+        # the float range.
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+            shown = float(value) if isinstance(value, float) else value  # nan, not np.float64(nan)
+            raise ConfigError(f"{name} must be a finite number, got {shown!r}")
+
+
 # --------------------------------------------------------------------------
 # Channel models. The frozen model describes the noise process; sampler()
 # returns the object that draws its angles at the given slots from a stream.
@@ -93,6 +110,9 @@ class StaticChannel:
 
     theta: float
 
+    def __post_init__(self):
+        require_finite(self, "theta")
+
     def sampler(self) -> ChannelSampler:
         return _StaticSampler(self.theta)
 
@@ -108,8 +128,9 @@ class PerSlotUniformChannel:
     hi: float
 
     def __post_init__(self):
+        require_finite(self, "lo", "hi")
         if self.hi < self.lo:
-            raise ValueError("channel bounds must satisfy lo <= hi")
+            raise ConfigError("channel bounds must satisfy lo <= hi")
 
     def sampler(self) -> ChannelSampler:
         return _UniformSampler(self.lo, self.hi)
@@ -131,8 +152,9 @@ class RandomWalkChannel:
     step_sigma: float
 
     def __post_init__(self):
+        require_finite(self, "theta0", "step_sigma")
         if self.step_sigma < 0:
-            raise ValueError("step_sigma must be >= 0")
+            raise ConfigError("step_sigma must be >= 0")
 
     def sampler(self) -> ChannelSampler:
         return _WalkSampler(self.theta0, self.step_sigma)

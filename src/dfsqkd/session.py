@@ -5,7 +5,11 @@ One session walks a 100 kHz clock: each slot may carry photon pairs
 pair slot, Bob measures, and the detector layer decides coincidences. The
 classical conversation (detection declaration, basis sifting, error
 test, summary) then runs over a Transport pair, so the same code drives
-both the in-process mode and the two-process networked mode.
+both the in-process mode and the two-process networked mode. It ends
+with Alice's SUMMARY, which carries only what Bob cannot count: her
+error count on the disclosed sample and the multi-pair fraction of the
+coincidences. Bob builds the rest of his summary from his own counts,
+through the same qber_report and finalize as Alice.
 
 All randomness comes from four seeded streams. The engine consumes them
 in a fixed, documented order, which is what makes identical configs give
@@ -40,13 +44,13 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import Optional, get_type_hints
+from dataclasses import asdict, dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 
 from . import protocol, transport as tp
-from .optics import DetectorParams, StaticChannel, channel_from_dict, detect_batch
+from .optics import ConfigError, DetectorParams, StaticChannel, channel_from_dict, detect_batch, require_finite
 from .protocol import (
     BB84_PORT_BIT,
     OUTCOME_BIT,
@@ -60,17 +64,13 @@ from .transport import Message, Transport, expect, memory_pair, pack_bits, pack_
 
 # Version of the conversation's wire format and of the draw order, checked
 # in HELLO.
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 # Entries of a slot list per frame.
 SLOT_CHUNK = 100_000
 # Geometric gaps per draw of the source stream.
 GAP_BATCH = 1 << 16
 # Pair slots per Born-kernel call on a channel whose angle varies.
 BORN_BLOCK = 1 << 16
-
-
-class ConfigError(ValueError):
-    """Invalid session configuration."""
 
 
 class HandshakeMismatch(RuntimeError):
@@ -107,6 +107,7 @@ class SessionConfig:
     seeds: Seeds = field(default_factory=Seeds)
 
     def __post_init__(self):
+        require_finite(self, "clock_hz", "pair_rate_hz", "duration_s", "visibility", "sample_fraction")
         if self.protocol not in protocol.PROTOCOLS:
             raise ConfigError(f"protocol must be one of {protocol.PROTOCOLS}, got {self.protocol!r}")
         if self.clock_hz <= 0:
@@ -198,45 +199,6 @@ class SessionSummary:
             "final_key_bits": self.final_key_bits,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SessionSummary":
-        """The summary of a peer's SUMMARY payload. A missing, extra or
-        ill-typed field, in `qber` and `key_rate` too, is a ProtocolError
-        that names it."""
-        return _from_wire(cls, d)
-
-
-# What a summary field of each type accepts from JSON (type(), not
-# isinstance(): a bool is an int too).
-_WIRE_TYPES = {
-    int: ("an integer", (int,)),
-    float: ("a number", (int, float)),
-    bool: ("a boolean", (bool,)),
-    Optional[float]: ("a number or null", (int, float, type(None))),
-}
-
-
-def _from_wire(cls, d, path: str = "summary"):
-    """Dataclass `cls` from the JSON object `d` found at `path` in a
-    peer's message, refusing a missing, extra or ill-typed field."""
-    if not isinstance(d, dict):
-        raise tp.ProtocolError(f"{path} must be a JSON object, got {d!r:.40}")
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise tp.ProtocolError(f"{path} has an unknown field {unknown[0]!r}")
-    kwargs = {}
-    for name, kind in get_type_hints(cls).items():
-        if name not in d:
-            raise tp.ProtocolError(f"{path} lacks the field {name!r}")
-        if is_dataclass(kind):
-            kwargs[name] = _from_wire(kind, d[name], f"{path}.{name}")
-            continue
-        expected, types = _WIRE_TYPES[kind]
-        if type(d[name]) not in types:
-            raise tp.ProtocolError(f"{path}.{name} must be {expected}, got {d[name]!r:.40}")
-        kwargs[name] = d[name]
-    return cls(**kwargs)
-
 
 # --------------------------------------------------------------------------
 # Quantum-side engine
@@ -251,7 +213,6 @@ class SimulationResult:
     live stream to continue drawing from for the error test.
     """
 
-    n_slots: int
     pair_slots: np.ndarray
     n_pairs: np.ndarray
     x: np.ndarray
@@ -352,7 +313,6 @@ def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
         bob_bits = BB84_PORT_BIT[z, det1 - 1]
 
     return SimulationResult(
-        n_slots=cfg.n_slots,
         pair_slots=pair_slots,
         n_pairs=n_pairs,
         x=x,
@@ -370,7 +330,6 @@ def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
 
 def finalize(
     cfg: SessionConfig,
-    n_slots,
     n_coincidences,
     n_sifted,
     report: QberReport,
@@ -387,7 +346,7 @@ def finalize(
     else:
         final_bits = 0 if isinstance(n_sifted, int) else 0.0
     return SessionSummary(
-        n_slots=n_slots,
+        n_slots=cfg.n_slots,
         n_coincidences=n_coincidences,
         n_sifted=n_sifted,
         raw_rate_hz=n_coincidences / cfg.duration_s,
@@ -538,15 +497,16 @@ def run_alice_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
     report = qber_report(len(positions), n_errors)
 
     multi_fraction = float(c_multi.sum() / n_coinc) if n_coinc else 0.0
-    summary = finalize(cfg, sim.n_slots, n_coinc, n_sifted, report, multi_fraction)
-    link.send(Message("SUMMARY", summary.to_dict()))
+    summary = finalize(cfg, n_coinc, n_sifted, report, multi_fraction)
+    link.send(Message("SUMMARY", {"n_errors": n_errors, "multi_pair_fraction": multi_fraction}))
     expect(link, "BYE")
     return EndpointResult(summary, alice_key, kept_slots, positions)
 
 
 def run_bob_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
     """Bob's whole session: receive measurement records, declare them,
-    sift, answer the error test, and verify the summary."""
+    sift, answer the error test, and build the summary from his own
+    counts and Alice's SUMMARY."""
     _hello_exchange(cfg, link)
 
     slots, z, bits = _recv_slots(link, "DETECTIONS", "slots", cfg.n_slots, "bases", "bits")
@@ -555,26 +515,31 @@ def run_bob_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
     (positions,) = _recv_slots(link, "SAMPLE_REQUEST", "positions", len(bob_key))
     link.send(Message("SAMPLE_BITS", {"bits": pack_bits(bob_key[positions])}))
 
-    summary_msg = expect(link, "SUMMARY")
-    summary = SessionSummary.from_dict(summary_msg.payload)
-    _verify_summary(cfg, summary, n_coincidences=len(slots), n_sifted=len(bob_key))
+    n_errors, multi_fraction = _summary_fields(expect(link, "SUMMARY").payload, len(positions))
+    report = qber_report(len(positions), n_errors)
+    summary = finalize(cfg, len(slots), len(bob_key), report, multi_fraction)
     link.send(Message("BYE", {}))
     return EndpointResult(summary, bob_key, kept_slots, positions)
 
 
-def _verify_summary(cfg: SessionConfig, summary: SessionSummary, n_coincidences: int, n_sifted: int) -> None:
-    """Cross-check every field Bob can derive locally against the peer's
-    summary; the error statistics themselves are Alice's to report."""
-    expected = finalize(
-        cfg,
-        cfg.n_slots,
-        n_coincidences,
-        n_sifted,
-        summary.qber,
-        summary.multi_pair_fraction,
-    )
-    if expected.to_dict() != summary.to_dict():
-        raise tp.ProtocolError("peer summary disagrees with local bookkeeping")
+def _summary_fields(payload: dict, n_compared: int) -> tuple[int, float]:
+    """Alice's error count on the `n_compared` disclosed bits and her
+    multi-pair fraction, the two numbers Bob cannot count himself. A
+    missing or extra field, or a value of the wrong type or out of range,
+    is a ProtocolError that names the field."""
+    for name in ("n_errors", "multi_pair_fraction"):
+        if name not in payload:
+            raise tp.ProtocolError(f"SUMMARY lacks the field {name!r}")
+    unknown = sorted(set(payload) - {"n_errors", "multi_pair_fraction"})
+    if unknown:
+        raise tp.ProtocolError(f"SUMMARY has an unknown field {unknown[0]!r}")
+    n_errors, fraction = payload["n_errors"], payload["multi_pair_fraction"]
+    # type(), not isinstance(): a bool is an int too. NaN fails every range.
+    if type(n_errors) is not int or not 0 <= n_errors <= n_compared:
+        raise tp.ProtocolError(f"SUMMARY n_errors must be an integer in [0, {n_compared}], got {n_errors!r:.40}")
+    if type(fraction) not in (int, float) or not 0 <= fraction <= 1:
+        raise tp.ProtocolError(f"SUMMARY multi_pair_fraction must be a number in [0, 1], got {fraction!r:.40}")
+    return n_errors, float(fraction)
 
 
 # --------------------------------------------------------------------------
@@ -655,7 +620,7 @@ def exact_session_summary(cfg: SessionConfig) -> SessionSummary:
 
     if n_coinc == 0.0:
         report = QberReport(0, 0, None, None)
-        return finalize(cfg, n_slots, 0.0, 0.0, report, 0.0)
+        return finalize(cfg, 0.0, 0.0, report, 0.0)
 
     qber = protocol.exact_qber(cfg.protocol, cfg.channel.theta, cfg.visibility)
     n_compared = cfg.sample_fraction * n_sifted
@@ -663,4 +628,4 @@ def exact_session_summary(cfg: SessionConfig) -> SessionSummary:
         n_compared=n_compared, n_errors=qber * n_compared, qber=qber, stderr=0.0
     )
     multi_fraction = (1.0 - math.exp(-mu) * (1.0 + mu)) / p_pair
-    return finalize(cfg, n_slots, n_coinc, n_sifted, report, multi_fraction)
+    return finalize(cfg, n_coinc, n_sifted, report, multi_fraction)

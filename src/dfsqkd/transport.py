@@ -139,7 +139,9 @@ def decode_frame(data: bytes) -> Message:
 def _parse_body(body: bytes) -> Message:
     try:
         obj = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and an integer past the
+        # interpreter's digit limit; RecursionError, nesting too deep.
         raise FrameError(f"malformed frame body: {exc}") from exc
     if not isinstance(obj, dict) or "type" not in obj:
         raise FrameError("frame body is not a message object")

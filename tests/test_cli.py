@@ -101,6 +101,15 @@ class TestRun:
             ('{"seeds": {"alice": -1}}', "alice"),
             ('{"seeds": {"alice": 1.5}}', "alice"),
             ('{"channel": {"kind": "static", "theta_deg": 5, "sigma": 1}}', "sigma"),
+            ('{"duration_s": Infinity}', "duration_s"),
+            ('{"clock_hz": Infinity}', "clock_hz"),
+            ('{"duration_s": NaN}', "duration_s"),
+            ('{"pair_rate_hz": NaN}', "pair_rate_hz"),
+            ('{"channel": {"kind": "static", "theta_deg": NaN}}', "theta"),
+            ('{"channel": {"kind": "static", "theta_deg": Infinity}}', "theta"),
+            ('{"channel": {"kind": "static", "theta_deg": [1, 2]}}', "theta"),
+            ('{"channel": {"kind": "random_walk", "theta0_deg": 0, "step_sigma_deg": NaN}}', "step_sigma"),
+            ('{"channel": {"kind": "random_walk", "theta0_deg": 0, "step_sigma_deg": [0.1]}}', "step_sigma"),
         ]
         bad = tmp_path / "cfg.json"
         for text, name in cases:
@@ -264,7 +273,8 @@ class TestNetworkedMode:
         assert "differs from ours in: wire_version\n" in err
 
     def test_malformed_summary_exits_3_naming_the_field(self):
-        # a raw-socket Alice that is honest until her SUMMARY, which lacks fields
+        # a raw-socket Alice that is honest until her SUMMARY, which has the
+        # shape of wire version 4: it lacks both fields of version 5
         with socket.create_server(("127.0.0.1", 0)) as server:
             server.settimeout(120)
             bob = _spawn(["connect-bob", "--connect", f"127.0.0.1:{server.getsockname()[1]}", *FAST])
@@ -283,7 +293,7 @@ class TestNetworkedMode:
                 alice.send(Message("SUMMARY", {"n_slots": 50_000}))
                 _, err = bob.communicate(timeout=120)
         assert bob.returncode == 3
-        assert "summary lacks the field 'n_coincidences'" in err
+        assert "SUMMARY lacks the field 'n_errors'" in err
 
     def test_peer_disconnect_exits_3_with_diagnostic(self):
         port = _free_port()

@@ -57,11 +57,20 @@ class TestConfig:
             {"visibility": 1.5},
             {"sample_fraction": 0.0},
             {"pair_rate_hz": 2e5},  # mean pairs per slot >= 1
+            {"duration_s": math.inf},
+            {"clock_hz": math.inf},
+            {"duration_s": math.nan},
+            {"pair_rate_hz": math.nan},
+            {"channel": {"kind": "static", "theta_deg": math.nan}},
+            {"channel": {"kind": "static", "theta_deg": math.inf}},
+            {"channel": {"kind": "static", "theta_deg": [1, 2]}},
+            {"channel": {"kind": "random_walk", "theta0_deg": 0, "step_sigma_deg": math.nan}},
+            {"channel": {"kind": "random_walk", "theta0_deg": 0, "step_sigma_deg": [0.1]}},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
-            SessionConfig(**kwargs)
+            SessionConfig.from_dict(kwargs)
 
     def test_dict_round_trip(self):
         cfg = small_cfg(channel=PerSlotUniformChannel(-0.1, 0.4), sample_fraction=0.3)
@@ -393,7 +402,7 @@ def _bob_receives_keep(chunks):
 def _run_bob_against(*frames, records=tuple(range(8))):
     """Bob's whole endpoint against a scripted Alice who sends HELLO, then
     records on the slots `records` (eight on slots 0-7 by default), keeps
-    them all, then sends `frames`."""
+    them all, then sends `frames`. Returns Bob's result."""
     cfg = small_cfg()
     link, peer = memory_pair()
     peer.send(Message("HELLO", {"config": cfg.to_dict(), "wire_version": session_mod.WIRE_VERSION}))
@@ -404,7 +413,7 @@ def _run_bob_against(*frames, records=tuple(range(8))):
     for kind, payload in frames:
         peer.send(Message(kind, payload))
     peer.close()
-    run_bob_endpoint(cfg, link)
+    return run_bob_endpoint(cfg, link)
 
 
 def _bob_receives_sample_request(chunks):
@@ -468,11 +477,8 @@ class TestHostileSlotLists:
             _bob_receives_keep([[], [1]])
 
 
-def _honest_summary() -> dict:
-    """The summary Bob derives for _run_bob_against's eight sifted bits
-    and an empty error test."""
-    cfg = small_cfg()
-    return session_mod.finalize(cfg, cfg.n_slots, 8, 8, protocol.qber_report(0, 0), 0.0).to_dict()
+# An honest SUMMARY after an error test with no errors on a single-pair source
+_HONEST_SUMMARY = {"n_errors": 0, "multi_pair_fraction": 0.0}
 
 
 def _alice_receives_sample_bits(payload):
@@ -495,32 +501,39 @@ class TestHostilePayloads:
     @pytest.mark.parametrize(
         "edit, match",
         [
-            (lambda d: {"n_slots": d["n_slots"]}, "summary lacks the field 'n_coincidences'"),
-            (lambda d: {**d, "n_pairs": 3}, "summary has an unknown field 'n_pairs'"),
-            (lambda d: {**d, "n_sifted": 8.0}, "summary.n_sifted must be an integer, got 8.0"),
-            (lambda d: {**d, "final_key_bits": True}, "summary.final_key_bits must be an integer, got True"),
-            (lambda d: {**d, "raw_rate_hz": "16"}, "summary.raw_rate_hz must be a number, got '16'"),
-            (lambda d: {**d, "qber": None}, "summary.qber must be a JSON object, got None"),
-            (lambda d: {**d, "qber": {"n_compared": 0, "n_errors": 0, "qber": None}},
-             "summary.qber lacks the field 'stderr'"),
-            (lambda d: {**d, "qber": {**d["qber"], "qber": [0.1]}}, r"summary.qber.qber must be a number or null"),
-            (lambda d: {**d, "key_rate": {**d["key_rate"], "secure": 0}},
-             "summary.key_rate.secure must be a boolean, got 0"),
-            (lambda d: {**d, "key_rate": {**d["key_rate"], "bits": 1}},
-             "summary.key_rate has an unknown field 'bits'"),
+            (lambda d: {"n_errors": 0}, "SUMMARY lacks the field 'multi_pair_fraction'"),
+            (lambda d: {**d, "n_slots": 50_000}, "SUMMARY has an unknown field 'n_slots'"),
+            (lambda d: {**d, "n_errors": 1.0}, re.escape("SUMMARY n_errors must be an integer in [0, 0], got 1.0")),
+            (lambda d: {**d, "n_errors": True}, re.escape("n_errors must be an integer in [0, 0], got True")),
+            (lambda d: {**d, "n_errors": -1}, re.escape("n_errors must be an integer in [0, 0], got -1")),
+            # an error on a sample of no bits, which the nine-field SUMMARY of
+            # wire version 4 let through
+            (lambda d: {**d, "n_errors": 1}, re.escape("n_errors must be an integer in [0, 0], got 1")),
+            (lambda d: {**d, "multi_pair_fraction": "0"},
+             re.escape("SUMMARY multi_pair_fraction must be a number in [0, 1], got '0'")),
+            (lambda d: {**d, "multi_pair_fraction": -0.5}, re.escape("in [0, 1], got -0.5")),
+            (lambda d: {**d, "multi_pair_fraction": 1.5}, re.escape("in [0, 1], got 1.5")),
+            (lambda d: {**d, "multi_pair_fraction": math.nan}, re.escape("in [0, 1], got nan")),
         ],
-        ids=["missing", "extra", "float-count", "bool-count", "string-rate", "qber-not-object",
-             "qber-missing", "qber-ill-typed", "key-rate-ill-typed", "key-rate-extra"],
+        ids=["missing", "old-extra", "float-errors", "bool-errors", "negative-errors", "errors-past-sample",
+             "string-fraction", "negative-fraction", "fraction-above-1", "nan-fraction"],
     )
     def test_malformed_summary_is_a_protocol_error(self, edit, match):
         sample_request = _slot_frames("positions", [[]])[0]
         with pytest.raises(ProtocolError, match=match):
-            _run_bob_against(("SAMPLE_REQUEST", sample_request), ("SUMMARY", edit(_honest_summary())))
+            _run_bob_against(("SAMPLE_REQUEST", sample_request), ("SUMMARY", edit(_HONEST_SUMMARY)))
 
     def test_honest_summary_is_accepted(self):
-        # the scripted conversation above is honest up to the summary
-        sample_request = _slot_frames("positions", [[]])[0]
-        _run_bob_against(("SAMPLE_REQUEST", sample_request), ("SUMMARY", _honest_summary()))
+        # the scripted conversation above is honest up to the summary; Bob
+        # counts the compared bits himself and takes only the two numbers
+        sample_request = _slot_frames("positions", [[1, 3, 6]])[0]
+        summary = {"n_errors": 2, "multi_pair_fraction": 0.25}
+        bob = _run_bob_against(("SAMPLE_REQUEST", sample_request), ("SUMMARY", summary))
+        assert bob.summary.qber.n_compared == len(bob.disclosed_positions) == 3
+        assert bob.summary.qber.n_errors == 2
+        assert bob.summary.to_dict() == session_mod.finalize(
+            small_cfg(), 8, 8, protocol.qber_report(3, 2), 0.25
+        ).to_dict()
 
     @pytest.mark.parametrize(
         "payload, match",
@@ -537,12 +550,29 @@ class TestHostilePayloads:
             _alice_receives_sample_bits(payload)
 
 
+class _SummaryRewriter(tp.Transport):
+    """A link that overwrites fields of every SUMMARY sent through it."""
+
+    def __init__(self, inner: tp.Transport, **fields):
+        self.inner, self.fields = inner, fields
+
+    def send(self, message):
+        if message.type == "SUMMARY":
+            message = Message("SUMMARY", {**message.payload, **self.fields})
+        self.inner.send(message)
+
+    def recv(self):
+        return self.inner.recv()
+
+    def close(self):
+        self.inner.close()
+
+
 class TestCraftedConversations:
     """Pin the conversation layer on hand-built records."""
 
     def _fake_sim(self, cfg, x, y, z, bob_bit):
         return SimulationResult(
-            n_slots=cfg.n_slots,
             pair_slots=np.array([4], dtype=np.int64),
             n_pairs=np.array([1]),
             x=np.array([x]),
@@ -575,15 +605,15 @@ class TestCraftedConversations:
         assert alice.summary.qber.qber is None
 
     def test_corrupt_summary_is_detected_not_deadlocked(self, monkeypatch):
-        # a fake engine that lies about n_slots makes Bob's verification
-        # fail; the orchestrator must surface that instead of hanging
-        sim = self._fake_sim(small_cfg(), 0, 1, 0, 1)
-        sim.n_slots = 10
-        monkeypatch.setattr(session_mod, "simulate_quantum", lambda cfg: sim)
-        import dfsqkd.transport as tp
-
-        with pytest.raises(tp.ProtocolError, match="disagrees"):
-            run_session_detailed(small_cfg())
+        # Alice's link claims more errors than the one disclosed bit; Bob
+        # refuses her SUMMARY and the orchestrator must surface that
+        # instead of hanging
+        monkeypatch.setattr(
+            session_mod, "simulate_quantum", lambda cfg: self._fake_sim(cfg, 0, 1, 0, 1)
+        )
+        alice_link, bob_link = memory_pair()
+        with pytest.raises(ProtocolError, match=re.escape("n_errors must be an integer in [0, 1], got 2")):
+            run_session_detailed(small_cfg(), (_SummaryRewriter(alice_link, n_errors=2), bob_link))
 
     def test_alice_failure_is_reported_over_bobs_closed_channel(self, monkeypatch):
         # Bob only sees the transport close; the error to surface is Alice's

@@ -62,10 +62,28 @@ class TestFrameCodec:
         with pytest.raises(FrameError, match="cap"):
             decode_frame(data)
 
-    def test_malformed_json(self):
-        body = b"{nope"
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"{nope",
+            b"[" * 200_000 + b"]" * 200_000,  # nested past the recursion limit
+            b'{"payload":{"n":' + b"9" * 5000 + b'},"type":"BYE"}',  # past the integer digit limit
+        ],
+        ids=["json", "deep", "long-int"],
+    )
+    def test_malformed_body(self, body):
+        frame = struct.pack(">I", len(body)) + body
         with pytest.raises(FrameError, match="malformed"):
-            decode_frame(struct.pack(">I", len(body)) + body)
+            decode_frame(frame)
+        left, right = socket.socketpair()
+        with left, right:
+            # the frame may exceed the socket buffer, so send while reading
+            sender = threading.Thread(target=right.sendall, args=(frame,))
+            sender.start()
+            with pytest.raises(FrameError, match="malformed"):
+                StreamTransport(left).recv()
+            sender.join(timeout=10)
+            assert not sender.is_alive()
 
     def test_unknown_type(self):
         body = b'{"payload":{},"type":"EVIL"}'
@@ -200,12 +218,13 @@ class TestStreamTransport:
         ta.close()
         with pytest.raises(TransportClosed):
             tb.recv()
+        tb.close()
 
     def test_peer_vanishing_mid_frame(self):
         left, right = socket.socketpair()
         right.sendall(struct.pack(">I", 100) + b"partial")
         right.close()
-        with pytest.raises(TransportClosed):
+        with left, pytest.raises(TransportClosed):
             StreamTransport(left).recv()
 
 
