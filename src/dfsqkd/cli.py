@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import protocol, qstate
-from .optics import StaticChannel
+from .optics import StaticChannel, require_finite
 from .session import (
     ConfigError,
     HandshakeMismatch,
@@ -243,6 +243,7 @@ def _fit_sinusoid(theta_deg: np.ndarray, values: np.ndarray) -> tuple[float, flo
 
 def cmd_fringe(args) -> int:
     cfg = build_config(args)
+    require_finite(args, "analyzer2", "theta1_start", "theta1_stop", "theta1_step")
     if args.theta1_step <= 0:
         raise ConfigError("--theta1-step must be positive")
     if args.shots < 1:
@@ -295,9 +296,12 @@ def _parse_hostport(text: str) -> tuple[str, int]:
     if not sep or not host:
         raise ConfigError(f"address must look like HOST:PORT, got {text!r}")
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError as exc:
         raise ConfigError(f"bad port in {text!r}") from exc
+    if not 0 <= number <= 65535:
+        raise ConfigError(f"port must be in 0..65535, got {text!r}")
+    return host, number
 
 
 def cmd_serve_alice(args) -> int:

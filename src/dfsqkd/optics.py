@@ -8,7 +8,7 @@ to its optical axis; the plate angle never appears in an interface.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,28 +53,14 @@ def channel_unitary(theta: float) -> np.ndarray:
     return hwp_unitary(theta) @ hwp_unitary(0.0)
 
 
-@dataclass(frozen=True)
-class EomSetting:
-    """An electro-optic modulator: off = identity, on = HWP action at
-    twice its axis angle."""
-
-    on: bool
-    axis_angle: float
-
-
-def modulator(index: int, on: bool) -> EomSetting:
-    """Setting for one of the four fixed modulators M1..M4."""
+def modulator_unitary(index: int, on: bool) -> np.ndarray:
+    """One of the four fixed modulators M1..M4: the identity when off, the
+    HWP action at twice its axis angle when on."""
     try:
         axis = MODULATOR_AXES[index]
     except KeyError:
         raise ValueError(f"modulator index must be 1..4, got {index}") from None
-    return EomSetting(on=on, axis_angle=axis)
-
-
-def eom_unitary(setting: EomSetting) -> np.ndarray:
-    if not setting.on:
-        return np.eye(2, dtype=complex)
-    return hwp_unitary(2.0 * setting.axis_angle)
+    return hwp_unitary(2.0 * axis) if on else np.eye(2, dtype=complex)
 
 
 class ConfigError(ValueError):
@@ -94,36 +80,45 @@ def require_finite(owner, *names: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# Channel models. The frozen model describes the noise process; sampler()
-# returns the object that draws its angles at the given slots from a stream.
+# Channel models. Each is a frozen dataclass of angles in radians that
+# draws its own angle at the given slots from a stream. Its dict form
+# names the model by `kind` and gives each field in degrees as <field>_deg.
 # --------------------------------------------------------------------------
 
 
 class ChannelSampler:
+    """Base of the channel models. perfbench/spans.py times each model by
+    wrapping the sample_batch in its own class body."""
+
+    kind: str
+
     def sample_batch(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
+    def to_dict(self) -> dict:
+        angles = {f"{f.name}_deg": float(np.degrees(getattr(self, f.name))) for f in fields(self)}
+        return {"kind": self.kind, **angles}
+
 
 @dataclass(frozen=True)
-class StaticChannel:
+class StaticChannel(ChannelSampler):
     """Fixed rotation angle (one plate setting per experimental point)."""
 
+    kind = "static"
     theta: float
 
     def __post_init__(self):
         require_finite(self, "theta")
 
-    def sampler(self) -> ChannelSampler:
-        return _StaticSampler(self.theta)
-
-    def to_dict(self) -> dict:
-        return {"kind": "static", "theta_deg": float(np.degrees(self.theta))}
+    def sample_batch(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return np.full(len(slots), float(self.theta))
 
 
 @dataclass(frozen=True)
-class PerSlotUniformChannel:
+class PerSlotUniformChannel(ChannelSampler):
     """Angle drawn independently and uniformly in [lo, hi] each slot."""
 
+    kind = "per_slot_uniform"
     lo: float
     hi: float
 
@@ -132,22 +127,22 @@ class PerSlotUniformChannel:
         if self.hi < self.lo:
             raise ConfigError("channel bounds must satisfy lo <= hi")
 
-    def sampler(self) -> ChannelSampler:
-        return _UniformSampler(self.lo, self.hi)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "per_slot_uniform",
-            "lo_deg": float(np.degrees(self.lo)),
-            "hi_deg": float(np.degrees(self.hi)),
-        }
+    def sample_batch(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(self.lo, self.hi, size=len(slots))
 
 
 @dataclass(frozen=True)
-class RandomWalkChannel:
+class RandomWalkChannel(ChannelSampler):
     """Gaussian random walk: one step of width step_sigma per clock slot,
-    from theta0 at slot 0."""
+    from theta0 at slot 0.
 
+    The walk is queried at slots that must not decrease: one normal per
+    slot, scaled by the square root of the steps since the previous one
+    (or since slot 0), gives each angle the law of one step per clock
+    slot.
+    """
+
+    kind = "random_walk"
     theta0: float
     step_sigma: float
 
@@ -156,72 +151,25 @@ class RandomWalkChannel:
         if self.step_sigma < 0:
             raise ConfigError("step_sigma must be >= 0")
 
-    def sampler(self) -> ChannelSampler:
-        return _WalkSampler(self.theta0, self.step_sigma)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "random_walk",
-            "theta0_deg": float(np.degrees(self.theta0)),
-            "step_sigma_deg": float(np.degrees(self.step_sigma)),
-        }
-
-
-# Fields of each channel kind in a config dict, besides "kind".
-_CHANNEL_FIELDS = {
-    "static": ("theta_deg",),
-    "per_slot_uniform": ("lo_deg", "hi_deg"),
-    "random_walk": ("theta0_deg", "step_sigma_deg"),
-}
-
-
-def channel_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind not in _CHANNEL_FIELDS:
-        raise ValueError(f"unknown channel kind {kind!r}")
-    unknown = set(d) - {"kind", *_CHANNEL_FIELDS[kind]}
-    if unknown:
-        raise ValueError(f"unknown fields for a {kind} channel: {sorted(unknown)}")
-    if kind == "static":
-        return StaticChannel(theta=np.radians(d["theta_deg"]))
-    if kind == "per_slot_uniform":
-        return PerSlotUniformChannel(lo=np.radians(d["lo_deg"]), hi=np.radians(d["hi_deg"]))
-    return RandomWalkChannel(
-        theta0=np.radians(d["theta0_deg"]), step_sigma=np.radians(d["step_sigma_deg"])
-    )
-
-
-class _StaticSampler(ChannelSampler):
-    def __init__(self, theta: float):
-        self.theta = float(theta)
-
-    def sample_batch(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return np.full(len(slots), self.theta)
-
-
-class _UniformSampler(ChannelSampler):
-    def __init__(self, lo: float, hi: float):
-        self.lo, self.hi = float(lo), float(hi)
-
-    def sample_batch(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=len(slots))
-
-
-class _WalkSampler(ChannelSampler):
-    """The walk at the queried slots, which must not decrease: one normal
-    per slot, scaled by the square root of the steps since the previous
-    one (or since slot 0), gives each angle the law of one step per clock
-    slot."""
-
-    def __init__(self, theta0: float, step_sigma: float):
-        self.theta0 = float(theta0)
-        self.step_sigma = float(step_sigma)
-
     def sample_batch(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         gaps = np.diff(np.asarray(slots, dtype=np.int64), prepend=0)
         if np.any(gaps < 0):
             raise ValueError("random-walk channel queried out of order")
-        return self.theta0 + np.cumsum(rng.normal(0.0, self.step_sigma, len(gaps)) * np.sqrt(gaps))
+        # A float, not the np.float64 that channel_from_dict gives, lets
+        # numpy add in place to the cumsum temporary: one array less.
+        return float(self.theta0) + np.cumsum(rng.normal(0.0, self.step_sigma, len(gaps)) * np.sqrt(gaps))
+
+
+def channel_from_dict(d: dict) -> ChannelSampler:
+    models = {model.kind: model for model in ChannelSampler.__subclasses__()}
+    kind = d.get("kind")
+    if kind not in models:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    names = [f.name for f in fields(models[kind])]
+    unknown = set(d) - {"kind", *(f"{name}_deg" for name in names)}
+    if unknown:
+        raise ValueError(f"unknown fields for a {kind} channel: {sorted(unknown)}")
+    return models[kind](**{name: np.radians(d[f"{name}_deg"]) for name in names})
 
 
 # --------------------------------------------------------------------------

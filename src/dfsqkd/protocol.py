@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import qstate
-from .optics import eom_unitary, modulator, rotation_batch, rotation_unitary
+from .optics import modulator_unitary, rotation_batch, rotation_unitary
 from .qstate import KET_H, KET_MINUS, KET_PLUS, KET_V, PHI_PLUS, PSI_MINUS
 
 PROTOCOLS = ("dfs2", "bb84")
@@ -85,11 +85,7 @@ def alice_unitary(x: int, y: int) -> np.ndarray:
     product runs M1 . M2 . M3.
     """
     m1, m2, m3 = modulator_pattern(x, y)
-    return (
-        eom_unitary(modulator(1, m1))
-        @ eom_unitary(modulator(2, m2))
-        @ eom_unitary(modulator(3, m3))
-    )
+    return modulator_unitary(1, m1) @ modulator_unitary(2, m2) @ modulator_unitary(3, m3)
 
 
 def encode_state(x: int, y: int, source: np.ndarray) -> np.ndarray:
@@ -107,7 +103,7 @@ def bob_photon1_analyzer(z: int) -> np.ndarray:
     """
     if _check_bit("z", z) == 0:
         return KET_H.copy()
-    u4 = eom_unitary(modulator(4, True))
+    u4 = modulator_unitary(4, True)
     return u4.conj().T @ KET_H
 
 

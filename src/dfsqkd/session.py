@@ -294,7 +294,7 @@ def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
     x = rng_alice.integers(0, 2, size=k)
     y = rng_alice.integers(0, 2, size=k)
     z = rng_bob.integers(0, 2, size=k)
-    theta = cfg.channel.sampler().sample_batch(pair_slots, rng_channel)
+    theta = cfg.channel.sample_batch(pair_slots, rng_channel)
 
     u = rng_source.random(k)
     probs = _born_probs(cfg, x, y, z, theta)
@@ -412,9 +412,10 @@ def _send_slots(link: Transport, kind: str, key: str, slots: np.ndarray, **bits:
 
 def _recv_slots(link: Transport, kind: str, key: str, bound: int, *bit_names: str) -> tuple[np.ndarray, ...]:
     """Receive a slot list sent by _send_slots, decoding and validating
-    every frame. Every entry must lie below `bound`, and only the final
-    frame may be empty, so a peer that never sends one can send at most
-    `bound` entries. Returns the slots, then each named bit array."""
+    every frame. Every entry must lie below `bound`, each frame's "final"
+    must be a JSON boolean, and only the final frame may be empty, so a
+    peer that never sends one can send at most `bound` entries. Returns
+    the slots, then each named bit array."""
     frames = []
     prev, n = -1, 0
     while True:
@@ -424,7 +425,10 @@ def _recv_slots(link: Transport, kind: str, key: str, bound: int, *bit_names: st
             i = int(np.searchsorted(slots, bound))
             raise tp.ProtocolError(f"{kind} {key!r} entry {slots[i]} at {n + i} is not below {bound}")
         frames.append([slots] + [unpack_bits(payload.get(name), len(slots)) for name in bit_names])
-        if payload.get("final"):
+        final = payload.get("final")
+        if not isinstance(final, bool):
+            raise tp.ProtocolError(f"{kind} 'final' must be true or false, got {final!r:.40}")
+        if final:
             return tuple(np.concatenate(column) for column in zip(*frames))
         if not len(slots):
             raise tp.ProtocolError(f"{kind} {key!r} frame is empty but not final")

@@ -200,6 +200,15 @@ class TestFringe:
         _, out2, _ = run_main(capsys, ["fringe", "--shots", "500"])
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("analyzer2", "nan"), ("theta1-start", "-inf"), ("theta1-stop", "inf"), ("theta1-step", "nan")],
+    )
+    def test_non_finite_flag_exits_2_naming_it(self, capsys, flag, value):
+        code, _, err = run_main(capsys, ["fringe", "--exact", f"--{flag}={value}"])
+        assert code == 2
+        assert f"{flag.replace('-', '_')} must be a finite number" in err
+
 
 def _free_port() -> int:
     s = socket.socket()
@@ -294,6 +303,21 @@ class TestNetworkedMode:
                 _, err = bob.communicate(timeout=120)
         assert bob.returncode == 3
         assert "SUMMARY lacks the field 'n_errors'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve-alice", "--listen", "127.0.0.1:70000"],
+            ["serve-alice", "--listen", "127.0.0.1:-5"],
+            ["connect-bob", "--connect", "127.0.0.1:70000"],
+        ],
+        ids=["listen-past-65535", "listen-negative", "connect-past-65535"],
+    )
+    def test_port_out_of_range_exits_2_naming_the_address(self, capsys, argv):
+        # refused before any socket opens
+        code, _, err = run_main(capsys, [*argv, *FAST])
+        assert code == 2
+        assert f"port must be in 0..65535, got {argv[-1]!r}" in err
 
     def test_peer_disconnect_exits_3_with_diagnostic(self):
         port = _free_port()

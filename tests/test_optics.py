@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dfsqkd.optics import (
+    ChannelSampler,
     DetectorParams,
     PerSlotUniformChannel,
     RandomWalkChannel,
@@ -11,9 +12,8 @@ from dfsqkd.optics import (
     channel_from_dict,
     channel_unitary,
     detect_batch,
-    eom_unitary,
     hwp_unitary,
-    modulator,
+    modulator_unitary,
     rotation_unitary,
 )
 from dfsqkd.qstate import PSI_MINUS, apply_collective, overlap2
@@ -78,62 +78,58 @@ class TestChannelRealization:
 class TestModulators:
     def test_off_is_identity(self):
         for idx in (1, 2, 3, 4):
-            np.testing.assert_allclose(eom_unitary(modulator(idx, False)), np.eye(2), atol=1e-15)
+            np.testing.assert_allclose(modulator_unitary(idx, False), np.eye(2), atol=1e-15)
 
     def test_on_matrices(self):
-        np.testing.assert_allclose(eom_unitary(modulator(1, True)), [[1, 0], [0, -1]], atol=1e-15)
-        np.testing.assert_allclose(eom_unitary(modulator(2, True)), [[0, -1], [-1, 0]], atol=1e-15)
+        np.testing.assert_allclose(modulator_unitary(1, True), [[1, 0], [0, -1]], atol=1e-15)
+        np.testing.assert_allclose(modulator_unitary(2, True), [[0, -1], [-1, 0]], atol=1e-15)
         s = 1 / np.sqrt(2)
-        np.testing.assert_allclose(
-            eom_unitary(modulator(3, True)), [[s, -s], [-s, -s]], atol=1e-12
-        )
-        np.testing.assert_allclose(
-            eom_unitary(modulator(3, True)), eom_unitary(modulator(4, True)), atol=1e-15
-        )
+        np.testing.assert_allclose(modulator_unitary(3, True), [[s, -s], [-s, -s]], atol=1e-12)
+        np.testing.assert_allclose(modulator_unitary(3, True), modulator_unitary(4, True), atol=1e-15)
 
     def test_bad_index(self):
         with pytest.raises(ValueError, match="modulator index"):
-            modulator(5, True)
+            modulator_unitary(5, True)
 
 
 class TestChannelModels:
     def test_static_always_returns_theta(self):
-        s = StaticChannel(0.3).sampler()
+        s = StaticChannel(0.3)
         rng = np.random.default_rng(0)
         np.testing.assert_array_equal(s.sample_batch(np.array([0, 123456]), rng), [0.3, 0.3])
         np.testing.assert_array_equal(s.sample_batch(np.arange(5), rng), [0.3] * 5)
 
     def test_uniform_degenerate(self):
-        s = PerSlotUniformChannel(0.0, 0.0).sampler()
+        s = PerSlotUniformChannel(0.0, 0.0)
         rng = np.random.default_rng(0)
         np.testing.assert_array_equal(s.sample_batch(np.array([7]), rng), [0.0])
 
     def test_uniform_bounds(self):
-        s = PerSlotUniformChannel(-0.2, 0.5).sampler()
+        s = PerSlotUniformChannel(-0.2, 0.5)
         vals = s.sample_batch(np.arange(1000), np.random.default_rng(1))
         assert vals.min() >= -0.2 and vals.max() <= 0.5
 
     def test_walk_degenerate_sigma_zero(self):
-        s = RandomWalkChannel(0.7, 0.0).sampler()
+        s = RandomWalkChannel(0.7, 0.0)
         rng = np.random.default_rng(2)
         np.testing.assert_allclose(s.sample_batch(np.array([0, 10, 10, 5000]), rng), 0.7)
 
     def test_walk_out_of_order_rejected(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="out of order"):
-            RandomWalkChannel(0.0, 0.1).sampler().sample_batch(np.array([5, 3]), rng)
+            RandomWalkChannel(0.0, 0.1).sample_batch(np.array([5, 3]), rng)
         with pytest.raises(ValueError, match="out of order"):
-            RandomWalkChannel(0.0, 0.1).sampler().sample_batch(np.array([-1, 3]), rng)
+            RandomWalkChannel(0.0, 0.1).sample_batch(np.array([-1, 3]), rng)
 
     def test_walk_is_one_scaled_step_per_slot_and_keeps_no_state(self):
         slots = np.array([3, 4, 9, 9, 20, 100, 5000])
         theta0, sigma = 0.1, 0.05
-        sampler = RandomWalkChannel(theta0, sigma).sampler()
+        walker = RandomWalkChannel(theta0, sigma)
         steps = np.random.default_rng(7).normal(0.0, sigma, len(slots))
         walk = theta0 + np.cumsum(steps * np.sqrt(np.diff(slots, prepend=0)))
-        np.testing.assert_array_equal(sampler.sample_batch(slots, np.random.default_rng(7)), walk)
+        np.testing.assert_array_equal(walker.sample_batch(slots, np.random.default_rng(7)), walk)
         # a second query starts again from theta0 at slot 0
-        np.testing.assert_array_equal(sampler.sample_batch(slots, np.random.default_rng(7)), walk)
+        np.testing.assert_array_equal(walker.sample_batch(slots, np.random.default_rng(7)), walk)
 
     def test_walk_increment_variance_is_sigma_squared_per_slot(self):
         # 50 000 increments over each gap size, in shuffled order
@@ -141,7 +137,7 @@ class TestChannelModels:
         rng = np.random.default_rng(8)
         gaps = rng.permutation(np.repeat(gap_sizes, 50_000))
         theta0, sigma = 0.2, 0.01
-        theta = RandomWalkChannel(theta0, sigma).sampler().sample_batch(np.cumsum(gaps), rng)
+        theta = RandomWalkChannel(theta0, sigma).sample_batch(np.cumsum(gaps), rng)
         increments = np.diff(theta, prepend=theta0)
         for g in gap_sizes:
             d = increments[gaps == g]
@@ -156,9 +152,32 @@ class TestChannelModels:
             RandomWalkChannel(0.0, -0.1)
 
     def test_round_trip_through_dict(self):
-        for model in (StaticChannel(0.1), PerSlotUniformChannel(-0.1, 0.2), RandomWalkChannel(0.0, 0.01)):
-            again = channel_from_dict(model.to_dict())
+        # The dict form goes into HELLO and config files: pinned literally.
+        pinned = [
+            (StaticChannel(0.1), {"kind": "static", "theta_deg": 5.729577951308233}),
+            (
+                PerSlotUniformChannel(-0.1, 0.2),
+                {"kind": "per_slot_uniform", "lo_deg": -5.729577951308233, "hi_deg": 11.459155902616466},
+            ),
+            (
+                RandomWalkChannel(0.0, 0.01),
+                {"kind": "random_walk", "theta0_deg": 0.0, "step_sigma_deg": 0.5729577951308232},
+            ),
+        ]
+        for model, d in pinned:
+            assert model.to_dict() == d
+            assert list(model.to_dict()) == list(d)
+            again = channel_from_dict(d)
             assert type(again) is type(model)
+            assert again.to_dict() == d
+
+    def test_each_model_is_a_channel_sampler_with_its_own_sample_batch(self):
+        # perfbench/spans.py wraps sample_batch on each subclass, read from
+        # the class's own __dict__.
+        models = {StaticChannel, PerSlotUniformChannel, RandomWalkChannel}
+        assert set(ChannelSampler.__subclasses__()) == models
+        for model in models:
+            assert "sample_batch" in model.__dict__
 
 
 class TestDetectorParams:

@@ -362,13 +362,14 @@ class TestSiftExchange:
             )
 
 
-def _slot_frames(key, chunks, *bit_names):
+def _slot_frames(key, chunks, *bit_names, final=True):
     """Payloads carrying one slot list in the given chunks, each with an
     all-zero bit array per name in bit_names. A chunk that is a list of
     slots is packed, continuing from the previous chunk; any other value
-    goes under `key` as it is, and None leaves `key` out. The helpers
-    below queue the frames and close the peer, so a receiver that accepts
-    them meets a closed channel rather than waiting forever."""
+    goes under `key` as it is, and None leaves `key` out. The last frame's
+    "final" is `final`, and None leaves it out. The helpers below queue
+    the frames and close the peer, so a receiver that accepts them meets
+    a closed channel rather than waiting forever."""
     frames = []
     prev = -1
     for i, chunk in enumerate(chunks):
@@ -379,21 +380,25 @@ def _slot_frames(key, chunks, *bit_names):
             prev = chunk[-1] if chunk else prev
         elif chunk is not None:
             payload[key] = chunk
-        frames.append({**payload, "final": i == len(chunks) - 1})
+        if i < len(chunks) - 1:
+            payload["final"] = False
+        elif final is not None:
+            payload["final"] = final
+        frames.append(payload)
     return frames
 
 
-def _alice_receives_declaration(chunks):
+def _alice_receives_declaration(chunks, final=True):
     link, peer = memory_pair()
-    for payload in _slot_frames("slots", chunks, "bases"):
+    for payload in _slot_frames("slots", chunks, "bases", final=final):
         peer.send(Message("DETECTIONS", payload))
     peer.close()
     alice_sift_exchange(link, np.arange(8), np.zeros(8, dtype=np.int64), np.zeros(8, dtype=np.int64))
 
 
-def _bob_receives_keep(chunks):
+def _bob_receives_keep(chunks, final=True):
     link, peer = memory_pair()
-    for payload in _slot_frames("keep", chunks):
+    for payload in _slot_frames("keep", chunks, final=final):
         peer.send(Message("SIFT_KEEP", payload))
     peer.close()
     bob_sift_exchange(link, np.arange(8), np.zeros(8, dtype=np.uint8), np.zeros(8, dtype=np.uint8))
@@ -416,8 +421,8 @@ def _run_bob_against(*frames, records=tuple(range(8))):
     return run_bob_endpoint(cfg, link)
 
 
-def _bob_receives_sample_request(chunks):
-    _run_bob_against(*[("SAMPLE_REQUEST", payload) for payload in _slot_frames("positions", chunks)])
+def _bob_receives_sample_request(chunks, final=True):
+    _run_bob_against(*[("SAMPLE_REQUEST", payload) for payload in _slot_frames("positions", chunks, final=final)])
 
 
 def _b64(raw: bytes) -> str:
@@ -469,6 +474,24 @@ class TestHostileSlotLists:
         n = small_cfg().n_slots
         with pytest.raises(ProtocolError, match=f"DETECTIONS 'slots' entry {n} at 8 is not below {n}"):
             _run_bob_against(records=[*range(8), n])
+
+    @pytest.mark.parametrize(
+        "receive, kind",
+        [
+            (_alice_receives_declaration, "DETECTIONS"),
+            (_bob_receives_keep, "SIFT_KEEP"),
+            (_bob_receives_sample_request, "SAMPLE_REQUEST"),
+        ],
+        ids=["declaration", "keep", "sample-request"],
+    )
+    @pytest.mark.parametrize(
+        "final, shown", [("no", "'no'"), (1, "1"), (None, "None")], ids=["string", "int", "missing"]
+    )
+    def test_final_that_is_not_a_boolean_is_a_protocol_error(self, receive, kind, final, shown):
+        # a truthy "no" or 1 would end the list early; a missing flag would
+        # leave the receiver waiting for a frame that never comes
+        with pytest.raises(ProtocolError, match=f"{kind} 'final' must be true or false, got {shown}"):
+            receive([[1, 3]], final=final)
 
     def test_empty_frame_that_is_not_final_is_a_protocol_error(self):
         # an honest sender sends an empty frame only for an empty list, as
