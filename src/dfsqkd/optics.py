@@ -187,10 +187,11 @@ class DetectorParams:
     dark_count_prob: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, "efficiency", "dark_count_prob")
         if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must be in [0, 1], got {self.efficiency}")
+            raise ConfigError(f"efficiency must be in [0, 1], got {self.efficiency}")
         if not 0.0 <= self.dark_count_prob < 1.0:
-            raise ValueError(f"dark_count_prob must be in [0, 1), got {self.dark_count_prob}")
+            raise ConfigError(f"dark_count_prob must be in [0, 1), got {self.dark_count_prob}")
 
     def to_dict(self) -> dict:
         return {
@@ -221,11 +222,10 @@ def detect_batch(
     outcomes = np.asarray(true_outcomes, dtype=np.int64)
     n = len(outcomes)
     eff = rng.random((n, 2)) < params.efficiency
-    dark = rng.random((n, 4)) < params.dark_count_prob
+    fired = rng.random((n, 4)) < params.dark_count_prob  # dark counts first
 
     true_d1 = outcomes >> 1  # 0 -> D1, 1 -> D2
     true_d2 = outcomes & 1  # 0 -> D3, 1 -> D4
-    fired = dark.copy()
     rows = np.arange(n)
     fired[rows, true_d1] |= eff[:, 0]
     fired[rows, 2 + true_d2] |= eff[:, 1]

@@ -18,9 +18,13 @@ bit-identical sessions:
 * source: geometric gaps between pair slots, GAP_BATCH per draw, until
   one batch passes the last slot; then one count uniform per pair slot
   (the pair count, from the Poisson law truncated at zero); then one
-  outcome uniform per pair slot; then the detector draws (2 efficiency +
-  4 dark uniforms per pair slot). Time and memory grow with pair slots,
-  not clock slots;
+  outcome uniform per pair slot; then, only when the detectors are not
+  ideal (efficiency < 1 or dark_count_prob > 0), the detector draws (2
+  efficiency + 4 dark uniforms per pair slot). Ideal detectors draw
+  nothing: every pair slot is a coincidence on the outcome's detector
+  pair. Nothing draws from the source stream after them, so skipping
+  them moves no other draw. Time and memory grow with pair slots, not
+  clock slots;
 * alice: x bits, then y bits (one batch each over pair slots), then the
   error-test sample positions;
 * bob: z bits over pair slots;
@@ -207,29 +211,32 @@ class SessionSummary:
 
 @dataclass
 class SimulationResult:
-    """Arrays over pair slots (slots with at least one generated pair).
+    """What the conversation reads of the quantum side, as arrays over
+    pair slots (slots with at least one generated pair), and the channel
+    angle of each. Pair counts and detector indices stay inside
+    simulate_quantum.
 
-    Detector arrays are meaningful where coinc is true. alice_rng is the
-    live stream to continue drawing from for the error test.
+    bob_bits is meaningful where coinc is true. alice_rng is the live
+    stream to continue drawing from for the error test.
     """
 
     pair_slots: np.ndarray
-    n_pairs: np.ndarray
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
     theta: np.ndarray
     coinc: np.ndarray
-    det1: np.ndarray
-    det2: np.ndarray
     bob_bits: np.ndarray
     multi_pair: np.ndarray
     alice_rng: np.random.Generator
 
     def coincidence_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(slots, z, bits, multi_pair) restricted to coincidences."""
-        m = self.coinc
-        return self.pair_slots[m], self.z[m], self.bob_bits[m], self.multi_pair[m]
+        """(slots, z, bits, multi_pair) restricted to coincidences: the
+        arrays themselves when every pair slot is one."""
+        arrays = self.pair_slots, self.z, self.bob_bits, self.multi_pair
+        if self.coinc.all():
+            return arrays
+        return tuple(a[self.coinc] for a in arrays)
 
 
 def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,16 +265,19 @@ def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> tuple
     return slots, np.minimum(counts, len(cdf))
 
 
-def _born_probs(
-    cfg: SessionConfig, x: np.ndarray, y: np.ndarray, z: np.ndarray, theta: np.ndarray
+def _outcomes(
+    cfg: SessionConfig, x: np.ndarray, y: np.ndarray, z: np.ndarray, theta: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    """The protocol's Born kernel per pair slot.
+    """Each pair slot's measurement outcome, decided by its uniform u on
+    the protocol's Born kernel: the index of the detector pair for dfs2,
+    0 or 2 (photon 1's port, photon 2 on D3) for bb84.
 
     On a static channel every pair slot sees one angle, so the kernel runs
     once on the 8 (x, y, z) symbols and each slot reads row 4x + 2y + z.
-    Otherwise it runs over BORN_BLOCK rows at a time, which bounds the
-    kernel's temporaries. Each row is computed on its own, so both give
-    the values of one call over every pair slot.
+    Otherwise it runs over BORN_BLOCK rows at a time, and each block's
+    outcomes are decided before the next, which bounds the kernel's
+    temporaries. Each row is computed on its own, so both give the values
+    of one call over every pair slot.
     """
     # Looked up on the module at each call, so that a span recorder that
     # replaces these attributes (perfbench/spans.py) sees the calls.
@@ -275,9 +285,27 @@ def _born_probs(
     if isinstance(cfg.channel, StaticChannel):
         s = np.arange(8)
         table = kernel(s >> 2, (s >> 1) & 1, s & 1, np.full(8, float(cfg.channel.theta)), cfg.visibility)
-        return table[4 * x + 2 * y + z]
-    blocks = [slice(i, i + BORN_BLOCK) for i in range(0, len(x), BORN_BLOCK)] or [slice(0, 0)]
-    return np.concatenate([kernel(x[b], y[b], z[b], theta[b], cfg.visibility) for b in blocks])
+        return _decide(cfg, table, u, 4 * x + 2 * y + z)
+    outcome = np.empty(len(u), dtype=np.int64)
+    for i in range(0, len(u), BORN_BLOCK):
+        b = slice(i, i + BORN_BLOCK)
+        outcome[b] = _decide(cfg, kernel(x[b], y[b], z[b], theta[b], cfg.visibility), u[b])
+    return outcome
+
+
+def _decide(cfg: SessionConfig, probs: np.ndarray, u: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Outcomes of the kernel rows `probs[rows]` for the uniforms u, one
+    1-D column at a time. A dfs2 outcome counts the running sums p0,
+    p0 + p1 and p0 + p1 + p2 that lie below u: the floats and the order
+    of a cumsum along each row."""
+    if cfg.protocol == "bb84":
+        return 2 * (u >= probs[rows]).astype(np.int64)
+    running = probs[:, 0]
+    outcome = (running[rows] < u).astype(np.int64)
+    for j in (1, 2):
+        running = running + probs[:, j]
+        outcome += running[rows] < u
+    return outcome
 
 
 def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
@@ -289,6 +317,9 @@ def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
     rng_source = np.random.default_rng(cfg.seeds.source)
 
     pair_slots, n_pairs = _draw_pair_slots(rng_source, cfg.mean_pairs_per_slot, cfg.n_slots)
+    # One byte per pair slot from here on instead of the counts' eight.
+    multi_pair = n_pairs >= 2
+    del n_pairs
     k = len(pair_slots)
 
     x = rng_alice.integers(0, 2, size=k)
@@ -296,34 +327,26 @@ def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
     z = rng_bob.integers(0, 2, size=k)
     theta = cfg.channel.sample_batch(pair_slots, rng_channel)
 
-    u = rng_source.random(k)
-    probs = _born_probs(cfg, x, y, z, theta)
-    if cfg.protocol == "dfs2":
-        cum = np.cumsum(probs, axis=1)
-        outcome = np.minimum((cum < u[:, None]).sum(axis=1), 3)
+    # The index (det1 - 1) << 1 | (det2 - 3) of the detector pair that the
+    # photons reach, and then of the pair that fired.
+    fired = _outcomes(cfg, x, y, z, theta, rng_source.random(k))
+    if cfg.detectors.efficiency == 1.0 and cfg.detectors.dark_count_prob == 0.0:
+        # Each photon fires its own detector and nothing else does.
+        coinc = np.ones(k, dtype=bool)
     else:
-        # Photon 2 is the heralding trigger on D3; photon 1's port decides.
-        outcome = 2 * (u >= probs).astype(np.int64)
-
-    coinc, det1, det2 = detect_batch(outcome, cfg.detectors, rng_source)
-
-    if cfg.protocol == "dfs2":
-        bob_bits = OUTCOME_BIT[((det1 - 1) << 1) | (det2 - 3)]
-    else:
-        bob_bits = BB84_PORT_BIT[z, det1 - 1]
+        coinc, det1, det2 = detect_batch(fired, cfg.detectors, rng_source)
+        fired = ((det1 - 1) << 1) | (det2 - 3)
+    bob_bits = OUTCOME_BIT[fired] if cfg.protocol == "dfs2" else BB84_PORT_BIT[z, fired >> 1]
 
     return SimulationResult(
         pair_slots=pair_slots,
-        n_pairs=n_pairs,
         x=x,
         y=y,
         z=z,
         theta=theta,
         coinc=coinc,
-        det1=det1,
-        det2=det2,
         bob_bits=bob_bits,
-        multi_pair=n_pairs >= 2,
+        multi_pair=multi_pair,
         alice_rng=rng_alice,
     )
 

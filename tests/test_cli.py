@@ -110,6 +110,9 @@ class TestRun:
             ('{"channel": {"kind": "static", "theta_deg": [1, 2]}}', "theta"),
             ('{"channel": {"kind": "random_walk", "theta0_deg": 0, "step_sigma_deg": NaN}}', "step_sigma"),
             ('{"channel": {"kind": "random_walk", "theta0_deg": 0, "step_sigma_deg": [0.1]}}', "step_sigma"),
+            ('{"detectors": {"efficiency": true, "dark_count_prob": false}}', "efficiency"),
+            ('{"detectors": {"dark_count_prob": false}}', "dark_count_prob"),
+            ('{"detectors": {"efficiency": 1.5}}', "efficiency"),
         ]
         bad = tmp_path / "cfg.json"
         for text, name in cases:

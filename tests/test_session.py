@@ -13,7 +13,7 @@ import pytest
 import dfsqkd.session as session_mod
 import dfsqkd.transport as tp
 from dfsqkd import protocol
-from dfsqkd.optics import DetectorParams, PerSlotUniformChannel, RandomWalkChannel, StaticChannel
+from dfsqkd.optics import DetectorParams, PerSlotUniformChannel, RandomWalkChannel, StaticChannel, detect_batch
 from dfsqkd.protocol import QberReport
 from dfsqkd.session import (
     ConfigError,
@@ -66,6 +66,11 @@ class TestConfig:
             {"channel": {"kind": "static", "theta_deg": [1, 2]}},
             {"channel": {"kind": "random_walk", "theta0_deg": 0, "step_sigma_deg": math.nan}},
             {"channel": {"kind": "random_walk", "theta0_deg": 0, "step_sigma_deg": [0.1]}},
+            {"detectors": {"efficiency": True}},
+            {"detectors": {"dark_count_prob": False}},
+            {"detectors": {"efficiency": math.nan}},
+            {"detectors": {"efficiency": 1.5}},
+            {"detectors": {"dark_count_prob": 1.0}},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -128,15 +133,12 @@ class TestEngine:
         sim = simulate_quantum(cfg)
         k = len(sim.pair_slots)
         assert k, "expected some pair slots"
-        for arr in (sim.n_pairs, sim.x, sim.y, sim.z, sim.theta, sim.coinc, sim.det1, sim.det2,
-                    sim.bob_bits, sim.multi_pair):
+        for arr in (sim.x, sim.y, sim.z, sim.theta, sim.coinc, sim.bob_bits, sim.multi_pair):
             assert len(arr) == k
         assert np.all(np.diff(sim.pair_slots) > 0)
         assert np.all((sim.pair_slots >= 0) & (sim.pair_slots < cfg.n_slots))
-        assert np.all(sim.n_pairs >= 1)
-        np.testing.assert_array_equal(sim.multi_pair, sim.n_pairs >= 2)
         assert 0 < np.count_nonzero(sim.coinc) < k
-        assert set(sim.det1[sim.coinc]) <= {1, 2} and set(sim.det2[sim.coinc]) <= {3, 4}
+        assert set(sim.bob_bits[sim.coinc]) <= {0, 1}
 
     def test_zero_pair_rate_produces_nothing(self):
         sim = simulate_quantum(small_cfg(pair_rate_hz=0.0))
@@ -158,6 +160,62 @@ class TestEngine:
 
 
 KERNELS = {"dfs2": protocol.dfs2_probs_batch, "bb84": protocol.bb84_port1_batch}
+CHANNELS = {
+    "static": StaticChannel(np.radians(20)),
+    "uniform": PerSlotUniformChannel(-np.pi / 6, np.pi / 6),
+    "random_walk": RandomWalkChannel(0.1, 1e-3),
+}
+DETECTORS = {"ideal": DetectorParams(), "lossy": DetectorParams(efficiency=0.8, dark_count_prob=1e-4)}
+
+
+def _reference_outcomes(protocol_name, probs, u):
+    """Outcomes decided on whole kernel rows: the count of a row's running
+    sums (np.cumsum) below u for dfs2, photon 1's port for bb84."""
+    if protocol_name == "dfs2":
+        return np.minimum((np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1), 3)
+    return 2 * (u >= probs).astype(np.int64)
+
+
+def _uniforms_with_ties(protocol_name, probs, rng):
+    """Uniforms for the kernel rows `probs`, every third one equal to one of
+    its row's thresholds, where a strict and a loose compare part."""
+    u = rng.random(len(probs))
+    tied = np.arange(0, len(probs), 3)
+    if protocol_name == "dfs2":
+        u[tied] = np.cumsum(probs, axis=1)[tied, rng.integers(0, 3, len(tied))]
+    else:
+        u[tied] = probs[tied]
+    return u
+
+
+def _reference_simulation(cfg):
+    """(pair_slots, coinc, bob_bits, multi_pair) from the seeds of `cfg` by
+    the one-shot path: one kernel call over every pair slot, outcomes
+    decided on whole rows, and the detector layer's draws even for ideal
+    detectors."""
+    seeds = cfg.seeds
+    rng_alice, rng_bob, rng_channel, rng_source = (
+        np.random.default_rng(seed) for seed in (seeds.alice, seeds.bob, seeds.channel, seeds.source)
+    )
+    pair_slots, n_pairs = session_mod._draw_pair_slots(rng_source, cfg.mean_pairs_per_slot, cfg.n_slots)
+    k = len(pair_slots)
+    x = rng_alice.integers(0, 2, size=k)
+    y = rng_alice.integers(0, 2, size=k)
+    z = rng_bob.integers(0, 2, size=k)
+    theta = cfg.channel.sample_batch(pair_slots, rng_channel)
+    u = rng_source.random(k)
+    outcome = _reference_outcomes(cfg.protocol, KERNELS[cfg.protocol](x, y, z, theta, cfg.visibility), u)
+    coinc, det1, det2 = detect_batch(outcome, cfg.detectors, rng_source)
+    if cfg.protocol == "dfs2":
+        bob_bits = protocol.OUTCOME_BIT[((det1 - 1) << 1) | (det2 - 3)]
+    else:
+        bob_bits = protocol.BB84_PORT_BIT[z, det1 - 1]
+    return pair_slots, coinc, bob_bits, n_pairs >= 2
+
+
+def _assert_same(got, want):
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
 
 
 class TestBoundedMemory:
@@ -209,27 +267,57 @@ class TestBoundedMemory:
         assert abs(len(sim.pair_slots) - expected) < 5 * math.sqrt(expected)
         assert elapsed < 5.0, f"{elapsed:.2f} s"
 
+    @pytest.mark.parametrize(
+        "run, bound", [(simulate_quantum, 112), (run_session_detailed, 136)], ids=["simulate", "session"]
+    )
+    @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
+    def test_peak_memory_per_pair_slot(self, protocol_name, run, bound):
+        # the default 4000 pairs/s for 50 s: about 196 000 pair slots
+        cfg = small_cfg(protocol=protocol_name, duration_s=50.0, channel=CHANNELS["static"])
+        k = len(simulate_quantum(cfg).pair_slots)
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / k <= bound, f"{peak / k:.0f} B per pair slot"
+
     @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
     def test_static_table_equals_the_per_row_kernel(self, protocol_name):
-        kernel = KERNELS[protocol_name]
-        x, y, z = np.random.default_rng(5).integers(0, 2, size=(3, 1000))
+        rng = np.random.default_rng(5)
+        x, y, z = rng.integers(0, 2, size=(3, 1000))
         for deg in (0.0, 7.5, 20.0, 45.0, 90.0, -33.0):
             cfg = small_cfg(protocol=protocol_name, channel=StaticChannel(np.radians(deg)))
             theta = np.full(1000, np.radians(deg))
-            per_row = kernel(x, y, z, theta, cfg.visibility)
-            np.testing.assert_array_equal(session_mod._born_probs(cfg, x, y, z, theta), per_row)
+            probs = KERNELS[protocol_name](x, y, z, theta, cfg.visibility)
+            u = _uniforms_with_ties(protocol_name, probs, rng)
+            _assert_same(session_mod._outcomes(cfg, x, y, z, theta, u), _reference_outcomes(protocol_name, probs, u))
 
     @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
     @pytest.mark.parametrize("block", [7, 4096])
     def test_kernel_blocks_equal_one_call(self, monkeypatch, protocol_name, block):
-        kernel = KERNELS[protocol_name]
         rng = np.random.default_rng(6)
         x, y, z = rng.integers(0, 2, size=(3, 10_000))
         theta = rng.uniform(-np.pi, np.pi, 10_000)
         cfg = small_cfg(protocol=protocol_name, channel=PerSlotUniformChannel(-np.pi, np.pi))
+        probs = KERNELS[protocol_name](x, y, z, theta, cfg.visibility)
+        u = _uniforms_with_ties(protocol_name, probs, rng)
         monkeypatch.setattr(session_mod, "BORN_BLOCK", block)
-        blocked = session_mod._born_probs(cfg, x, y, z, theta)
-        np.testing.assert_array_equal(blocked, kernel(x, y, z, theta, cfg.visibility))
+        _assert_same(session_mod._outcomes(cfg, x, y, z, theta, u), _reference_outcomes(protocol_name, probs, u))
+
+    @pytest.mark.parametrize("detectors", DETECTORS)
+    @pytest.mark.parametrize("channel", CHANNELS)
+    @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
+    def test_engine_equals_the_one_shot_reference(self, protocol_name, channel, detectors):
+        # 20 s: about 78 000 pair slots, more than one BORN_BLOCK
+        cfg = small_cfg(
+            protocol=protocol_name, channel=CHANNELS[channel], detectors=DETECTORS[detectors], duration_s=20.0
+        )
+        sim = simulate_quantum(cfg)
+        assert len(sim.pair_slots) > session_mod.BORN_BLOCK
+        for got, want in zip((sim.pair_slots, sim.coinc, sim.bob_bits, sim.multi_pair), _reference_simulation(cfg)):
+            _assert_same(got, want)
 
 
 class TestSessions:
@@ -597,14 +685,11 @@ class TestCraftedConversations:
     def _fake_sim(self, cfg, x, y, z, bob_bit):
         return SimulationResult(
             pair_slots=np.array([4], dtype=np.int64),
-            n_pairs=np.array([1]),
             x=np.array([x]),
             y=np.array([y]),
             z=np.array([z]),
             theta=np.zeros(1),
             coinc=np.array([True]),
-            det1=np.array([1]),
-            det2=np.array([4]),
             bob_bits=np.array([bob_bit], dtype=np.uint8),
             multi_pair=np.array([False]),
             alice_rng=np.random.default_rng(1),

@@ -7,20 +7,31 @@ every traced benchmark operation fail; this test makes it fail here.
 
 from pathlib import Path
 
+from dfsqkd.optics import DetectorParams
 from dfsqkd.session import SessionConfig, run_session
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_recorder_wraps_the_layers_of_a_session(monkeypatch):
+def _span_names(monkeypatch, cfg: SessionConfig) -> set[str]:
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
     recorder = spans.Recorder()
     recorder.install()
     try:
-        run_session(SessionConfig(duration_s=1.0))
+        run_session(cfg)
     finally:
         recorder.uninstall()
-    names = {span["name"] for span in recorder.spans}
+    return {span["name"] for span in recorder.spans}
+
+
+def test_recorder_wraps_the_layers_of_a_session(monkeypatch):
+    names = _span_names(monkeypatch, SessionConfig(duration_s=1.0))
     assert {"session.sift", "transport.validate", "optics.channel"} <= names
+
+
+def test_recorder_finds_the_detector_layer_of_lossy_detectors(monkeypatch):
+    # Ideal detectors skip the detector layer; lossy ones still call it.
+    cfg = SessionConfig(duration_s=1.0, detectors=DetectorParams(efficiency=0.8, dark_count_prob=1e-4))
+    assert {"optics.detect", "protocol.born.dfs2"} <= _span_names(monkeypatch, cfg)
