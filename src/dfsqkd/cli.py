@@ -190,9 +190,13 @@ def cmd_sweep(args) -> int:
     base = build_config(args)
     thetas = _parse_float_list(args.thetas, "--thetas")
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
+    if not protocols:
+        raise ConfigError("--protocols must name at least one protocol")
     for p in protocols:
         if p not in protocol.PROTOCOLS:
             raise ConfigError(f"unknown protocol {p!r} in --protocols")
+    if not isinstance(base.channel, StaticChannel):
+        raise ConfigError(f"sweep sets a static angle per point; it cannot sweep a {base.channel.kind} channel")
 
     points = sorted((prot, theta) for prot in set(protocols) for theta in set(thetas))
     rows = []

@@ -193,20 +193,10 @@ class DetectorParams:
         if not 0.0 <= self.dark_count_prob < 1.0:
             raise ConfigError(f"dark_count_prob must be in [0, 1), got {self.dark_count_prob}")
 
-    def to_dict(self) -> dict:
-        return {
-            "efficiency": float(self.efficiency),
-            "dark_count_prob": float(self.dark_count_prob),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DetectorParams":
-        return cls(**d)
-
 
 def detect_batch(
     true_outcomes: np.ndarray, params: DetectorParams, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized detector layer over pair slots.
 
     Outcome index o names the detector pair (1 + o // 2, 3 + o % 2). Each
@@ -216,8 +206,9 @@ def detect_batch(
     the window are discarded).
 
     Draw order: (n, 2) efficiency uniforms, then (n, 4) dark uniforms.
-    Returns (coincidence mask, detector_photon1, detector_photon2); the
-    detector arrays are valid only where the coincidence mask is true.
+    Returns (coincidence mask, index of the detector pair that fired, in
+    the outcome indexing above); the index is valid only where the
+    coincidence mask is true.
     """
     outcomes = np.asarray(true_outcomes, dtype=np.int64)
     n = len(outcomes)
@@ -232,6 +223,5 @@ def detect_batch(
 
     side1 = fired[:, 0] != fired[:, 1]
     side2 = fired[:, 2] != fired[:, 3]
-    det1 = np.where(fired[:, 0], 1, 2)
-    det2 = np.where(fired[:, 2], 3, 4)
-    return side1 & side2, det1, det2
+    # A resolved side fired D2 (D4) exactly when D1 (D3) stayed dark.
+    return side1 & side2, 2 * ~fired[:, 0] + ~fired[:, 2]

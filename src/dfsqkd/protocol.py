@@ -210,22 +210,13 @@ def bb84_port1_batch(
 @dataclass(frozen=True)
 class QberReport:
     """Error estimate from a disclosed sample. qber and stderr are None
-    when nothing was compared."""
+    when nothing was compared. The counts are ints for a sampled session
+    and expected values (floats) in the infinite-shot limit."""
 
     n_compared: int
     n_errors: int
     qber: Optional[float]
     stderr: Optional[float]
-
-    def to_dict(self) -> dict:
-        # n_compared/n_errors stay ints for sampled sessions and floats in
-        # the infinite-shot limit; pass them through untouched.
-        return {
-            "n_compared": self.n_compared,
-            "n_errors": self.n_errors,
-            "qber": None if self.qber is None else float(self.qber),
-            "stderr": None if self.stderr is None else float(self.stderr),
-        }
 
 
 def qber_report(n_compared: int, n_errors: int) -> QberReport:
@@ -261,13 +252,6 @@ class KeyRateResult:
     qber_in: Optional[float]
     rate: float
     secure: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "qber_in": None if self.qber_in is None else float(self.qber_in),
-            "rate": float(self.rate),
-            "secure": bool(self.secure),
-        }
 
 
 def key_rate(qber: float) -> KeyRateResult:

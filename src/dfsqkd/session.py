@@ -94,9 +94,6 @@ class Seeds:
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ConfigError(f"seed {f.name!r} must be a non-negative integer, got {value!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -138,17 +135,8 @@ class SessionConfig:
         return int(math.floor(self.clock_hz * self.duration_s))
 
     def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "clock_hz": float(self.clock_hz),
-            "pair_rate_hz": float(self.pair_rate_hz),
-            "duration_s": float(self.duration_s),
-            "visibility": float(self.visibility),
-            "channel": self.channel.to_dict(),
-            "detectors": self.detectors.to_dict(),
-            "sample_fraction": float(self.sample_fraction),
-            "seeds": self.seeds.to_dict(),
-        }
+        # The channel's dict form gives its angles in degrees.
+        return {**asdict(self), "channel": self.channel.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SessionConfig":
@@ -158,7 +146,7 @@ class SessionConfig:
         kwargs = dict(d)
         sections = {
             "channel": channel_from_dict,
-            "detectors": DetectorParams.from_dict,
+            "detectors": lambda detectors: DetectorParams(**detectors),
             "seeds": lambda seeds: Seeds(**seeds),
         }
         for key, parse in sections.items():
@@ -191,17 +179,7 @@ class SessionSummary:
     final_key_bits: int
 
     def to_dict(self) -> dict:
-        return {
-            "n_slots": self.n_slots,
-            "n_coincidences": self.n_coincidences,
-            "n_sifted": self.n_sifted,
-            "raw_rate_hz": self.raw_rate_hz,
-            "sifted_rate_hz": self.sifted_rate_hz,
-            "qber": self.qber.to_dict(),
-            "key_rate": self.key_rate.to_dict(),
-            "multi_pair_fraction": self.multi_pair_fraction,
-            "final_key_bits": self.final_key_bits,
-        }
+        return asdict(self)
 
 
 # --------------------------------------------------------------------------
@@ -212,9 +190,8 @@ class SessionSummary:
 @dataclass
 class SimulationResult:
     """What the conversation reads of the quantum side, as arrays over
-    pair slots (slots with at least one generated pair), and the channel
-    angle of each. Pair counts and detector indices stay inside
-    simulate_quantum.
+    pair slots (slots with at least one generated pair). Pair counts,
+    channel angles and detector indices stay inside simulate_quantum.
 
     bob_bits is meaningful where coinc is true. alice_rng is the live
     stream to continue drawing from for the error test.
@@ -224,7 +201,6 @@ class SimulationResult:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    theta: np.ndarray
     coinc: np.ndarray
     bob_bits: np.ndarray
     multi_pair: np.ndarray
@@ -325,17 +301,15 @@ def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
     x = rng_alice.integers(0, 2, size=k)
     y = rng_alice.integers(0, 2, size=k)
     z = rng_bob.integers(0, 2, size=k)
-    theta = cfg.channel.sample_batch(pair_slots, rng_channel)
 
     # The index (det1 - 1) << 1 | (det2 - 3) of the detector pair that the
     # photons reach, and then of the pair that fired.
-    fired = _outcomes(cfg, x, y, z, theta, rng_source.random(k))
+    fired = _outcomes(cfg, x, y, z, cfg.channel.sample_batch(pair_slots, rng_channel), rng_source.random(k))
     if cfg.detectors.efficiency == 1.0 and cfg.detectors.dark_count_prob == 0.0:
         # Each photon fires its own detector and nothing else does.
         coinc = np.ones(k, dtype=bool)
     else:
-        coinc, det1, det2 = detect_batch(fired, cfg.detectors, rng_source)
-        fired = ((det1 - 1) << 1) | (det2 - 3)
+        coinc, fired = detect_batch(fired, cfg.detectors, rng_source)
     bob_bits = OUTCOME_BIT[fired] if cfg.protocol == "dfs2" else BB84_PORT_BIT[z, fired >> 1]
 
     return SimulationResult(
@@ -343,7 +317,6 @@ def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
         x=x,
         y=y,
         z=z,
-        theta=theta,
         coinc=coinc,
         bob_bits=bob_bits,
         multi_pair=multi_pair,

@@ -161,8 +161,31 @@ class TestSweep:
             assert abs(float(qber) - expected) < 4 * float(stderr)
 
     def test_unknown_protocol_exits_2(self, capsys):
-        code, _, _ = run_main(capsys, ["sweep", "--protocols", "e91"])
-        assert code == 2
+        # an empty list would print a CSV of only its header
+        for protocols in ("e91", "", ","):
+            code, out, err = run_main(capsys, ["sweep", "--protocols", protocols])
+            assert code == 2 and out == ""
+            assert "--protocols" in err
+
+    @pytest.mark.parametrize(
+        "argv, config, kind",
+        [
+            (["--channel", "random-walk", "--channel-sigma", "1"], None, "random_walk"),
+            (["--channel", "per-slot-uniform", "--channel-lo", "-10", "--channel-hi", "10"], None, "per_slot_uniform"),
+            ([], {"kind": "random_walk", "theta0_deg": 0, "step_sigma_deg": 0.1}, "random_walk"),
+        ],
+        ids=["random-walk-flags", "per-slot-uniform-flags", "random-walk-config"],
+    )
+    def test_channel_that_is_not_static_exits_2(self, tmp_path, capsys, argv, config, kind):
+        # each point sets its own static angle, which would silently
+        # replace the channel asked for
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"channel": config}))
+            argv = ["--config", str(path)]
+        code, out, err = run_main(capsys, ["sweep", "--exact", "--thetas", "0", *argv])
+        assert code == 2 and out == ""
+        assert kind in err
 
     def test_csv_file_output(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"

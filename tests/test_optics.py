@@ -190,42 +190,42 @@ class TestDetectorParams:
 
 class TestDetect:
     def test_outcome_detector_map(self):
-        coinc, det1, det2 = detect_batch(np.arange(4), DetectorParams(), np.random.default_rng(0))
+        coinc, fired = detect_batch(np.arange(4), DetectorParams(), np.random.default_rng(0))
         assert coinc.all()
-        assert list(zip(det1, det2)) == [(1, 3), (1, 4), (2, 3), (2, 4)]
+        assert fired.tolist() == [0, 1, 2, 3]
+        assert fired.dtype == np.int64
 
     def test_ideal_detectors_pass_the_outcome_through(self):
-        coinc, det1, det2 = detect_batch(np.array([1]), DetectorParams(), np.random.default_rng(0))
+        coinc, fired = detect_batch(np.array([1]), DetectorParams(), np.random.default_rng(0))
         assert coinc.tolist() == [True]
-        assert (det1[0], det2[0]) == (1, 4)
+        assert fired.tolist() == [1]
 
     def test_dead_detectors_never_coincide(self):
         rng = np.random.default_rng(0)
-        coinc, _, _ = detect_batch(np.tile(np.arange(4), 100), DetectorParams(efficiency=0.0), rng)
+        coinc, _ = detect_batch(np.tile(np.arange(4), 100), DetectorParams(efficiency=0.0), rng)
         assert not coinc.any()
 
     def test_no_pair_no_darks_is_silent(self):
         # a session without pair slots hands the layer nothing; it must
         # return nothing and leave the source stream untouched
         rng = np.random.default_rng(0)
-        coinc, det1, det2 = detect_batch(np.empty(0, dtype=np.int64), DetectorParams(), rng)
-        assert len(coinc) == len(det1) == len(det2) == 0
+        coinc, fired = detect_batch(np.empty(0, dtype=np.int64), DetectorParams(), rng)
+        assert len(coinc) == len(fired) == 0
         assert rng.random() == np.random.default_rng(0).random()
 
     def test_identity_on_a_million_slots(self):
         # noiseless detector layer: coincidence rate equals pair rate exactly
         rng = np.random.default_rng(10)
         outcomes = rng.integers(0, 4, size=10**6)
-        coinc, det1, det2 = detect_batch(outcomes, DetectorParams(), rng)
+        coinc, fired = detect_batch(outcomes, DetectorParams(), rng)
         assert coinc.all()
-        np.testing.assert_array_equal(det1, 1 + (outcomes >> 1))
-        np.testing.assert_array_equal(det2, 3 + (outcomes & 1))
+        np.testing.assert_array_equal(fired, outcomes)
 
     def test_efficiency_thins_coincidences(self):
         rng = np.random.default_rng(11)
         n = 200_000
         eff = 0.8
-        coinc, _, _ = detect_batch(np.zeros(n, dtype=int), DetectorParams(efficiency=eff), rng)
+        coinc, _ = detect_batch(np.zeros(n, dtype=int), DetectorParams(efficiency=eff), rng)
         rate = coinc.mean()
         sigma = np.sqrt(eff**2 * (1 - eff**2) / n)
         assert abs(rate - eff**2) < 4 * sigma
@@ -234,5 +234,5 @@ class TestDetect:
         # with dark probability 1 every detector fires: no side resolves
         rng = np.random.default_rng(12)
         params = DetectorParams(efficiency=1.0, dark_count_prob=0.999999999)
-        coinc, _, _ = detect_batch(np.arange(4), params, rng)
+        coinc, _ = detect_batch(np.arange(4), params, rng)
         assert not coinc.any()

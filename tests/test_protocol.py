@@ -117,10 +117,10 @@ class TestBobMeasurement:
             outcome_to_bit(3, 4)
 
     def test_outcome_bit_table_consistent_with_rule(self):
-        # ideal detectors turn outcome o into its detector pair
-        _, det1, det2 = detect_batch(np.arange(4), DetectorParams(), np.random.default_rng(0))
-        for o in range(4):
-            assert OUTCOME_BIT[o] == outcome_to_bit(det1[o], det2[o])
+        # ideal detectors fire outcome o's detector pair (1 + o // 2, 3 + o % 2)
+        _, fired = detect_batch(np.arange(4), DetectorParams(), np.random.default_rng(0))
+        for o in fired:
+            assert OUTCOME_BIT[o] == outcome_to_bit(1 + (o >> 1), 3 + (o & 1))
 
     def test_detector_pair_rule_reproduces_the_bit_values(self):
         # singlet (y=0 state) in the z=0 basis: only bit-0 pairs fire

@@ -133,7 +133,7 @@ class TestEngine:
         sim = simulate_quantum(cfg)
         k = len(sim.pair_slots)
         assert k, "expected some pair slots"
-        for arr in (sim.x, sim.y, sim.z, sim.theta, sim.coinc, sim.bob_bits, sim.multi_pair):
+        for arr in (sim.x, sim.y, sim.z, sim.coinc, sim.bob_bits, sim.multi_pair):
             assert len(arr) == k
         assert np.all(np.diff(sim.pair_slots) > 0)
         assert np.all((sim.pair_slots >= 0) & (sim.pair_slots < cfg.n_slots))
@@ -205,11 +205,11 @@ def _reference_simulation(cfg):
     theta = cfg.channel.sample_batch(pair_slots, rng_channel)
     u = rng_source.random(k)
     outcome = _reference_outcomes(cfg.protocol, KERNELS[cfg.protocol](x, y, z, theta, cfg.visibility), u)
-    coinc, det1, det2 = detect_batch(outcome, cfg.detectors, rng_source)
+    coinc, fired = detect_batch(outcome, cfg.detectors, rng_source)
     if cfg.protocol == "dfs2":
-        bob_bits = protocol.OUTCOME_BIT[((det1 - 1) << 1) | (det2 - 3)]
+        bob_bits = protocol.OUTCOME_BIT[fired]
     else:
-        bob_bits = protocol.BB84_PORT_BIT[z, det1 - 1]
+        bob_bits = protocol.BB84_PORT_BIT[z, fired >> 1]
     return pair_slots, coinc, bob_bits, n_pairs >= 2
 
 
@@ -688,7 +688,6 @@ class TestCraftedConversations:
             x=np.array([x]),
             y=np.array([y]),
             z=np.array([z]),
-            theta=np.zeros(1),
             coinc=np.array([True]),
             bob_bits=np.array([bob_bit], dtype=np.uint8),
             multi_pair=np.array([False]),
