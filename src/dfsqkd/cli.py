@@ -25,6 +25,7 @@ from .session import (
     HandshakeMismatch,
     Seeds,
     SessionConfig,
+    differing_keys,
     exact_session_summary,
     run_alice_endpoint,
     run_bob_endpoint,
@@ -247,6 +248,12 @@ def _fit_sinusoid(theta_deg: np.ndarray, values: np.ndarray) -> tuple[float, flo
 
 def cmd_fringe(args) -> int:
     cfg = build_config(args)
+    # The scan measures the source alone; any other setting would be ignored.
+    default = SessionConfig()
+    read = replace(default, visibility=cfg.visibility, seeds=replace(default.seeds, source=cfg.seeds.source))
+    unread = differing_keys(cfg.to_dict(), read.to_dict())
+    if unread:
+        raise ConfigError(f"fringe reads only visibility and seeds.source; it cannot honour {', '.join(unread)}")
     require_finite(args, "analyzer2", "theta1_start", "theta1_stop", "theta1_step")
     if args.theta1_step <= 0:
         raise ConfigError("--theta1-step must be positive")

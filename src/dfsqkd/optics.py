@@ -34,18 +34,6 @@ def rotation_unitary(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]], dtype=complex)
 
 
-def rotation_batch(thetas: np.ndarray) -> np.ndarray:
-    """Stack of rotation matrices, shape (n, 2, 2). Real dtype."""
-    thetas = np.asarray(thetas, dtype=float)
-    c, s = np.cos(thetas), np.sin(thetas)
-    out = np.empty(thetas.shape + (2, 2))
-    out[..., 0, 0] = c
-    out[..., 0, 1] = s
-    out[..., 1, 0] = -s
-    out[..., 1, 1] = c
-    return out
-
-
 def channel_unitary(theta: float) -> np.ndarray:
     """Noise-channel realization: a fixed compensating plate followed by
     the noise plate at theta. The pair reproduces the ideal rotation

@@ -21,13 +21,14 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import qstate
-from .optics import modulator_unitary, rotation_batch, rotation_unitary
+from .optics import modulator_unitary, rotation_unitary
 from .qstate import KET_H, KET_MINUS, KET_PLUS, KET_V, PHI_PLUS, PSI_MINUS
 
 PROTOCOLS = ("dfs2", "bb84")
@@ -124,9 +125,11 @@ def outcome_to_bit(det1: int, det2: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# Exact outcome probabilities. Scalar versions go through the full density
-# pipeline in qstate; the *_batch versions vectorize the same algebra over
-# per-slot channel angles for the session engine.
+# Exact outcome probabilities. The scalar versions run the full density
+# pipeline in qstate. The *_batch versions, for the session engine, sum a
+# series in the channel angle fitted once from the scalar ones: R(theta)
+# on one photon gives harmonics 1, cos 2theta, sin 2theta (bb84), on two
+# also cos 4theta, sin 4theta (dfs2). Values at 2 order + 1 angles fix it.
 # --------------------------------------------------------------------------
 
 
@@ -139,34 +142,48 @@ def dfs2_outcome_probs(x: int, y: int, z: int, theta: float, visibility: float) 
     return qstate.born_probs(rho, *bob_analyzers(z))
 
 
-def _encoded_target_matrix() -> np.ndarray:
-    """Targets as (2, 2, 2, 2) tensors indexed [x, y, photon1, photon2]."""
-    out = np.empty((2, 2, 2, 2), dtype=complex)
-    for (x, y), ket in ENCODED_TARGETS.items():
-        out[x, y] = ket.reshape(2, 2)
+def _harmonics(thetas: np.ndarray, order: int) -> list[np.ndarray]:
+    """The series' terms after its constant, up to cos and sin of 2 order theta."""
+    return [f(2 * m * thetas) for m in range(1, order + 1) for f in (np.cos, np.sin)]
+
+
+@functools.cache
+def series_coefficients(protocol: str) -> np.ndarray:
+    """Each pure-source Born probability's coefficients in the series, shape
+    (outcomes, terms, symbol s = 4x + 2y + z), fitted on first use. None is
+    set to zero: dfs2's rotation immunity is computed, not assumed."""
+    order = 2 if protocol == "dfs2" else 1
+    angles = np.pi * np.arange(2 * order + 1) / (2 * order + 1)
+    basis = np.column_stack([np.ones_like(angles), *_harmonics(angles, order)])
+    oracle = dfs2_outcome_probs if protocol == "dfs2" else lambda *args: [bb84_port1_prob(*args)]
+    values = [[oracle(s >> 2, (s >> 1) & 1, s & 1, t, 1.0) for t in angles] for s in range(8)]
+    coefficients = np.linalg.solve(basis, np.array(values).transpose(2, 1, 0))
+    coefficients.flags.writeable = False
+    return coefficients
+
+
+def _series_batch(protocol: str, x, y, z, thetas, visibility: float) -> np.ndarray:
+    """Each row's Born probabilities, shape (outcomes, n), summed one 1-D
+    column at a time: p = V p_pure + (1 - V) / k, white noise spread over
+    k = 4 detector pairs (dfs2) or 2 ports (bb84)."""
+    coefficients = visibility * series_coefficients(protocol)
+    coefficients[:, 0] += (1.0 - visibility) / (4 if protocol == "dfs2" else 2)
+    s = (4 * np.asarray(x) + 2 * np.asarray(y) + np.asarray(z)).astype(np.intp)
+    order = coefficients.shape[1] // 2  # of 2 order + 1 terms
+    terms = _harmonics(np.asarray(thetas, dtype=float), order)
+    out = np.empty((len(coefficients), len(s)))
+    for column, (constant, *rest) in zip(out, coefficients):
+        np.take(constant, s, out=column)
+        for c, term in zip(rest, terms):
+            column += np.take(c, s) * term
     return out
-
-
-def _analyzer_bra_stack() -> np.ndarray:
-    """(2, 4, 4) outcome bras for Bob's two basis settings."""
-    return np.stack([qstate.analyzer_bras(*bob_analyzers(z)) for z in (0, 1)])
 
 
 def dfs2_probs_batch(
     x: np.ndarray, y: np.ndarray, z: np.ndarray, thetas: np.ndarray, visibility: float
 ) -> np.ndarray:
-    """Per-slot outcome probabilities, shape (n, 4).
-
-    Same algebra as :func:`dfs2_outcome_probs`, using the mixture's
-    linearity: p = V |<out| (R x R) |target>|^2 + (1-V)/4.
-    """
-    targets = _encoded_target_matrix()[x, y]  # (n, 2, 2)
-    rot = rotation_batch(thetas)  # (n, 2, 2) real
-    # (R x R)|t> in matrix form is R t R^T
-    evolved = np.einsum("nai,nik,nck->nac", rot, targets, rot).reshape(-1, 4)
-    bras = _analyzer_bra_stack()[z]  # (n, 4, 4)
-    amps = np.einsum("noj,nj->no", bras, evolved)
-    return visibility * np.abs(amps) ** 2 + (1.0 - visibility) / 4.0
+    """Per-slot :func:`dfs2_outcome_probs`, shape (n, 4), from its series."""
+    return _series_batch("dfs2", x, y, z, thetas, visibility).T
 
 
 def bb84_prepare(x: int, y: int, visibility: float) -> np.ndarray:
@@ -192,14 +209,8 @@ def bb84_port1_prob(x: int, y: int, z: int, theta: float, visibility: float) -> 
 def bb84_port1_batch(
     x: np.ndarray, y: np.ndarray, z: np.ndarray, thetas: np.ndarray, visibility: float
 ) -> np.ndarray:
-    """Vectorized D1 probability per slot."""
-    states = np.stack([BB84_STATES[(0, 0)], BB84_STATES[(0, 1)], BB84_STATES[(1, 0)], BB84_STATES[(1, 1)]])
-    kets = states[2 * np.asarray(x) + np.asarray(y)]  # (n, 2)
-    rot = rotation_batch(thetas)
-    rotated = np.einsum("nij,nj->ni", rot, kets)
-    analyzers = np.stack([bob_photon1_analyzer(0), bob_photon1_analyzer(1)])[z]
-    amps = np.einsum("ni,ni->n", analyzers.conj(), rotated)
-    return visibility * np.abs(amps) ** 2 + (1.0 - visibility) / 2.0
+    """Per-slot :func:`bb84_port1_prob`, shape (n,), from its series."""
+    return _series_batch("bb84", x, y, z, thetas, visibility)[0]
 
 
 # --------------------------------------------------------------------------

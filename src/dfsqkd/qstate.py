@@ -39,7 +39,13 @@ def normalize(ket: np.ndarray) -> np.ndarray:
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product ket of photon 1 (left factor) and photon 2."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return np.outer(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)).ravel()
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2x2 matrices: the same products, without the generic
+    shape handling that costs more than they do."""
+    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
 def ket_density(ket: np.ndarray) -> np.ndarray:
@@ -56,9 +62,9 @@ def orthogonal_ket(ket: np.ndarray) -> np.ndarray:
 def _embed(u: np.ndarray, which: int) -> np.ndarray:
     eye = np.eye(2, dtype=complex)
     if which == 1:
-        return np.kron(u, eye)
+        return _kron(u, eye)
     if which == 2:
-        return np.kron(eye, u)
+        return _kron(eye, u)
     raise ValueError(f"photon index must be 1 or 2, got {which}")
 
 
@@ -83,7 +89,7 @@ def apply_photon(u: np.ndarray, which: int, state: np.ndarray) -> np.ndarray:
 def apply_collective(u: np.ndarray, state: np.ndarray) -> np.ndarray:
     """Act with the same 2x2 unitary on both photons (u (x) u)."""
     u = np.asarray(u, dtype=complex)
-    return _apply_full(np.kron(u, u), state)
+    return _apply_full(_kron(u, u), state)
 
 
 def werner_mix(pure: np.ndarray, visibility: float) -> np.ndarray:

@@ -235,6 +235,42 @@ class TestFringe:
         assert code == 2
         assert f"{flag.replace('-', '_')} must be a finite number" in err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (
+                ["--channel", "random-walk", "--channel-sigma", "5", "--protocol", "bb84", "--efficiency", "0.1"],
+                ["channel", "protocol", "efficiency"],
+            ),
+            (["--theta", "20", "--duration", "3"], ["theta", "duration"]),
+            (["--seed-alice", "9"], ["seeds.alice"]),
+        ],
+        ids=["channel-protocol-efficiency", "theta-duration", "seed-alice"],
+    )
+    def test_setting_it_cannot_honour_exits_2_naming_it(self, capsys, argv, named):
+        # the scan reads only the source's visibility and seed; it used to
+        # print the same fringe whatever else was set
+        code, out, err = run_main(capsys, ["fringe", "--exact", "--shots", "10", *argv])
+        assert code == 2 and out == ""
+        for name in named:
+            assert name in err
+
+    def test_config_file_setting_it_cannot_honour_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"visibility": 0.9, "pair_rate_hz": 100}))
+        code, out, err = run_main(capsys, ["fringe", "--exact", "--config", str(path)])
+        assert code == 2 and out == ""
+        assert "pair_rate_hz" in err
+
+    def test_visibility_and_source_seed_are_honoured(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"visibility": 0.9}))
+        code, _, err = run_main(
+            capsys, ["fringe", "--exact", "--shots", "10", "--config", str(path), "--seed-source", "5"]
+        )
+        assert code == 0
+        assert json.loads(err)["fitted_visibility"] == pytest.approx(0.9, abs=1e-9)
+
 
 def _free_port() -> int:
     s = socket.socket()

@@ -6,6 +6,9 @@ by hand (or built from independently frozen 2x2 matrices) so the encoder
 is checked against something it does not share code with.
 """
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -150,6 +153,50 @@ class TestFaultTolerance:
                 probs = dfs2_outcome_probs(x, y, 1 - x, theta, 1.0)
                 bit1 = probs[OUTCOME_BIT == 1].sum()
                 assert bit1 == pytest.approx(0.5, abs=1e-12)
+
+    def test_dfs2_series_has_no_angle_terms(self):
+        # the fit keeps whatever the density pipeline gives; no term is
+        # zeroed by hand
+        coefficients = protocol.series_coefficients("dfs2")
+        assert coefficients.shape == (4, 5, 8)
+        assert np.abs(coefficients[:, 1:]).max() < 1e-15
+
+
+class TestBatchKernels:
+    """The session engine's kernels sum a series fitted from the scalar
+    density pipeline, and must give its values at any angle."""
+
+    # off the fit's grid, negative and past 2 pi
+    THETAS = np.random.default_rng(31).uniform(-2 * np.pi, 4 * np.pi, 240)
+
+    def _rows(self):
+        """(x, y, z, theta) columns: every symbol at each angle."""
+        s = np.tile(np.arange(8), len(self.THETAS))
+        return s >> 2, s >> 1 & 1, s & 1, np.repeat(self.THETAS, 8)
+
+    def test_angles_cover_both_signs_and_more_than_a_turn(self):
+        assert (self.THETAS < 0).any() and (self.THETAS > 2 * np.pi).any()
+
+    @pytest.mark.parametrize("visibility", [0.0, 0.5, 0.88, 1.0])
+    def test_dfs2_kernel_equals_the_scalar_pipeline(self, visibility):
+        x, y, z, thetas = self._rows()
+        got = protocol.dfs2_probs_batch(x, y, z, thetas, visibility)
+        want = [dfs2_outcome_probs(*row, visibility) for row in zip(x, y, z, thetas)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("visibility", [0.0, 0.5, 0.88, 1.0])
+    def test_bb84_kernel_equals_the_scalar_pipeline(self, visibility):
+        x, y, z, thetas = self._rows()
+        got = protocol.bb84_port1_batch(x, y, z, thetas, visibility)
+        want = [bb84_port1_prob(*row, visibility) for row in zip(x, y, z, thetas)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_fit_waits_for_first_use(self):
+        # the fit's scalar runs would otherwise add to every CLI start
+        code = "import dfsqkd.cli, dfsqkd.protocol as p; print(p.series_coefficients.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "0"
 
 
 class TestSift:
