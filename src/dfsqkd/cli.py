@@ -90,10 +90,20 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _channel_dict(args) -> Optional[dict]:
-    kind = args.channel
-    if kind is None and args.theta is None:
+    kind = args.channel or "static"
+    # The channel flags each model reads; any other one would be dropped.
+    reads = {
+        "static": ("theta",),
+        "per-slot-uniform": ("channel_lo", "channel_hi"),
+        "random-walk": ("theta", "channel_sigma"),
+    }[kind]
+    given = [name for name in ("theta", "channel_lo", "channel_hi", "channel_sigma") if getattr(args, name) is not None]
+    unread = [f"--{name.replace('_', '-')}" for name in given if name not in reads]
+    if unread:
+        raise ConfigError(f"a {kind} channel does not read {', '.join(unread)}")
+    if args.channel is None and not given:
         return None
-    if kind in (None, "static"):
+    if kind == "static":
         return {"kind": "static", "theta_deg": args.theta or 0.0}
     if kind == "per-slot-uniform":
         if args.channel_lo is None or args.channel_hi is None:
@@ -158,6 +168,14 @@ def build_config(args) -> SessionConfig:
     return SessionConfig.from_dict(d)
 
 
+def _refuse_unread(cfg: SessionConfig, read: SessionConfig, rule: str) -> None:
+    """Refuse, naming each by its dotted key, the settings of `cfg` that a
+    command would drop: those where `read`, what it honours, differs."""
+    unread = differing_keys(cfg.to_dict(), read.to_dict())
+    if unread:
+        raise ConfigError(f"{rule}; it cannot honour {', '.join(unread)}")
+
+
 def _offset_seeds(cfg: SessionConfig, ordinal: int) -> SessionConfig:
     shift = SEED_STRIDE * ordinal
     mask = (1 << 63) - 1
@@ -196,8 +214,13 @@ def cmd_sweep(args) -> int:
     for p in protocols:
         if p not in protocol.PROTOCOLS:
             raise ConfigError(f"unknown protocol {p!r} in --protocols")
-    if not isinstance(base.channel, StaticChannel):
-        raise ConfigError(f"sweep sets a static angle per point; it cannot sweep a {base.channel.kind} channel")
+    default = SessionConfig()
+    _refuse_unread(
+        base,
+        replace(base, protocol=default.protocol, channel=default.channel),
+        f"sweep sets each point's protocol and static channel angle (asked: {base.protocol} "
+        f"on a {base.channel.kind} channel)",
+    )
 
     points = sorted((prot, theta) for prot in set(protocols) for theta in set(thetas))
     rows = []
@@ -251,9 +274,7 @@ def cmd_fringe(args) -> int:
     # The scan measures the source alone; any other setting would be ignored.
     default = SessionConfig()
     read = replace(default, visibility=cfg.visibility, seeds=replace(default.seeds, source=cfg.seeds.source))
-    unread = differing_keys(cfg.to_dict(), read.to_dict())
-    if unread:
-        raise ConfigError(f"fringe reads only visibility and seeds.source; it cannot honour {', '.join(unread)}")
+    _refuse_unread(cfg, read, "fringe reads only visibility and seeds.source")
     require_finite(args, "analyzer2", "theta1_start", "theta1_stop", "theta1_step")
     if args.theta1_step <= 0:
         raise ConfigError("--theta1-step must be positive")

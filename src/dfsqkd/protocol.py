@@ -116,14 +116,6 @@ def bob_analyzers(z: int) -> tuple[np.ndarray, np.ndarray]:
     return bob_photon1_analyzer(z), KET_H.copy()
 
 
-def outcome_to_bit(det1: int, det2: int) -> int:
-    """Decode a coincidence to a raw-key bit: (D1,D4) or (D2,D3) -> 0,
-    (D1,D3) or (D2,D4) -> 1."""
-    if det1 not in (1, 2) or det2 not in (3, 4):
-        raise ValueError(f"invalid coincidence detectors {(det1, det2)}")
-    return 0 if (det1, det2) in ((1, 4), (2, 3)) else 1
-
-
 # --------------------------------------------------------------------------
 # Exact outcome probabilities. The scalar versions run the full density
 # pipeline in qstate. The *_batch versions, for the session engine, sum a

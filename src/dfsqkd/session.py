@@ -117,6 +117,10 @@ class SessionConfig:
             raise ConfigError(f"pair_rate_hz must be >= 0, got {self.pair_rate_hz}")
         if self.duration_s <= 0:
             raise ConfigError(f"duration_s must be positive, got {self.duration_s}")
+        # Slots are int64 in the engine and on the wire.
+        slots = self.clock_hz * self.duration_s
+        if not math.isfinite(slots) or math.floor(slots) >= 2**63 - 1:
+            raise ConfigError(f"clock_hz * duration_s must give fewer than 2**63 - 1 slots, got {slots}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ConfigError(f"visibility must be in [0, 1], got {self.visibility}")
         if not 0.0 < self.sample_fraction <= 1.0:
@@ -189,30 +193,23 @@ class SessionSummary:
 
 @dataclass
 class SimulationResult:
-    """What the conversation reads of the quantum side, as arrays over
-    pair slots (slots with at least one generated pair). Pair counts,
-    channel angles and detector indices stay inside simulate_quantum.
-
-    bob_bits is meaningful where coinc is true. alice_rng is the live
-    stream to continue drawing from for the error test.
+    """What each endpoint reads of the quantum side. Alice's arrays
+    (pair_slots, x, y) run over pair slots, the slots with at least one
+    generated pair; alice_rng is her live stream, to continue drawing
+    from for the error test. Bob's records (slots, z, bob_bits) run over
+    coincidences only, and multi_pair_fraction is the share of those that
+    held more than one pair. Pair counts, channel angles and detector
+    indices stay inside simulate_quantum.
     """
 
     pair_slots: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    z: np.ndarray
-    coinc: np.ndarray
-    bob_bits: np.ndarray
-    multi_pair: np.ndarray
     alice_rng: np.random.Generator
-
-    def coincidence_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(slots, z, bits, multi_pair) restricted to coincidences: the
-        arrays themselves when every pair slot is one."""
-        arrays = self.pair_slots, self.z, self.bob_bits, self.multi_pair
-        if self.coinc.all():
-            return arrays
-        return tuple(a[self.coinc] for a in arrays)
+    slots: np.ndarray
+    z: np.ndarray
+    bob_bits: np.ndarray
+    multi_pair_fraction: float
 
 
 def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,12 +223,17 @@ def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> tuple
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     p = -math.expm1(-mu)
     batches, last = [], -1
-    while last < n_slots:
-        # Any gap past n_slots ends the list; the cap keeps the sum in int64.
-        batches.append(last + np.cumsum(np.minimum(rng.geometric(p, GAP_BATCH), n_slots + 1)))
-        last = batches[-1][-1]
+    while True:
+        # A gap of `left` or more ends the list. Capped there, the running
+        # sums stay exact in uint64 up to the first one that ends it.
+        left = n_slots - last
+        run = np.cumsum(np.minimum(rng.geometric(p, GAP_BATCH), left), dtype=np.uint64)
+        ended = run >= left
+        batches.append(last + run[: ended.argmax() if ended.any() else GAP_BATCH].astype(np.int64))
+        if ended.any():
+            break
+        last = int(batches[-1][-1])
     slots = np.concatenate(batches)
-    slots = slots[: np.searchsorted(slots, n_slots)]
     # P(count = n | count >= 1) for n = 1, 2, ... until a term is below rounding
     terms = [mu * math.exp(-mu) / p]
     while terms[-1] > 1e-17:
@@ -309,21 +311,24 @@ def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
     # photons reach, and then of the pair that fired.
     fired = _outcomes(cfg, x, y, z, cfg.channel.sample_batch(pair_slots, rng_channel), rng_source.random(k))
     if cfg.detectors.efficiency == 1.0 and cfg.detectors.dark_count_prob == 0.0:
-        # Each photon fires its own detector and nothing else does.
-        coinc = np.ones(k, dtype=bool)
+        # Each photon fires its own detector and nothing else does, so
+        # every pair slot is a coincidence.
+        slots = pair_slots
     else:
         coinc, fired = detect_batch(fired, cfg.detectors, rng_source)
+        slots, z, fired, multi_pair = (a[coinc] for a in (pair_slots, z, fired, multi_pair))
     bob_bits = OUTCOME_BIT[fired] if cfg.protocol == "dfs2" else BB84_PORT_BIT[z, fired >> 1]
+    n_coinc = len(slots)
 
     return SimulationResult(
         pair_slots=pair_slots,
         x=x,
         y=y,
-        z=z,
-        coinc=coinc,
-        bob_bits=bob_bits,
-        multi_pair=multi_pair,
         alice_rng=rng_alice,
+        slots=slots,
+        z=z,
+        bob_bits=bob_bits,
+        multi_pair_fraction=int(np.count_nonzero(multi_pair)) / n_coinc if n_coinc else 0.0,
     )
 
 
@@ -461,7 +466,7 @@ def alice_sift_exchange(
     keep_mask = x[idx] == decl_z
     kept_slots = decl_slots[keep_mask]
     _send_slots(link, "SIFT_KEEP", "keep", kept_slots)
-    return y[idx][keep_mask].astype(np.uint8), kept_slots
+    return y[idx[keep_mask]], kept_slots
 
 
 def bob_sift_exchange(
@@ -472,7 +477,7 @@ def bob_sift_exchange(
     _send_slots(link, "DETECTIONS", "slots", slots, bases=z)
     (kept_slots,) = _recv_slots(link, "SIFT_KEEP", "keep", _end(slots))
     pos_in_decl = _indices_in(slots, kept_slots, "peer kept a slot we never declared")
-    return bits[pos_in_decl].astype(np.uint8), kept_slots
+    return bits[pos_in_decl], kept_slots
 
 
 def run_alice_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
@@ -481,27 +486,20 @@ def run_alice_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
     _hello_exchange(cfg, link)
 
     sim = simulate_quantum(cfg)
-    c_slots, c_z, c_bits, c_multi = sim.coincidence_view()
-    _send_slots(link, "DETECTIONS", "slots", c_slots, bases=c_z, bits=c_bits)
+    _send_slots(link, "DETECTIONS", "slots", sim.slots, bases=sim.z, bits=sim.bob_bits)
 
     alice_key, kept_slots = alice_sift_exchange(link, sim.pair_slots, sim.x, sim.y)
     n_sifted = len(alice_key)
-    n_coinc = len(c_slots)
 
-    positions = (
-        sample_positions(n_sifted, cfg.sample_fraction, sim.alice_rng)
-        if n_sifted
-        else np.empty(0, dtype=np.int64)
-    )
+    positions = sample_positions(n_sifted, cfg.sample_fraction, sim.alice_rng)
     _send_slots(link, "SAMPLE_REQUEST", "positions", positions)
     sample = expect(link, "SAMPLE_BITS")
     bob_sample = unpack_bits(sample.payload.get("bits"), len(positions))
     n_errors = int(np.count_nonzero(alice_key[positions] != bob_sample))
     report = qber_report(len(positions), n_errors)
 
-    multi_fraction = float(c_multi.sum() / n_coinc) if n_coinc else 0.0
-    summary = finalize(cfg, n_coinc, n_sifted, report, multi_fraction)
-    link.send(Message("SUMMARY", {"n_errors": n_errors, "multi_pair_fraction": multi_fraction}))
+    summary = finalize(cfg, len(sim.slots), n_sifted, report, sim.multi_pair_fraction)
+    link.send(Message("SUMMARY", {"n_errors": n_errors, "multi_pair_fraction": sim.multi_pair_fraction}))
     expect(link, "BYE")
     return EndpointResult(summary, alice_key, kept_slots, positions)
 

@@ -79,6 +79,39 @@ class TestRun:
         assert code == 2
         assert "config error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--duration", "1e20"],
+            ["--duration", "1e14", "--pair-rate", "0.001"],
+            ["--clock", "1e200", "--duration", "1e200", "--pair-rate", "1"],
+            ["--exact", "--duration", "1e20"],
+        ],
+        ids=["duration", "duration-tiny-rate", "product-overflows", "exact"],
+    )
+    def test_slot_count_past_int64_exits_2(self, capsys, argv):
+        # slots are int64 in the engine and on the wire; these ended in an
+        # OverflowError traceback (exit 1), or ran in exact mode
+        code, out, err = run_main(capsys, ["run", *argv])
+        assert code == 2 and out == ""
+        assert "clock_hz * duration_s" in err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--channel-lo", "5", "--channel-hi", "10"], "--channel-lo, --channel-hi"),
+            (["--channel", "static", "--channel-sigma", "1"], "--channel-sigma"),
+            (["--channel", "per-slot-uniform", "--channel-lo", "5", "--channel-hi", "10", "--theta", "30"], "--theta"),
+            (["--channel", "random-walk", "--channel-sigma", "1", "--channel-lo", "3"], "--channel-lo"),
+        ],
+        ids=["static-lo-hi", "static-sigma", "uniform-theta", "walk-lo"],
+    )
+    def test_channel_flag_the_model_does_not_read_exits_2(self, capsys, argv, named):
+        # each of these ran and silently dropped the flag
+        code, out, err = run_main(capsys, ["run", *FAST, *argv])
+        assert code == 2 and out == ""
+        assert f"channel does not read {named}\n" in err
+
     def test_random_walk_channel_runs(self, capsys):
         code, out, _ = run_main(
             capsys,
@@ -186,6 +219,26 @@ class TestSweep:
         code, out, err = run_main(capsys, ["sweep", "--exact", "--thetas", "0", *argv])
         assert code == 2 and out == ""
         assert kind in err
+
+    @pytest.mark.parametrize(
+        "argv, config, named",
+        [
+            (["--protocol", "bb84", "--theta", "20"], None, ["protocol", "channel.theta_deg"]),
+            ([], {"protocol": "bb84"}, ["protocol"]),
+            ([], {"channel": {"kind": "static", "theta_deg": 5}}, ["channel.theta_deg"]),
+        ],
+        ids=["protocol-theta-flags", "protocol-config", "theta-config"],
+    )
+    def test_protocol_or_angle_exits_2_naming_it(self, tmp_path, capsys, argv, config, named):
+        # each point sets its own protocol and angle, which would silently
+        # replace these
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = ["--config", str(path)]
+        code, out, err = run_main(capsys, ["sweep", "--exact", "--thetas", "0", *argv])
+        assert code == 2 and out == ""
+        assert "cannot honour " + ", ".join(sorted(named)) + "\n" in err
 
     def test_csv_file_output(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"

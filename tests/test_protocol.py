@@ -29,7 +29,6 @@ from dfsqkd.protocol import (
     key_rate,
     mc_qber,
     modulator_pattern,
-    outcome_to_bit,
     predicted_qber,
     qber_report,
     sample_positions,
@@ -111,19 +110,13 @@ class TestBobMeasurement:
         np.testing.assert_allclose(probs[[1, 2]], [0, 0], atol=1e-12)
         assert probs[0] + probs[3] == pytest.approx(1.0, abs=1e-12)
 
-    def test_outcome_to_bit_rule(self):
-        assert outcome_to_bit(1, 4) == 0
-        assert outcome_to_bit(2, 3) == 0
-        assert outcome_to_bit(1, 3) == 1
-        assert outcome_to_bit(2, 4) == 1
-        with pytest.raises(ValueError):
-            outcome_to_bit(3, 4)
-
     def test_outcome_bit_table_consistent_with_rule(self):
+        # (D1,D4) and (D2,D3) decode to bit 0, (D1,D3) and (D2,D4) to bit 1
+        rule = {(1, 4): 0, (2, 3): 0, (1, 3): 1, (2, 4): 1}
         # ideal detectors fire outcome o's detector pair (1 + o // 2, 3 + o % 2)
         _, fired = detect_batch(np.arange(4), DetectorParams(), np.random.default_rng(0))
-        for o in fired:
-            assert OUTCOME_BIT[o] == outcome_to_bit(1 + (o >> 1), 3 + (o & 1))
+        assert fired.tolist() == [0, 1, 2, 3]
+        assert OUTCOME_BIT[fired].tolist() == [rule[1 + (o >> 1), 3 + (o & 1)] for o in fired]
 
     def test_detector_pair_rule_reproduces_the_bit_values(self):
         # singlet (y=0 state) in the z=0 basis: only bit-0 pairs fire

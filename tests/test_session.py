@@ -71,11 +71,18 @@ class TestConfig:
             {"detectors": {"efficiency": math.nan}},
             {"detectors": {"efficiency": 1.5}},
             {"detectors": {"dark_count_prob": 1.0}},
+            {"duration_s": 1e20},  # slot counts past int64
+            {"clock_hz": 1.0, "duration_s": 2.0**63, "pair_rate_hz": 0.0},
+            {"clock_hz": 1e200, "duration_s": 1e200, "pair_rate_hz": 1.0},  # the product overflows
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SessionConfig.from_dict(kwargs)
+
+    def test_longest_session_is_accepted(self):
+        cfg = SessionConfig(clock_hz=1.0, duration_s=2.0**62, pair_rate_hz=0.0)
+        assert cfg.n_slots == 2**62
 
     def test_dict_round_trip(self):
         cfg = small_cfg(channel=PerSlotUniformChannel(-0.1, 0.4), sample_fraction=0.3)
@@ -131,29 +138,35 @@ class TestEngine:
     def test_slot_record_invariants(self):
         cfg = small_cfg(duration_s=0.05, detectors=DetectorParams(efficiency=0.8, dark_count_prob=0.01))
         sim = simulate_quantum(cfg)
-        k = len(sim.pair_slots)
+        k, n = len(sim.pair_slots), len(sim.slots)
         assert k, "expected some pair slots"
-        for arr in (sim.x, sim.y, sim.z, sim.coinc, sim.bob_bits, sim.multi_pair):
-            assert len(arr) == k
+        assert len(sim.x) == len(sim.y) == k
+        assert len(sim.z) == len(sim.bob_bits) == n
         assert np.all(np.diff(sim.pair_slots) > 0)
         assert np.all((sim.pair_slots >= 0) & (sim.pair_slots < cfg.n_slots))
-        assert 0 < np.count_nonzero(sim.coinc) < k
-        assert set(sim.bob_bits[sim.coinc]) <= {0, 1}
+        # Bob's records are the pair slots that became coincidences
+        assert 0 < n < k
+        assert np.isin(sim.slots, sim.pair_slots).all() and np.all(np.diff(sim.slots) > 0)
+        assert set(sim.bob_bits) <= {0, 1}
+        assert 0.0 <= sim.multi_pair_fraction <= 1.0
 
     def test_zero_pair_rate_produces_nothing(self):
         sim = simulate_quantum(small_cfg(pair_rate_hz=0.0))
         assert len(sim.pair_slots) == 0
 
     def test_tiny_pair_rate_produces_nothing(self):
-        # gaps near 2**63: a batch of them would overflow int64 uncapped
-        for rate in (1e-12, 1e-300):
-            assert len(simulate_quantum(small_cfg(pair_rate_hz=rate)).pair_slots) == 0
+        # gaps near 2**63: a batch of them would overflow int64 uncapped, and
+        # on 1e15 slots or more a batch of gaps capped at the session's end
+        # would too (its sum wrapped and slots past the session came out)
+        for rate, duration_s in ((1e-12, 0.5), (1e-300, 0.5), (1e-290, 1e10), (1e-290, 9.2e13)):
+            assert len(simulate_quantum(small_cfg(pair_rate_hz=rate, duration_s=duration_s)).pair_slots) == 0
 
     def test_coincidence_count_matches_pair_slots_for_ideal_detectors(self):
         cfg = small_cfg()
         sim = simulate_quantum(cfg)
-        # noiseless detectors convert every pair slot into a coincidence
-        assert sim.coinc.all()
+        # noiseless detectors convert every pair slot into a coincidence,
+        # and Bob's slots are Alice's array itself, not a copy
+        assert sim.slots is sim.pair_slots
         expected = cfg.n_slots * (1 - math.exp(-cfg.mean_pairs_per_slot))
         sigma = math.sqrt(expected)
         assert abs(len(sim.pair_slots) - expected) < 4 * sigma
@@ -189,10 +202,10 @@ def _uniforms_with_ties(protocol_name, probs, rng):
 
 
 def _reference_simulation(cfg):
-    """(pair_slots, coinc, bob_bits, multi_pair) from the seeds of `cfg` by
-    the one-shot path: one kernel call over every pair slot, outcomes
-    decided on whole rows, and the detector layer's draws even for ideal
-    detectors."""
+    """The engine's result from the seeds of `cfg` by the one-shot path:
+    one kernel call over every pair slot, outcomes decided on whole rows,
+    the detector layer's draws even for ideal detectors, and its mask
+    applied to Bob's records afterwards."""
     seeds = cfg.seeds
     rng_alice, rng_bob, rng_channel, rng_source = (
         np.random.default_rng(seed) for seed in (seeds.alice, seeds.bob, seeds.channel, seeds.source)
@@ -210,7 +223,17 @@ def _reference_simulation(cfg):
         bob_bits = protocol.OUTCOME_BIT[fired]
     else:
         bob_bits = protocol.BB84_PORT_BIT[z, fired >> 1]
-    return pair_slots, coinc, bob_bits, n_pairs >= 2
+    n_coinc = np.count_nonzero(coinc)
+    return SimulationResult(
+        pair_slots=pair_slots,
+        x=x.astype(np.uint8),
+        y=y.astype(np.uint8),
+        alice_rng=rng_alice,
+        slots=pair_slots[coinc],
+        z=z.astype(np.uint8)[coinc],
+        bob_bits=bob_bits[coinc],
+        multi_pair_fraction=float((n_pairs >= 2)[coinc].sum() / n_coinc) if n_coinc else 0.0,
+    )
 
 
 def _assert_same(got, want):
@@ -316,8 +339,13 @@ class TestBoundedMemory:
         )
         sim = simulate_quantum(cfg)
         assert len(sim.pair_slots) > session_mod.BORN_BLOCK
-        for got, want in zip((sim.pair_slots, sim.coinc, sim.bob_bits, sim.multi_pair), _reference_simulation(cfg)):
-            _assert_same(got, want)
+        ref = _reference_simulation(cfg)
+        for name in ("pair_slots", "x", "y", "slots", "z", "bob_bits"):
+            _assert_same(getattr(sim, name), getattr(ref, name))
+        assert type(sim.multi_pair_fraction) is float
+        assert sim.multi_pair_fraction == ref.multi_pair_fraction
+        # Alice's stream is left where the one-shot draws leave it
+        assert sim.alice_rng.bit_generator.state == ref.alice_rng.bit_generator.state
 
 
 class TestSessions:
@@ -683,15 +711,16 @@ class TestCraftedConversations:
     """Pin the conversation layer on hand-built records."""
 
     def _fake_sim(self, cfg, x, y, z, bob_bit):
+        slots = np.array([4], dtype=np.int64)
         return SimulationResult(
-            pair_slots=np.array([4], dtype=np.int64),
-            x=np.array([x]),
-            y=np.array([y]),
-            z=np.array([z]),
-            coinc=np.array([True]),
-            bob_bits=np.array([bob_bit], dtype=np.uint8),
-            multi_pair=np.array([False]),
+            pair_slots=slots,
+            x=np.array([x], dtype=np.uint8),
+            y=np.array([y], dtype=np.uint8),
             alice_rng=np.random.default_rng(1),
+            slots=slots,
+            z=np.array([z], dtype=np.uint8),
+            bob_bits=np.array([bob_bit], dtype=np.uint8),
+            multi_pair_fraction=0.0,
         )
 
     def test_single_coincidence_matching_bases(self, monkeypatch):

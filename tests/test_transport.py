@@ -20,6 +20,7 @@ from dfsqkd.transport import (
     TransportClosed,
     decode_frame,
     encode_frame,
+    expect,
     memory_pair,
     pack_bits,
     pack_slots,
@@ -61,26 +62,36 @@ class TestFrameCodec:
         data = struct.pack(">I", MAX_FRAME_BYTES + 1)
         with pytest.raises(FrameError, match="cap"):
             decode_frame(data)
+        # a stream refuses it before reading a body: this peer sends none
+        # and closes, so reading one would end in TransportClosed instead
+        left, right = socket.socketpair()
+        with left, right:
+            right.sendall(data)
+            right.shutdown(socket.SHUT_WR)
+            with pytest.raises(FrameError, match="cap"):
+                StreamTransport(left).recv()
 
     @pytest.mark.parametrize(
-        "body",
+        "body, error, match",
         [
-            b"{nope",
-            b"[" * 200_000 + b"]" * 200_000,  # nested past the recursion limit
-            b'{"payload":{"n":' + b"9" * 5000 + b'},"type":"BYE"}',  # past the integer digit limit
+            (b"{nope", FrameError, "malformed"),
+            (b"[" * 200_000 + b"]" * 200_000, FrameError, "malformed"),  # nested past the recursion limit
+            (b'{"payload":{"n":' + b"9" * 5000 + b'},"type":"BYE"}', FrameError, "malformed"),  # past the digit limit
+            (b"[1]", FrameError, "not a message object"),
+            (b'{"payload":[1],"type":"BYE"}', ProtocolError, "payload must be a JSON object"),
         ],
-        ids=["json", "deep", "long-int"],
+        ids=["json", "deep", "long-int", "not-an-object", "payload-not-an-object"],
     )
-    def test_malformed_body(self, body):
+    def test_malformed_body(self, body, error, match):
         frame = struct.pack(">I", len(body)) + body
-        with pytest.raises(FrameError, match="malformed"):
+        with pytest.raises(error, match=match):
             decode_frame(frame)
         left, right = socket.socketpair()
         with left, right:
             # the frame may exceed the socket buffer, so send while reading
             sender = threading.Thread(target=right.sendall, args=(frame,))
             sender.start()
-            with pytest.raises(FrameError, match="malformed"):
+            with pytest.raises(error, match=match):
                 StreamTransport(left).recv()
             sender.join(timeout=10)
             assert not sender.is_alive()
@@ -184,6 +195,12 @@ class TestInMemoryTransport:
             a.send(Message("SIFT_KEEP", {"keep": keep}))
         got = [b.recv().payload["keep"] for _ in range(3)]
         assert got == [[1], [2], [3]]
+
+    def test_expect_refuses_another_type(self):
+        a, b = memory_pair()
+        a.send(Message("BYE", {}))
+        with pytest.raises(ProtocolError, match="expected SUMMARY, got BYE"):
+            expect(b, "SUMMARY")
 
     def test_close_wakes_receiver(self):
         a, b = memory_pair()
