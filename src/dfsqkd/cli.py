@@ -36,6 +36,8 @@ from .transport import StreamTransport, TransportError
 # Sweep points perturb the base seeds by this stride so every point is an
 # independent (but still reproducible) experiment.
 SEED_STRIDE = 1000003
+# Most analyzer angles one fringe scan evaluates.
+MAX_FRINGE_POINTS = 10_000
 
 
 def _fmt(value) -> str:
@@ -280,6 +282,13 @@ def cmd_fringe(args) -> int:
         raise ConfigError("--theta1-step must be positive")
     if args.shots < 1:
         raise ConfigError("--shots must be >= 1")
+    # np.arange's length, counted before it allocates the grid
+    n_points = (args.theta1_stop + 1e-9 - args.theta1_start) / args.theta1_step
+    if n_points > MAX_FRINGE_POINTS:
+        raise ConfigError(
+            f"--theta1-step {args.theta1_step:g} gives more than {MAX_FRINGE_POINTS} analyzer angles "
+            "from --theta1-start to --theta1-stop"
+        )
     grid = np.arange(args.theta1_start, args.theta1_stop + 1e-9, args.theta1_step)
     if len(grid) < 3:
         raise ConfigError("fringe scan needs at least 3 analyzer angles")

@@ -35,13 +35,16 @@ bit-identical sessions:
 Networked mode simulates the quantum side on Alice's process and streams
 Bob's measurement records to him as DETECTIONS that also carry his
 "bits"; everything after that is identical in both modes. Every slot
-list (that stream, Bob's declaration, SIFT_KEEP, SAMPLE_REQUEST) goes as
-validated frames of at most SLOT_CHUNK entries, the last flagged "final",
-and each entry must lie below a bound the receiver knows (_recv_slots).
-Inside a frame the entries travel as one base-64 string of gap varints
+list (that stream, Bob's declaration, SAMPLE_REQUEST) goes as validated
+frames of at most SLOT_CHUNK entries, the last flagged "final", and each
+entry must lie below a bound the receiver knows (_recv_slots). Inside a
+frame the entries travel as one base-64 string of gap varints
 (transport.pack_slots): the first gap counts from the previous frame's
 last entry, so a decoded list always increases strictly, across frames
-too.
+too. Alice answers the declaration with SIFT_KEEP frames of packed keep
+bits, one bit per declared slot in Bob's order and one frame per
+declaration frame, so Bob knows how many frames and bits to expect and
+keeps his own records by that mask.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from .transport import Message, Transport, expect, memory_pair, pack_bits, pack_
 
 # Version of the conversation's wire format and of the draw order, checked
 # in HELLO.
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 # Entries of a slot list per frame.
 SLOT_CHUNK = 100_000
 # Geometric gaps per draw of the source stream.
@@ -399,14 +402,18 @@ def _hello_exchange(cfg: SessionConfig, link: Transport) -> None:
         raise HandshakeMismatch(f"peer handshake differs from ours in: {keys}")
 
 
+def _frames(n: int) -> range:
+    """Where each frame of an n-entry list starts (one empty frame if n = 0)."""
+    return range(0, max(n, 1), SLOT_CHUNK)
+
+
 def _send_slots(link: Transport, kind: str, key: str, slots: np.ndarray, **bits: np.ndarray) -> None:
     """Send a sorted slot list as `kind` frames of at most SLOT_CHUNK
-    entries under `key`, as gap varints that continue from the previous
-    frame's last entry, each with its share of the named bit arrays
-    packed alongside. The last frame (the only one for an empty list)
-    carries final: true."""
+    entries under `key` (see _frames), as gap varints that continue from
+    the previous frame's last entry, each with its share of the named bit
+    arrays packed alongside. The last frame carries final: true."""
     n = len(slots)
-    for start in range(0, max(n, 1), SLOT_CHUNK):
+    for start in _frames(n):
         chunk = slice(start, start + SLOT_CHUNK)
         payload = {name: pack_bits(b[chunk]) for name, b in bits.items()}
         prev = slots[start - 1] if start else -1
@@ -439,17 +446,13 @@ def _recv_slots(link: Transport, kind: str, key: str, bound: int, *bit_names: st
         prev, n = slots[-1], n + len(slots)
 
 
-def _end(slots: np.ndarray) -> int:
-    """One past the last entry of a sorted slot list, 0 for an empty one."""
-    return int(slots[-1]) + 1 if len(slots) else 0
-
-
 def _indices_in(known: np.ndarray, slots: np.ndarray, complaint: str) -> np.ndarray:
     """Index of each slot in the sorted array `known`; a slot that `known`
     lacks is a ProtocolError that names it."""
     idx = np.searchsorted(known, slots)
-    # The -1 past the end matches no slot, since slots are non-negative.
-    missing = np.flatnonzero(np.append(known, -1)[idx] != slots)
+    # A slot past the end of `known` is clipped to its last entry, which is
+    # below that slot; an empty `known` holds none of them.
+    missing = np.flatnonzero(np.take(known, idx, mode="clip") != slots) if len(known) else np.arange(len(slots))
     if len(missing):
         raise tp.ProtocolError(f"{complaint}: slot {slots[missing[0]]}")
     return idx
@@ -459,25 +462,34 @@ def alice_sift_exchange(
     link: Transport, pair_slots: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Alice's half of sifting: receive Bob's declaration (slots and
-    bases), reply with the slots whose bases match hers, and build her
-    sifted key. Returns (alice key, kept slots)."""
-    decl_slots, decl_z = _recv_slots(link, "DETECTIONS", "slots", _end(pair_slots), "bases")
+    bases), reply with a keep bit per declared slot, set where his basis
+    matches hers, and build her sifted key. Returns (alice key, kept
+    slots)."""
+    bound = int(pair_slots[-1]) + 1 if len(pair_slots) else 0
+    decl_slots, decl_z = _recv_slots(link, "DETECTIONS", "slots", bound, "bases")
     idx = _indices_in(pair_slots, decl_slots, "peer declared a detection in a slot without pairs")
-    keep_mask = x[idx] == decl_z
-    kept_slots = decl_slots[keep_mask]
-    _send_slots(link, "SIFT_KEEP", "keep", kept_slots)
-    return y[idx[keep_mask]], kept_slots
+    keep = x[idx] == decl_z
+    for start in _frames(len(keep)):
+        link.send(Message("SIFT_KEEP", {"keep": pack_bits(keep[start : start + SLOT_CHUNK])}))
+    # About half the bits are set, where numpy selects several times faster
+    # by index than by boolean mask.
+    kept = np.flatnonzero(keep)
+    return y[idx[kept]], decl_slots[kept]
 
 
 def bob_sift_exchange(
     link: Transport, slots: np.ndarray, z: np.ndarray, bits: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bob's half of sifting: declare every coincidence with its basis,
-    then keep the slots Alice confirms. Returns (bob key, kept slots)."""
+    then keep those whose keep bit Alice sets, one SIFT_KEEP frame per
+    declaration frame. Returns (bob key, kept slots)."""
     _send_slots(link, "DETECTIONS", "slots", slots, bases=z)
-    (kept_slots,) = _recv_slots(link, "SIFT_KEEP", "keep", _end(slots))
-    pos_in_decl = _indices_in(slots, kept_slots, "peer kept a slot we never declared")
-    return bits[pos_in_decl], kept_slots
+    keep = np.empty(len(slots), dtype=bool)
+    for start in _frames(len(slots)):
+        frame = keep[start : start + SLOT_CHUNK]
+        frame[:] = unpack_bits(expect(link, "SIFT_KEEP").payload.get("keep"), len(frame))
+    kept = np.flatnonzero(keep)  # by index, as in alice_sift_exchange
+    return bits[kept], slots[kept]
 
 
 def run_alice_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:

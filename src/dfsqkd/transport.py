@@ -94,22 +94,31 @@ def pack_slots(slots, prev: int = -1) -> str:
     LEB128 varint: 7 bits per byte, low group first, the high bit set on
     every byte but the entry's last. A gap below 2**63 takes at most 9
     bytes.
+
+    Most gaps fit one byte, which is the gap itself; only the gaps of
+    0x80 or more are split into groups, and their lower groups inserted
+    before their last byte.
     """
     slots = np.asarray(slots, dtype=np.int64)
-    # int64 arithmetic wraps modulo 2**64 and every true gap lies in
-    # [0, 2**63), so the gaps come out exact even from prev = -1 to 2**63 - 1.
-    gaps = (np.diff(slots, prepend=np.int64(prev)) - 1).view(np.uint64)
-    n_bytes = np.ones(len(gaps), dtype=np.int64)
-    rest = gaps >> np.uint64(7)
-    while rest.any():
-        n_bytes += rest != 0
-        rest >>= np.uint64(7)
-    start = np.cumsum(n_bytes) - n_bytes
-    raw = np.empty(n_bytes.sum(), dtype=np.uint8)
-    for k in range(n_bytes.max(initial=0)):
-        at = np.flatnonzero(n_bytes > k)
-        more = (n_bytes[at] > k + 1).astype(np.uint8) << 7
-        raw[start[at] + k] = (gaps[at] >> np.uint64(7 * k)).astype(np.uint8) & 0x7F | more
+    if not len(slots):
+        return ""
+    gaps = np.empty(len(slots), dtype=np.int64)
+    # The first gap in Python ints: from prev = -1 to 2**63 - 1 it is
+    # 2**63 - 1, but the step to it is past int64.
+    gaps[0] = int(slots[0]) - int(prev) - 1
+    np.subtract(slots[1:], slots[:-1], out=gaps[1:])
+    gaps[1:] -= 1
+    raw = gaps.astype(np.uint8)
+    long = np.flatnonzero(gaps >= 0x80)
+    if len(long):
+        shifted = gaps[long, None] >> np.arange(0, 63, 7)
+        # The groups below an entry's highest nonzero one, its last byte.
+        n_lower = np.count_nonzero(shifted[:, 1:], axis=1)
+        groups = (shifted & 0x7F).astype(np.uint8)
+        raw[long] = groups[np.arange(len(long)), n_lower]
+        lower = np.arange(8) < n_lower[:, None]
+        # np.insert keeps the order of values inserted at one index.
+        raw = np.insert(raw, np.repeat(long, n_lower), groups[:, :8][lower] | 0x80)
     return base64.b64encode(raw.tobytes()).decode("ascii")
 
 
@@ -254,30 +263,51 @@ def validate_detections_payload(payload: dict, key: str = "slots", prev: int = -
     from above `prev`. A field that is missing, not a string or not
     base-64, a last byte that does not end a varint, a varint longer than
     9 bytes and a slot past 2**63 - 1 are ProtocolErrors naming the entry.
+
+    An entry's last byte is its only byte below 0x80, so those bytes are
+    the entries; only the entries with continuation bytes, found from
+    those bytes alone, are rebuilt from several.
     """
     text = payload.get(key)
     if not isinstance(text, str):
         raise ProtocolError(f"{key!r} must be a base-64 string of slot gaps, got {text!r:.40}")
     raw = _b64_bytes(text, f"{key!r}")
-    ends = np.flatnonzero(raw < 0x80)
-    lengths = np.diff(ends, prepend=-1)
-    too_long = np.flatnonzero(lengths > 9)
-    if len(too_long):
-        raise ProtocolError(f"{key!r} has a varint longer than 9 bytes at {too_long[0]}")
-    if len(raw) and raw[-1] >= 0x80:
-        raise ProtocolError(f"{key!r} ends inside a varint at {len(ends)}")
-    if not len(ends):
-        return np.empty(0, dtype=np.int64)
-    starts = ends - lengths + 1
-    gaps = (raw[starts] & 0x7F).astype(np.uint64)
-    for k in range(1, lengths.max()):
-        at = np.flatnonzero(lengths > k)
-        gaps[at] |= (raw[starts[at] + k] & 0x7F).astype(np.uint64) << np.uint64(7 * k)
-    # steps = slot - prev per entry; the uint64 cumsum can wrap past 2**64,
-    # which shows as a step that does not increase.
-    steps = np.cumsum(gaps + np.uint64(1))
-    bad = steps > np.uint64(2**63 - 1 - int(prev))
-    bad[1:] |= steps[1:] <= steps[:-1]
-    if bad.any():
-        raise ProtocolError(f"{key!r} has a slot past 2**63 - 1 at {np.argmax(bad)}")
-    return (steps - np.uint64(1)).astype(np.int64) + np.int64(prev + 1)
+    cont = np.flatnonzero(raw >= 0x80)
+    gaps = (raw[raw < 0x80] if len(cont) else raw).astype(np.int64)
+    # A gap below 0x80 adds at most 0x80 to the last slot, a long one
+    # itself plus one; if that sum cannot pass 2**63 - 1, no slot can.
+    bound = 0x80 * len(gaps)
+    if len(cont):
+        # The entry of a continuation byte is the number of last bytes
+        # before it; an entry's continuation bytes are adjacent.
+        entry = cont - np.arange(len(cont))
+        run = np.flatnonzero(np.diff(entry, prepend=-1))
+        n_cont = np.diff(run, append=len(cont))
+        long = entry[run]
+        too_long = long[(n_cont > 8) & (long < len(gaps))]
+        if len(too_long):
+            raise ProtocolError(f"{key!r} has a varint longer than 9 bytes at {too_long[0]}")
+        if raw[-1] >= 0x80:
+            raise ProtocolError(f"{key!r} ends inside a varint at {len(gaps)}")
+        shift = np.uint64(7) * (np.arange(len(cont)) - np.repeat(run, n_cont)).astype(np.uint64)
+        low = np.bitwise_or.reduceat((raw[cont] & 0x7F).astype(np.uint64) << shift, run)
+        top = gaps[long].astype(np.uint64) << np.uint64(7) * n_cont.astype(np.uint64)
+        # At most 9 groups of 7 bits: below 2**63, so int64 holds it.
+        gaps[long] = (low | top).view(np.int64)
+        bound += sum(gaps[long].tolist())
+    if not len(gaps):
+        return gaps
+    limit = 2**63 - 1 - int(prev)
+    if bound > limit:
+        # steps = slot - prev per entry; the uint64 cumsum can wrap past
+        # 2**64, which shows as a step that does not increase.
+        steps = np.cumsum(gaps.view(np.uint64) + np.uint64(1))
+        bad = steps > np.uint64(limit)
+        bad[1:] |= steps[1:] <= steps[:-1]
+        if bad.any():
+            raise ProtocolError(f"{key!r} has a slot past 2**63 - 1 at {np.argmax(bad)}")
+    # Now every slot, and so every partial sum, fits int64.
+    first = int(prev) + 1 + int(gaps[0])
+    gaps[1:] += 1
+    gaps[0] = first
+    return np.cumsum(gaps, out=gaps)

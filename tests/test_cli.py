@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from dfsqkd.cli import main
+from dfsqkd.cli import MAX_FRINGE_POINTS, main
 from dfsqkd.protocol import predicted_qber
 from dfsqkd.session import WIRE_VERSION, SessionConfig
 from dfsqkd.transport import Message, StreamTransport, expect
@@ -289,6 +289,19 @@ class TestFringe:
         assert f"{flag.replace('-', '_')} must be a finite number" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [["--theta1-step=1e-300"], ["--theta1-step=1e-320"], ["--theta1-start=-1e308", "--theta1-stop=1e308"]],
+        ids=["tiny-step", "subnormal-step", "huge-range"],
+    )
+    def test_grid_past_the_cap_exits_2_naming_the_step(self, capsys, argv):
+        # counted before the grid is built: np.arange used to fail on the
+        # first with "Maximum allowed size exceeded" (exit 3)
+        code, out, err = run_main(capsys, ["fringe", "--exact", "--shots", "10", *argv])
+        assert code == 2 and out == ""
+        assert f"gives more than {MAX_FRINGE_POINTS} analyzer angles" in err
+        assert "--theta1-step" in err
+
+    @pytest.mark.parametrize(
         "argv, named",
         [
             (
@@ -411,7 +424,7 @@ class TestNetworkedMode:
                 expect(alice, "HELLO")
                 alice.send(Message("DETECTIONS", {"slots": "", "bases": "", "bits": "", "final": True}))
                 expect(alice, "DETECTIONS")
-                alice.send(Message("SIFT_KEEP", {"keep": "", "final": True}))
+                alice.send(Message("SIFT_KEEP", {"keep": ""}))
                 alice.send(Message("SAMPLE_REQUEST", {"positions": "", "final": True}))
                 expect(alice, "SAMPLE_BITS")
                 alice.send(Message("SUMMARY", {"n_slots": 50_000}))

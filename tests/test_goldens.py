@@ -75,7 +75,7 @@ DEFAULT_CONFIG_DICT = {
     "sample_fraction": 0.1,
     "seeds": {"alice": 1, "bob": 2, "channel": 3, "source": 4},
 }
-DEFAULT_HELLO_SHA256 = "f00d1b4f7ab45339035c9209fc2e2b0b66cf06bbcf7c4cb4d60ec1ab20dc8a48"
+DEFAULT_HELLO_SHA256 = "ad07408ad6215678f7eeee2ca4a5c60e5b11ea5b8f1c3f4d251eb2088c7d74a0"
 
 
 def _sha256(data: bytes) -> str:

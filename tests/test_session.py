@@ -477,6 +477,16 @@ class TestSiftExchange:
                 pair_slots=[2, 5], x=[0, 1], y=[1, 0], slots=[3], z=[0], bits=[1]
             )
 
+    @pytest.mark.parametrize(
+        "known, slots, missing",
+        [([2, 5], [2, 3, 4], 3), ([2, 5], [5, 6], 6), ([], [0], 0)],
+        ids=["between", "past-the-end", "nothing-known"],
+    )
+    def test_indices_in_names_the_first_missing_slot(self, known, slots, missing):
+        known, slots = np.array(known, dtype=np.int64), np.array(slots, dtype=np.int64)
+        with pytest.raises(ProtocolError, match=f"not here: slot {missing}$"):
+            session_mod._indices_in(known, slots, "not here")
+
 
 def _slot_frames(key, chunks, *bit_names, final=True):
     """Payloads carrying one slot list in the given chunks, each with an
@@ -512,24 +522,20 @@ def _alice_receives_declaration(chunks, final=True):
     alice_sift_exchange(link, np.arange(8), np.zeros(8, dtype=np.int64), np.zeros(8, dtype=np.int64))
 
 
-def _bob_receives_keep(chunks, final=True):
-    link, peer = memory_pair()
-    for payload in _slot_frames("keep", chunks, final=final):
-        peer.send(Message("SIFT_KEEP", payload))
-    peer.close()
-    bob_sift_exchange(link, np.arange(8), np.zeros(8, dtype=np.uint8), np.zeros(8, dtype=np.uint8))
-
-
-def _run_bob_against(*frames, records=tuple(range(8))):
+def _run_bob_against(*frames, records=tuple(range(8)), keep=None):
     """Bob's whole endpoint against a scripted Alice who sends HELLO, then
-    records on the slots `records` (eight on slots 0-7 by default), keeps
-    them all, then sends `frames`. Returns Bob's result."""
+    records on the slots `records` (eight on slots 0-7 by default), then
+    the SIFT_KEEP payloads `keep` (by default keep bits of all ones, one
+    frame per SLOT_CHUNK records), then `frames`. Returns Bob's result."""
     cfg = small_cfg()
     link, peer = memory_pair()
     peer.send(Message("HELLO", {"config": cfg.to_dict(), "wire_version": session_mod.WIRE_VERSION}))
     for payload in _slot_frames("slots", [list(records)], "bases", "bits"):
         peer.send(Message("DETECTIONS", payload))
-    for payload in _slot_frames("keep", [list(records)]):
+    if keep is None:
+        n, chunk = len(records), session_mod.SLOT_CHUNK
+        keep = [{"keep": pack_bits([1] * min(chunk, n - start))} for start in range(0, max(n, 1), chunk)]
+    for payload in keep:
         peer.send(Message("SIFT_KEEP", payload))
     for kind, payload in frames:
         peer.send(Message(kind, payload))
@@ -552,7 +558,7 @@ class TestHostileSlotLists:
     test_transport.py), so order, sign and type need no checks here."""
 
     @pytest.mark.parametrize(
-        "receive", [_alice_receives_declaration, _bob_receives_keep, _bob_receives_sample_request]
+        "receive", [_alice_receives_declaration, _bob_receives_sample_request]
     )
     @pytest.mark.parametrize(
         "chunks, match",
@@ -575,14 +581,13 @@ class TestHostileSlotLists:
         "receive, kind",
         [
             (_alice_receives_declaration, "DETECTIONS 'slots'"),
-            (_bob_receives_keep, "SIFT_KEEP 'keep'"),
             (_bob_receives_sample_request, "SAMPLE_REQUEST 'positions'"),
         ],
-        ids=["declaration", "keep", "sample-request"],
+        ids=["declaration", "sample-request"],
     )
     def test_entry_at_the_bound_is_a_protocol_error(self, receive, kind):
         # each of these lists is bounded by 8: past Alice's last pair slot,
-        # past Bob's last declared slot, past the end of the sifted key
+        # past the end of the sifted key
         with pytest.raises(ProtocolError, match=f"{kind} entry 8 at 2 is not below 8"):
             receive([[1], [3, 8]])
 
@@ -595,10 +600,9 @@ class TestHostileSlotLists:
         "receive, kind",
         [
             (_alice_receives_declaration, "DETECTIONS"),
-            (_bob_receives_keep, "SIFT_KEEP"),
             (_bob_receives_sample_request, "SAMPLE_REQUEST"),
         ],
-        ids=["declaration", "keep", "sample-request"],
+        ids=["declaration", "sample-request"],
     )
     @pytest.mark.parametrize(
         "final, shown", [("no", "'no'"), (1, "1"), (None, "None")], ids=["string", "int", "missing"]
@@ -612,8 +616,63 @@ class TestHostileSlotLists:
     def test_empty_frame_that_is_not_final_is_a_protocol_error(self):
         # an honest sender sends an empty frame only for an empty list, as
         # its final frame; refusing others bounds the frames of a list too
-        with pytest.raises(ProtocolError, match="SIFT_KEEP 'keep' frame is empty but not final"):
-            _bob_receives_keep([[], [1]])
+        with pytest.raises(ProtocolError, match="DETECTIONS 'slots' frame is empty but not final"):
+            _alice_receives_declaration([[], [1]])
+
+
+class TestHostileKeep:
+    """Alice's SIFT_KEEP is one keep bit per slot of Bob's declaration, in
+    one frame per declaration frame. Bob knows how many frames and bits to
+    expect, so any other count is refused."""
+
+    def test_keep_bits_select_across_frames(self, monkeypatch):
+        # eight records declared in frames of 3, 3 and 2 slots
+        monkeypatch.setattr(session_mod, "SLOT_CHUNK", 3)
+        keep = [{"keep": pack_bits(bits)} for bits in ([1, 0, 1], [1, 1, 0], [0, 1])]
+        sample_request = _slot_frames("positions", [[]])[0]
+        bob = _run_bob_against(("SAMPLE_REQUEST", sample_request), ("SUMMARY", _HONEST_SUMMARY), keep=keep)
+        np.testing.assert_array_equal(bob.kept_slots, [0, 2, 3, 4, 7])
+        assert len(bob.sifted_key) == bob.summary.n_sifted == 5
+
+    def test_empty_declaration_takes_one_empty_frame(self):
+        sample_request = _slot_frames("positions", [[]])[0]
+        bob = _run_bob_against(
+            ("SAMPLE_REQUEST", sample_request), ("SUMMARY", _HONEST_SUMMARY), records=(), keep=[{"keep": ""}]
+        )
+        assert len(bob.kept_slots) == bob.summary.n_sifted == 0
+
+    @pytest.mark.parametrize(
+        "records, keep, match",
+        [
+            (range(8), [{"keep": pack_bits([1] * 16)}], "bit array too long: 2 bytes for 8 bits"),
+            (range(9), [{"keep": pack_bits([1] * 8)}], "bit array too short: 1 bytes for 9 bits"),
+            (range(8), [{}], "bit array is not base-64 text"),
+            (range(8), [{"keep": 5}], "bit array is not base-64 text"),
+            (range(8), [{"keep": "@@@@"}], "bit array is not base-64 text"),
+            # the kept slots as gap varints, as wire version 5 sent them
+            (range(8), [{"keep": pack_slots(list(range(8))), "final": True}], "too long: 8 bytes for 8 bits"),
+        ],
+        ids=["too-many-bits", "too-few-bits", "missing", "non-string", "non-base-64", "old-slot-list"],
+    )
+    def test_malformed_keep_bits_are_a_protocol_error(self, records, keep, match):
+        with pytest.raises(ProtocolError, match=match):
+            _run_bob_against(records=tuple(records), keep=keep)
+
+    def test_too_few_frames_then_a_close(self, monkeypatch):
+        monkeypatch.setattr(session_mod, "SLOT_CHUNK", 3)
+        with pytest.raises(tp.TransportClosed):
+            _run_bob_against(keep=[{"keep": pack_bits([1] * 3)}] * 2)
+
+    def test_too_few_frames_then_the_next_message(self, monkeypatch):
+        monkeypatch.setattr(session_mod, "SLOT_CHUNK", 3)
+        sample_request = _slot_frames("positions", [[]])[0]
+        with pytest.raises(ProtocolError, match="expected SIFT_KEEP, got SAMPLE_REQUEST"):
+            _run_bob_against(("SAMPLE_REQUEST", sample_request), keep=[{"keep": pack_bits([1] * 3)}] * 2)
+
+    def test_one_extra_frame(self):
+        keep = [{"keep": pack_bits([1] * 8)}] * 2
+        with pytest.raises(ProtocolError, match="expected SAMPLE_REQUEST, got SIFT_KEEP"):
+            _run_bob_against(keep=keep)
 
 
 # An honest SUMMARY after an error test with no errors on a single-pair source

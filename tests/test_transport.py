@@ -358,3 +358,92 @@ def test_any_text_decodes_to_an_increasing_list_or_is_refused(text, prev):
         return
     assert slots.dtype == np.int64
     assert np.all(np.diff(slots, prepend=prev) > 0)
+
+
+# ---------------------------------------------------------------------------
+# The regime of real sessions: long lists whose gaps mostly take one byte.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _sparse_slot_lists(draw):
+    """A list of up to a few thousand slots whose gaps mostly lie in 0-127,
+    with rare gaps of 2 to 9 varint bytes, and the cuts that chunk it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 3000))
+    gaps = rng.integers(0, 0x80, n).tolist()
+    for i in np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.002, 0.02, 0.2]))):
+        n_bytes = int(rng.integers(2, 10))
+        gaps[i] = int(rng.integers(2 ** (7 * n_bytes - 7), 2 ** min(7 * n_bytes, 63)))
+    slots, slot = [], -1
+    for gap in gaps:
+        slot += gap + 1
+        if slot > 2**63 - 1:
+            break
+        slots.append(slot)
+    cuts = sorted(draw(st.lists(st.integers(0, len(slots)), max_size=6)))
+    return slots, cuts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_slot_lists())
+def test_long_lists_of_short_gaps_match_the_reference_in_any_chunks(case):
+    slots, cuts = case
+    decoded, prev = [], -1
+    for lo, hi in zip([0, *cuts], [*cuts, len(slots)]):
+        chunk = slots[lo:hi]
+        text = pack_slots(np.array(chunk, dtype=np.int64), prev)
+        assert text == _varints(*(b - a - 1 for a, b in zip([prev, *chunk], chunk)))
+        out = validate_detections_payload({"slots": text}, "slots", prev)
+        assert out.dtype == np.int64
+        decoded += out.tolist()
+        prev = chunk[-1] if chunk else prev
+    assert decoded == slots
+
+
+def _reference_decode(raw: bytes, prev: int):
+    """The slots of a gap-varint string, one byte at a time, or None
+    where the decoder must refuse it."""
+    slots, gap, shift, n_bytes = [], 0, 0, 0
+    for byte in raw:
+        gap |= (byte & 0x7F) << shift
+        shift, n_bytes = shift + 7, n_bytes + 1
+        if n_bytes > 9:
+            return None
+        if byte < 0x80:
+            prev += gap + 1
+            if prev > 2**63 - 1:
+                return None
+            slots.append(prev)
+            gap, shift, n_bytes = 0, 0, 0
+    return None if n_bytes else slots
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _sparse_slot_lists(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["flip", "truncate", "both", "stretch"]),
+    st.one_of(st.sampled_from([-1, 0, 2**62, 2**63 - 2**40]), st.integers(2**63 - 2**12, 2**63 - 1)),
+)
+def test_damaged_long_lists_decode_to_increasing_slots_or_are_refused(case, seed, damage, prev):
+    slots, _ = case
+    raw = bytearray(base64.b64decode(pack_slots(np.array(slots, dtype=np.int64))))
+    rng = np.random.default_rng(seed)
+    if damage in ("flip", "both") and raw:
+        for i in rng.integers(0, len(raw), int(rng.integers(1, 8))):
+            raw[i] ^= 1 << int(rng.integers(0, 8))
+    if damage in ("truncate", "both"):
+        raw = raw[: int(rng.integers(0, len(raw) + 1))]
+    if damage == "stretch":
+        # a run of continuation bytes around the 9-byte limit
+        i = int(rng.integers(0, len(raw) + 1))
+        raw[i:i] = b"\xff" * int(rng.integers(7, 11))
+    want = _reference_decode(bytes(raw), prev)
+    try:
+        got = validate_detections_payload({"slots": _b64(bytes(raw))}, "slots", prev)
+    except ProtocolError:
+        assert want is None
+        return
+    assert got.tolist() == want
+    assert np.all(np.diff(got, prepend=prev) > 0)
