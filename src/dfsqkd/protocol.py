@@ -139,19 +139,34 @@ def _harmonics(thetas: np.ndarray, order: int) -> list[np.ndarray]:
     return [f(2 * m * thetas) for m in range(1, order + 1) for f in (np.cos, np.sin)]
 
 
+# Fitted coefficients below this are rounding, not physics, and are set to
+# 0. The fit leaves absent terms at 1e-16 or less; present ones are 0.25
+# or more.
+SERIES_TOLERANCE = 64 * np.finfo(float).eps
+
+
 @functools.cache
 def series_coefficients(protocol: str) -> np.ndarray:
     """Each pure-source Born probability's coefficients in the series, shape
-    (outcomes, terms, symbol s = 4x + 2y + z), fitted on first use. None is
-    set to zero: dfs2's rotation immunity is computed, not assumed."""
+    (outcomes, terms, symbol s = 4x + 2y + z), fitted on first use. Only
+    the rounding the fit leaves (below SERIES_TOLERANCE) is set to 0, so
+    whether a law depends on the angle is read off the fit: dfs2's angle
+    terms all come out 0, its rotation immunity computed, not assumed."""
     order = 2 if protocol == "dfs2" else 1
     angles = np.pi * np.arange(2 * order + 1) / (2 * order + 1)
     basis = np.column_stack([np.ones_like(angles), *_harmonics(angles, order)])
     oracle = dfs2_outcome_probs if protocol == "dfs2" else lambda *args: [bb84_port1_prob(*args)]
     values = [[oracle(s >> 2, (s >> 1) & 1, s & 1, t, 1.0) for t in angles] for s in range(8)]
     coefficients = np.linalg.solve(basis, np.array(values).transpose(2, 1, 0))
+    coefficients[np.abs(coefficients) < SERIES_TOLERANCE] = 0.0
     coefficients.flags.writeable = False
     return coefficients
+
+
+def angle_free(protocol: str) -> bool:
+    """Whether the protocol's outcome law has no angle terms, so that every
+    channel angle gives the law at angle 0."""
+    return not series_coefficients(protocol)[:, 1:].any()
 
 
 def _series_batch(protocol: str, x, y, z, thetas, visibility: float) -> np.ndarray:

@@ -2,35 +2,39 @@
 
 One session walks a 100 kHz clock: each slot may carry photon pairs
 (Poisson), Alice encodes on pair slots, the channel angle is sampled per
-pair slot, Bob measures, and the detector layer decides coincidences. The
-classical conversation (detection declaration, basis sifting, error
-test, summary) then runs over a Transport pair, so the same code drives
-both the in-process mode and the two-process networked mode. It ends
-with Alice's SUMMARY, which carries only what Bob cannot count: her
-error count on the disclosed sample and the multi-pair fraction of the
-coincidences. Bob builds the rest of his summary from his own counts,
-through the same qber_report and finalize as Alice.
+pair slot where the outcome law depends on it, Bob measures, and the
+detector layer decides coincidences. The classical conversation
+(detection declaration, basis sifting, error test, summary) then runs
+over a Transport pair, so the same code drives both the in-process mode
+and the two-process networked mode. It ends with Alice's SUMMARY, which
+carries only what Bob cannot count: her error count on the disclosed
+sample and the multi-pair fraction of the coincidences. Bob builds the
+rest of his summary from his own counts, through the same qber_report
+and finalize as Alice.
 
 All randomness comes from four seeded streams. The engine consumes them
 in a fixed, documented order, which is what makes identical configs give
 bit-identical sessions:
 
 * source: geometric gaps between pair slots, GAP_BATCH per draw, until
-  one batch passes the last slot; then one count uniform per pair slot
-  (the pair count, from the Poisson law truncated at zero); then one
-  outcome uniform per pair slot; then, only when the detectors are not
-  ideal (efficiency < 1 or dark_count_prob > 0), the detector draws (2
-  efficiency + 4 dark uniforms per pair slot). Ideal detectors draw
-  nothing: every pair slot is a coincidence on the outcome's detector
-  pair. Nothing draws from the source stream after them, so skipping
-  them moves no other draw. Time and memory grow with pair slots, not
-  clock slots;
+  one batch passes the last slot; then one multi-pair uniform per pair
+  slot (whether its count, from the Poisson law truncated at zero, is 2
+  or more); then one outcome uniform per pair slot; then, only when the
+  detectors are not ideal (efficiency < 1 or dark_count_prob > 0), the
+  detector draws (2 efficiency + 4 dark uniforms per pair slot). Ideal
+  detectors draw nothing: every pair slot is a coincidence on the
+  outcome's detector pair. Nothing draws from the source stream after
+  them, so skipping them moves no other draw. Time and memory grow with
+  pair slots, not clock slots;
 * alice: x bits, then y bits (one batch each over pair slots), then the
   error-test sample positions;
 * bob: z bits over pair slots;
 * channel: per pair slot, nothing on a static channel, one uniform on a
   per-slot uniform one, one normal step (scaled by the square root of
   the gap from the previous pair slot, or from slot 0) on a random walk.
+  When the protocol's outcome law has no angle terms (dfs2, see
+  _outcomes) the channel draws nothing on any model. Nothing else reads
+  the channel stream, so skipping its draws moves no other draw.
 
 Networked mode simulates the quantum side on Alice's process and streams
 Bob's measurement records to him as DETECTIONS that also carry his
@@ -201,8 +205,8 @@ class SimulationResult:
     generated pair; alice_rng is her live stream, to continue drawing
     from for the error test. Bob's records (slots, z, bob_bits) run over
     coincidences only, and multi_pair_fraction is the share of those that
-    held more than one pair. Pair counts, channel angles and detector
-    indices stay inside simulate_quantum.
+    held more than one pair. Multi-pair flags, channel angles and
+    detector indices stay inside simulate_quantum.
     """
 
     pair_slots: np.ndarray
@@ -216,14 +220,16 @@ class SimulationResult:
 
 
 def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair slots and their pair counts by the skip method (Devroye, 1986),
-    which has the joint law of one Poisson(mu) count per clock slot. The
-    gaps between pair slots are geometric with p = 1 - e^-mu, drawn
-    GAP_BATCH at a time until a batch passes n_slots. Each pair slot's
-    count is Poisson(mu) given at least one pair, by inverse CDF on one
-    uniform."""
+    """Pair slots, and whether each holds more than one pair, by the skip
+    method (Devroye, 1986), which has the joint law of one Poisson(mu)
+    count per clock slot. The gaps between pair slots are geometric with
+    p = 1 - e^-mu, drawn GAP_BATCH at a time until a batch passes n_slots.
+    Each pair slot's count is Poisson(mu) given at least one pair; it is 1
+    with probability mu e^-mu / p, the first step of that law's CDF, so
+    one uniform at or above that step marks a multi-pair slot (the count
+    by inverse CDF on the same uniform is then 2 or more)."""
     if mu == 0.0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
     p = -math.expm1(-mu)
     batches, last = [], -1
     while True:
@@ -237,38 +243,44 @@ def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> tuple
             break
         last = int(batches[-1][-1])
     slots = np.concatenate(batches)
-    # P(count = n | count >= 1) for n = 1, 2, ... until a term is below rounding
-    terms = [mu * math.exp(-mu) / p]
-    while terms[-1] > 1e-17:
-        terms.append(terms[-1] * mu / (len(terms) + 1))
-    cdf = np.cumsum(terms)
-    counts = 1 + np.searchsorted(cdf, rng.random(len(slots)), side="right")
-    return slots, np.minimum(counts, len(cdf))
+    return slots, rng.random(len(slots)) >= mu * math.exp(-mu) / p
 
 
 def _outcomes(
-    cfg: SessionConfig, x: np.ndarray, y: np.ndarray, z: np.ndarray, theta: np.ndarray, u: np.ndarray
+    cfg: SessionConfig,
+    x: np.ndarray,
+    y: np.ndarray,
+    z: np.ndarray,
+    u: np.ndarray,
+    pair_slots: np.ndarray,
+    rng_channel: np.random.Generator,
 ) -> np.ndarray:
     """Each pair slot's measurement outcome, decided by its uniform u on
     the protocol's Born kernel: the index of the detector pair for dfs2,
     0 or 2 (photon 1's port, photon 2 on D3) for bb84.
 
     The kernel sums each symbol's fitted harmonic series in the channel
-    angle. On a static channel every pair slot sees one angle, so the
-    kernel runs once on the 8 (x, y, z) symbols and each slot reads row
-    4x + 2y + z, which costs less than summing the series on every row.
-    Otherwise it runs over BORN_BLOCK rows at a time, and each block's
-    outcomes are decided before the next, which bounds the kernel's
-    temporaries. Each row is computed on its own, so both give the values
-    of one call over every pair slot.
+    angle. When every pair slot sees the same law, the kernel runs once on
+    the 8 (x, y, z) symbols and each slot reads row 4x + 2y + z: on a
+    static channel at its angle, and, on any channel, for a protocol whose
+    fitted series has no angle terms (protocol.angle_free, which holds for
+    dfs2) at angle 0. The channel then draws nothing. Otherwise the channel
+    draws each pair slot's angle, and the kernel runs over BORN_BLOCK rows
+    at a time, each block's outcomes decided before the next, which bounds
+    the kernel's temporaries. Each row is computed on its own, and an angle
+    term that is exactly 0 adds exactly 0, so every path gives the values
+    of one call over every pair slot at its sampled angle.
     """
     # Looked up on the module at each call, so that a span recorder that
     # replaces these attributes (perfbench/spans.py) sees the calls.
     kernel = protocol.dfs2_probs_batch if cfg.protocol == "dfs2" else protocol.bb84_port1_batch
-    if isinstance(cfg.channel, StaticChannel):
+    static = isinstance(cfg.channel, StaticChannel)
+    if static or protocol.angle_free(cfg.protocol):
         s = np.arange(8)
-        table = kernel(s >> 2, (s >> 1) & 1, s & 1, np.full(8, float(cfg.channel.theta)), cfg.visibility)
+        theta = float(cfg.channel.theta) if static else 0.0
+        table = kernel(s >> 2, (s >> 1) & 1, s & 1, np.full(8, theta), cfg.visibility)
         return _decide(cfg, table, u, 4 * x + 2 * y + z)
+    theta = cfg.channel.sample_batch(pair_slots, rng_channel)
     outcome = np.empty(len(u), dtype=np.int64)
     for i in range(0, len(u), BORN_BLOCK):
         b = slice(i, i + BORN_BLOCK)
@@ -299,10 +311,7 @@ def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
     rng_channel = np.random.default_rng(cfg.seeds.channel)
     rng_source = np.random.default_rng(cfg.seeds.source)
 
-    pair_slots, n_pairs = _draw_pair_slots(rng_source, cfg.mean_pairs_per_slot, cfg.n_slots)
-    # One byte per pair slot from here on instead of the counts' eight.
-    multi_pair = n_pairs >= 2
-    del n_pairs
+    pair_slots, multi_pair = _draw_pair_slots(rng_source, cfg.mean_pairs_per_slot, cfg.n_slots)
     k = len(pair_slots)
 
     # Bytes, not int64: the same draws at an eighth of the memory.
@@ -312,13 +321,16 @@ def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
 
     # The index (det1 - 1) << 1 | (det2 - 3) of the detector pair that the
     # photons reach, and then of the pair that fired.
-    fired = _outcomes(cfg, x, y, z, cfg.channel.sample_batch(pair_slots, rng_channel), rng_source.random(k))
+    fired = _outcomes(cfg, x, y, z, rng_source.random(k), pair_slots, rng_channel)
     if cfg.detectors.efficiency == 1.0 and cfg.detectors.dark_count_prob == 0.0:
         # Each photon fires its own detector and nothing else does, so
         # every pair slot is a coincidence.
         slots = pair_slots
     else:
         coinc, fired = detect_batch(fired, cfg.detectors, rng_source)
+        # numpy gathers by index several times faster than it selects by a
+        # mask this dense, so the mask is turned into indices once.
+        coinc = np.flatnonzero(coinc)
         slots, z, fired, multi_pair = (a[coinc] for a in (pair_slots, z, fired, multi_pair))
     bob_bits = OUTCOME_BIT[fired] if cfg.protocol == "dfs2" else BB84_PORT_BIT[z, fired >> 1]
     n_coinc = len(slots)

@@ -148,11 +148,30 @@ class TestFaultTolerance:
                 assert bit1 == pytest.approx(0.5, abs=1e-12)
 
     def test_dfs2_series_has_no_angle_terms(self):
-        # the fit keeps whatever the density pipeline gives; no term is
-        # zeroed by hand
+        # the fit zeroes only its own rounding, never a term by name, and
+        # every dfs2 angle term is rounding
         coefficients = protocol.series_coefficients("dfs2")
         assert coefficients.shape == (4, 5, 8)
-        assert np.abs(coefficients[:, 1:]).max() < 1e-15
+        assert not coefficients[:, 1:].any()
+        assert protocol.angle_free("dfs2") and not protocol.angle_free("bb84")
+
+    @pytest.mark.parametrize("name", protocol.PROTOCOLS)
+    def test_fitted_coefficients_are_zero_or_far_above_rounding(self, name):
+        # a tolerance anywhere between rounding and the smallest term gives
+        # the same series
+        magnitudes = np.abs(protocol.series_coefficients(name))
+        assert np.all((magnitudes == 0) | (magnitudes >= 1e6 * protocol.SERIES_TOLERANCE))
+
+    def test_dfs2_kernel_is_the_symbol_table_at_any_angle(self):
+        # bit for bit, which is what lets a dfs2 session skip the channel
+        rng = np.random.default_rng(32)
+        s = rng.integers(0, 8, 10_000)
+        x, y, z = s >> 2, s >> 1 & 1, s & 1
+        symbols = np.arange(8)
+        for visibility in (0.0, 0.5, 0.88, 1.0):
+            table = protocol.dfs2_probs_batch(symbols >> 2, symbols >> 1 & 1, symbols & 1, np.zeros(8), visibility)
+            got = protocol.dfs2_probs_batch(x, y, z, rng.uniform(-2 * np.pi, 4 * np.pi, len(s)), visibility)
+            np.testing.assert_array_equal(got, table[s])
 
 
 class TestBatchKernels:

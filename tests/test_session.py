@@ -96,11 +96,11 @@ class TestConfig:
 
 # Chi-square quantiles at 1 - 1e-6 by degrees of freedom, from the
 # regularized incomplete gamma function (scipy is not a dependency).
-CHI2_1E6 = {2: 27.63, 4: 33.38, 20: 65.42, 100: 182.13}
+CHI2_1E6 = {1: 23.93, 20: 65.42, 100: 182.13}
 
-# (mean pairs per slot, clock slots, gap bins, count bins): over 1e6 pair
-# slots each, with the last bin of each law its tail.
-SOURCE_LAWS = [(0.04, 26_000_000, 101, 3), (0.5, 2_600_000, 21, 5)]
+# (mean pairs per slot, clock slots, gap bins): over 1e6 pair slots each,
+# with the last gap bin the law's tail.
+SOURCE_LAWS = [(0.04, 26_000_000, 101), (0.5, 2_600_000, 21)]
 
 
 def _chi2(observed, probs):
@@ -111,12 +111,13 @@ def _chi2(observed, probs):
 
 
 class TestPoissonPairs:
-    """The source's skip method: geometric gaps between pair slots and
-    Poisson counts truncated at zero, against their laws."""
+    """The source's skip method: geometric gaps between pair slots, and
+    multi-pair flags with the law of a Poisson count truncated at zero
+    being 2 or more."""
 
-    @pytest.mark.parametrize("mu, n_slots, bins, _", SOURCE_LAWS)
-    def test_gaps_are_geometric(self, mu, n_slots, bins, _):
-        slots, _counts = session_mod._draw_pair_slots(np.random.default_rng(21), mu, n_slots)
+    @pytest.mark.parametrize("mu, n_slots, bins", SOURCE_LAWS)
+    def test_gaps_are_geometric(self, mu, n_slots, bins):
+        slots, _multi_pair = session_mod._draw_pair_slots(np.random.default_rng(21), mu, n_slots)
         assert len(slots) > 10**6
         gaps = np.diff(slots, prepend=-1)
         p = -math.expm1(-mu)
@@ -124,14 +125,14 @@ class TestPoissonPairs:
         observed = np.bincount(np.minimum(gaps, bins) - 1, minlength=bins)
         assert _chi2(observed, [*probs, 1 - probs.sum()]) < CHI2_1E6[bins - 1]
 
-    @pytest.mark.parametrize("mu, n_slots, _, bins", SOURCE_LAWS)
-    def test_counts_are_zero_truncated_poisson(self, mu, n_slots, _, bins):
-        _slots, counts = session_mod._draw_pair_slots(np.random.default_rng(22), mu, n_slots)
-        assert len(counts) > 10**6
-        n = np.arange(1, bins)
-        probs = np.exp(-mu) * mu**n / np.array([math.factorial(i) for i in n]) / -math.expm1(-mu)
-        observed = np.bincount(np.minimum(counts, bins) - 1, minlength=bins)
-        assert _chi2(observed, [*probs, 1 - probs.sum()]) < CHI2_1E6[bins - 1]
+    @pytest.mark.parametrize("mu, n_slots", [law[:2] for law in SOURCE_LAWS])
+    def test_multi_pair_flags_are_bernoulli(self, mu, n_slots):
+        _slots, multi_pair = session_mod._draw_pair_slots(np.random.default_rng(22), mu, n_slots)
+        assert multi_pair.dtype == bool and len(multi_pair) > 10**6
+        # P(count = 1 | count >= 1); every other count is a multi-pair slot
+        single = mu * math.exp(-mu) / -math.expm1(-mu)
+        observed = np.bincount(multi_pair, minlength=2)
+        assert _chi2(observed, [single, 1 - single]) < CHI2_1E6[1]
 
 
 class TestEngine:
@@ -201,8 +202,27 @@ def _uniforms_with_ties(protocol_name, probs, rng):
     return u
 
 
+def _reference_pair_counts(cfg, k):
+    """Each of the k pair slots' pair counts, by inverse CDF of the Poisson
+    law truncated at zero on its uniform of the source stream, which the
+    engine draws after k // GAP_BATCH + 1 batches of gaps. Returns the
+    counts and the stream after those uniforms."""
+    mu = cfg.mean_pairs_per_slot
+    p = -math.expm1(-mu)
+    replay = np.random.default_rng(cfg.seeds.source)
+    replay.geometric(p, (k // session_mod.GAP_BATCH + 1) * session_mod.GAP_BATCH)
+    # P(count = n | count >= 1) for n = 1, 2, ... until a term is below rounding
+    terms = [mu * math.exp(-mu) / p]
+    while terms[-1] > 1e-17:
+        terms.append(terms[-1] * mu / (len(terms) + 1))
+    cdf = np.cumsum(terms)
+    counts = 1 + np.searchsorted(cdf, replay.random(k), side="right")
+    return np.minimum(counts, len(cdf)), replay
+
+
 def _reference_simulation(cfg):
     """The engine's result from the seeds of `cfg` by the one-shot path:
+    pair counts by inverse CDF, the channel's angle at every pair slot,
     one kernel call over every pair slot, outcomes decided on whole rows,
     the detector layer's draws even for ideal detectors, and its mask
     applied to Bob's records afterwards."""
@@ -210,8 +230,10 @@ def _reference_simulation(cfg):
     rng_alice, rng_bob, rng_channel, rng_source = (
         np.random.default_rng(seed) for seed in (seeds.alice, seeds.bob, seeds.channel, seeds.source)
     )
-    pair_slots, n_pairs = session_mod._draw_pair_slots(rng_source, cfg.mean_pairs_per_slot, cfg.n_slots)
+    pair_slots, _multi_pair = session_mod._draw_pair_slots(rng_source, cfg.mean_pairs_per_slot, cfg.n_slots)
     k = len(pair_slots)
+    n_pairs, replay = _reference_pair_counts(cfg, k)
+    assert replay.bit_generator.state == rng_source.bit_generator.state
     x = rng_alice.integers(0, 2, size=k)
     y = rng_alice.integers(0, 2, size=k)
     z = rng_bob.integers(0, 2, size=k)
@@ -310,24 +332,44 @@ class TestBoundedMemory:
     def test_static_table_equals_the_per_row_kernel(self, protocol_name):
         rng = np.random.default_rng(5)
         x, y, z = rng.integers(0, 2, size=(3, 1000))
+        slots = np.arange(1000)
         for deg in (0.0, 7.5, 20.0, 45.0, 90.0, -33.0):
             cfg = small_cfg(protocol=protocol_name, channel=StaticChannel(np.radians(deg)))
             theta = np.full(1000, np.radians(deg))
             probs = KERNELS[protocol_name](x, y, z, theta, cfg.visibility)
             u = _uniforms_with_ties(protocol_name, probs, rng)
-            _assert_same(session_mod._outcomes(cfg, x, y, z, theta, u), _reference_outcomes(protocol_name, probs, u))
+            got = session_mod._outcomes(cfg, x, y, z, u, slots, np.random.default_rng(0))
+            _assert_same(got, _reference_outcomes(protocol_name, probs, u))
 
     @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
     @pytest.mark.parametrize("block", [7, 4096])
     def test_kernel_blocks_equal_one_call(self, monkeypatch, protocol_name, block):
         rng = np.random.default_rng(6)
         x, y, z = rng.integers(0, 2, size=(3, 10_000))
-        theta = rng.uniform(-np.pi, np.pi, 10_000)
+        slots = np.arange(10_000)
         cfg = small_cfg(protocol=protocol_name, channel=PerSlotUniformChannel(-np.pi, np.pi))
+        theta = cfg.channel.sample_batch(slots, np.random.default_rng(7))
         probs = KERNELS[protocol_name](x, y, z, theta, cfg.visibility)
         u = _uniforms_with_ties(protocol_name, probs, rng)
         monkeypatch.setattr(session_mod, "BORN_BLOCK", block)
-        _assert_same(session_mod._outcomes(cfg, x, y, z, theta, u), _reference_outcomes(protocol_name, probs, u))
+        got = session_mod._outcomes(cfg, x, y, z, u, slots, np.random.default_rng(7))
+        _assert_same(got, _reference_outcomes(protocol_name, probs, u))
+
+    @pytest.mark.parametrize("channel", ["uniform", "random_walk"])
+    @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
+    def test_only_an_angle_dependent_law_draws_the_channel(self, monkeypatch, protocol_name, channel):
+        # dfs2's outcome law has no angle terms, so its sessions decide every
+        # pair slot from the symbol table and leave the channel stream alone
+        model = CHANNELS[channel]
+        original, calls = type(model).sample_batch, []
+
+        def sample_batch(self, slots, rng):
+            calls.append(len(slots))
+            return original(self, slots, rng)
+
+        monkeypatch.setattr(type(model), "sample_batch", sample_batch)
+        sim = simulate_quantum(small_cfg(protocol=protocol_name, channel=model))
+        assert calls == ([] if protocol_name == "dfs2" else [len(sim.pair_slots)])
 
     @pytest.mark.parametrize("detectors", DETECTORS)
     @pytest.mark.parametrize("channel", CHANNELS)

@@ -7,7 +7,7 @@ every traced benchmark operation fail; this test makes it fail here.
 
 from pathlib import Path
 
-from dfsqkd.optics import DetectorParams
+from dfsqkd.optics import DetectorParams, RandomWalkChannel
 from dfsqkd.session import SessionConfig, run_session
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -27,8 +27,10 @@ def _span_names(monkeypatch, cfg: SessionConfig) -> set[str]:
 
 
 def test_recorder_wraps_the_layers_of_a_session(monkeypatch):
-    names = _span_names(monkeypatch, SessionConfig(duration_s=1.0))
-    assert {"session.sift", "transport.validate", "optics.channel"} <= names
+    # Only an angle-dependent law on a varying channel draws channel angles.
+    cfg = SessionConfig(protocol="bb84", duration_s=1.0, channel=RandomWalkChannel(0.0, 1e-4))
+    names = _span_names(monkeypatch, cfg)
+    assert {"session.sift", "transport.validate", "optics.channel", "protocol.born.bb84"} <= names
 
 
 def test_recorder_finds_the_detector_layer_of_lossy_detectors(monkeypatch):
