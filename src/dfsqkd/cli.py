@@ -356,22 +356,20 @@ def cmd_serve_alice(args) -> int:
         sys.stderr.write(f"listening on {bound[0]}:{bound[1]}\n")
         sys.stderr.flush()
         conn, _addr = server.accept()
-    link = StreamTransport(conn)
-    try:
-        result = run_alice_endpoint(cfg, link)
-    finally:
-        link.close()
-    _print_json(result.summary.to_dict())
-    return 0
+    return _run_endpoint(run_alice_endpoint, cfg, conn)
 
 
 def cmd_connect_bob(args) -> int:
     cfg = build_config(args)
     host, port = _parse_hostport(args.connect)
-    sock = socket.create_connection((host, port))
+    return _run_endpoint(run_bob_endpoint, cfg, socket.create_connection((host, port)))
+
+
+def _run_endpoint(run, cfg: SessionConfig, sock: socket.socket) -> int:
+    """Run one endpoint over a connected socket and print its summary."""
     link = StreamTransport(sock)
     try:
-        result = run_bob_endpoint(cfg, link)
+        result = run(cfg, link)
     finally:
         link.close()
     _print_json(result.summary.to_dict())

@@ -38,17 +38,17 @@ bit-identical sessions:
 
 Networked mode simulates the quantum side on Alice's process and streams
 Bob's measurement records to him as DETECTIONS that also carry his
-"bits"; everything after that is identical in both modes. Every slot
-list (that stream, Bob's declaration, SAMPLE_REQUEST) goes as validated
-frames of at most SLOT_CHUNK entries, the last flagged "final", and each
-entry must lie below a bound the receiver knows (_recv_slots). Inside a
-frame the entries travel as one base-64 string of gap varints
-(transport.pack_slots): the first gap counts from the previous frame's
-last entry, so a decoded list always increases strictly, across frames
-too. Alice answers the declaration with SIFT_KEEP frames of packed keep
-bits, one bit per declared slot in Bob's order and one frame per
-declaration frame, so Bob knows how many frames and bits to expect and
-keeps his own records by that mask.
+"bits"; everything after that is identical in both modes. Every list of
+the conversation goes by one rule (_frames): frames of SLOT_CHUNK
+entries, then one shorter frame, possibly empty, that ends it. A slot
+list (that stream, Bob's declaration, SAMPLE_REQUEST) travels as base-64
+gap varints (transport.pack_slots), each frame's first gap counted from
+the previous frame's last entry, so a decoded list always increases
+strictly, and each entry must lie below a bound the receiver knows
+(_recv_slots). The bits that answer a list, Alice's keep bit per declared
+slot in Bob's order and Bob's SAMPLE_BITS per position, go frame for
+frame with it, so their receiver knows how many frames and bits to
+expect (_recv_bits). Bob keeps his own records by the keep mask.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ from .transport import Message, Transport, expect, memory_pair, pack_bits, pack_
 
 # Version of the conversation's wire format and of the draw order, checked
 # in HELLO.
-WIRE_VERSION = 6
-# Entries of a slot list per frame.
+WIRE_VERSION = 7
+# Entries of a full frame of a list.
 SLOT_CHUNK = 100_000
 # Geometric gaps per draw of the source stream.
 GAP_BATCH = 1 << 16
@@ -415,30 +415,30 @@ def _hello_exchange(cfg: SessionConfig, link: Transport) -> None:
 
 
 def _frames(n: int) -> range:
-    """Where each frame of an n-entry list starts (one empty frame if n = 0)."""
-    return range(0, max(n, 1), SLOT_CHUNK)
+    """Where each frame of an n-entry list starts: SLOT_CHUNK entries each, the last fewer."""
+    return range(0, n + 1, SLOT_CHUNK)
 
 
-def _send_slots(link: Transport, kind: str, key: str, slots: np.ndarray, **bits: np.ndarray) -> None:
-    """Send a sorted slot list as `kind` frames of at most SLOT_CHUNK
-    entries under `key` (see _frames), as gap varints that continue from
-    the previous frame's last entry, each with its share of the named bit
-    arrays packed alongside. The last frame carries final: true."""
-    n = len(slots)
+def _send_list(link: Transport, kind: str, slots_key=None, slots=None, **bits: np.ndarray) -> None:
+    """Send a list as `kind` frames (see _frames), each with its share of
+    the named bit arrays packed, and, under `slots_key`, of the sorted
+    `slots` as gap varints that continue from the previous frame's last
+    entry."""
+    n = len(slots if slots_key else next(iter(bits.values())))
     for start in _frames(n):
         chunk = slice(start, start + SLOT_CHUNK)
         payload = {name: pack_bits(b[chunk]) for name, b in bits.items()}
-        prev = slots[start - 1] if start else -1
-        payload.update({key: pack_slots(slots[chunk], prev), "final": start + SLOT_CHUNK >= n})
+        if slots_key:
+            payload[slots_key] = pack_slots(slots[chunk], slots[start - 1] if start else -1)
         link.send(Message(kind, payload))
 
 
 def _recv_slots(link: Transport, kind: str, key: str, bound: int, *bit_names: str) -> tuple[np.ndarray, ...]:
-    """Receive a slot list sent by _send_slots, decoding and validating
-    every frame. Every entry must lie below `bound`, each frame's "final"
-    must be a JSON boolean, and only the final frame may be empty, so a
-    peer that never sends one can send at most `bound` entries. Returns
-    the slots, then each named bit array."""
+    """Receive a slot list sent by _send_list, decoding and validating
+    every frame, up to its first frame of fewer than SLOT_CHUNK entries.
+    Every entry must lie below `bound`, and entries rise strictly, so a
+    peer can send at most bound / SLOT_CHUNK + 1 frames. Returns the
+    slots, then each named bit array."""
     frames = []
     prev, n = -1, 0
     while True:
@@ -448,14 +448,20 @@ def _recv_slots(link: Transport, kind: str, key: str, bound: int, *bit_names: st
             i = int(np.searchsorted(slots, bound))
             raise tp.ProtocolError(f"{kind} {key!r} entry {slots[i]} at {n + i} is not below {bound}")
         frames.append([slots] + [unpack_bits(payload.get(name), len(slots)) for name in bit_names])
-        final = payload.get("final")
-        if not isinstance(final, bool):
-            raise tp.ProtocolError(f"{kind} 'final' must be true or false, got {final!r:.40}")
-        if final:
+        if len(slots) < SLOT_CHUNK:
             return tuple(np.concatenate(column) for column in zip(*frames))
-        if not len(slots):
-            raise tp.ProtocolError(f"{kind} {key!r} frame is empty but not final")
         prev, n = slots[-1], n + len(slots)
+
+
+def _recv_bits(link: Transport, kind: str, key: str, n: int) -> np.ndarray:
+    """Receive the n bits under `key` that _send_list sends without a
+    slot list, for an n the receiver knows: one `kind` frame per frame of
+    an n-entry list (see _frames), each with exactly its share."""
+    bits = np.empty(n, dtype=np.uint8)
+    for start in _frames(n):
+        frame = bits[start : start + SLOT_CHUNK]
+        frame[:] = unpack_bits(expect(link, kind).payload.get(key), len(frame))
+    return bits
 
 
 def _indices_in(known: np.ndarray, slots: np.ndarray, complaint: str) -> np.ndarray:
@@ -481,8 +487,7 @@ def alice_sift_exchange(
     decl_slots, decl_z = _recv_slots(link, "DETECTIONS", "slots", bound, "bases")
     idx = _indices_in(pair_slots, decl_slots, "peer declared a detection in a slot without pairs")
     keep = x[idx] == decl_z
-    for start in _frames(len(keep)):
-        link.send(Message("SIFT_KEEP", {"keep": pack_bits(keep[start : start + SLOT_CHUNK])}))
+    _send_list(link, "SIFT_KEEP", keep=keep)
     # About half the bits are set, where numpy selects several times faster
     # by index than by boolean mask.
     kept = np.flatnonzero(keep)
@@ -495,11 +500,8 @@ def bob_sift_exchange(
     """Bob's half of sifting: declare every coincidence with its basis,
     then keep those whose keep bit Alice sets, one SIFT_KEEP frame per
     declaration frame. Returns (bob key, kept slots)."""
-    _send_slots(link, "DETECTIONS", "slots", slots, bases=z)
-    keep = np.empty(len(slots), dtype=bool)
-    for start in _frames(len(slots)):
-        frame = keep[start : start + SLOT_CHUNK]
-        frame[:] = unpack_bits(expect(link, "SIFT_KEEP").payload.get("keep"), len(frame))
+    _send_list(link, "DETECTIONS", "slots", slots, bases=z)
+    keep = _recv_bits(link, "SIFT_KEEP", "keep", len(slots))
     kept = np.flatnonzero(keep)  # by index, as in alice_sift_exchange
     return bits[kept], slots[kept]
 
@@ -510,15 +512,14 @@ def run_alice_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
     _hello_exchange(cfg, link)
 
     sim = simulate_quantum(cfg)
-    _send_slots(link, "DETECTIONS", "slots", sim.slots, bases=sim.z, bits=sim.bob_bits)
+    _send_list(link, "DETECTIONS", "slots", sim.slots, bases=sim.z, bits=sim.bob_bits)
 
     alice_key, kept_slots = alice_sift_exchange(link, sim.pair_slots, sim.x, sim.y)
     n_sifted = len(alice_key)
 
     positions = sample_positions(n_sifted, cfg.sample_fraction, sim.alice_rng)
-    _send_slots(link, "SAMPLE_REQUEST", "positions", positions)
-    sample = expect(link, "SAMPLE_BITS")
-    bob_sample = unpack_bits(sample.payload.get("bits"), len(positions))
+    _send_list(link, "SAMPLE_REQUEST", "positions", positions)
+    bob_sample = _recv_bits(link, "SAMPLE_BITS", "bits", len(positions))
     n_errors = int(np.count_nonzero(alice_key[positions] != bob_sample))
     report = qber_report(len(positions), n_errors)
 
@@ -538,7 +539,7 @@ def run_bob_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
     bob_key, kept_slots = bob_sift_exchange(link, slots, z, bits)
 
     (positions,) = _recv_slots(link, "SAMPLE_REQUEST", "positions", len(bob_key))
-    link.send(Message("SAMPLE_BITS", {"bits": pack_bits(bob_key[positions])}))
+    _send_list(link, "SAMPLE_BITS", bits=bob_key[positions])
 
     n_errors, multi_fraction = _summary_fields(expect(link, "SUMMARY").payload, len(positions))
     report = qber_report(len(positions), n_errors)

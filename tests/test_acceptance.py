@@ -205,7 +205,6 @@ def _random_message(rng: np.random.Generator) -> Message:
                 "slots": [int(s) for s in slots],
                 "bases": pack_bits(rng.integers(0, 2, n)),
                 "bits": pack_bits(rng.integers(0, 2, n)),
-                "final": bool(rng.integers(0, 2)),
             },
         )
     if kind == "SIFT_KEEP":

@@ -422,10 +422,10 @@ class TestNetworkedMode:
                 hello = {"config": SessionConfig(duration_s=0.5).to_dict(), "wire_version": WIRE_VERSION}
                 alice.send(Message("HELLO", hello))
                 expect(alice, "HELLO")
-                alice.send(Message("DETECTIONS", {"slots": "", "bases": "", "bits": "", "final": True}))
+                alice.send(Message("DETECTIONS", {"slots": "", "bases": "", "bits": ""}))
                 expect(alice, "DETECTIONS")
                 alice.send(Message("SIFT_KEEP", {"keep": ""}))
-                alice.send(Message("SAMPLE_REQUEST", {"positions": "", "final": True}))
+                alice.send(Message("SAMPLE_REQUEST", {"positions": ""}))
                 expect(alice, "SAMPLE_BITS")
                 alice.send(Message("SUMMARY", {"n_slots": 50_000}))
                 _, err = bob.communicate(timeout=120)

@@ -75,7 +75,7 @@ DEFAULT_CONFIG_DICT = {
     "sample_fraction": 0.1,
     "seeds": {"alice": 1, "bob": 2, "channel": 3, "source": 4},
 }
-DEFAULT_HELLO_SHA256 = "ad07408ad6215678f7eeee2ca4a5c60e5b11ea5b8f1c3f4d251eb2088c7d74a0"
+DEFAULT_HELLO_SHA256 = "d8aacb711d75c5aa6b92651fbcb61caae578234b6552cd416d20d8e4f54ab028"
 
 
 def _sha256(data: bytes) -> str:

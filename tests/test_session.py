@@ -530,17 +530,16 @@ class TestSiftExchange:
             session_mod._indices_in(known, slots, "not here")
 
 
-def _slot_frames(key, chunks, *bit_names, final=True):
-    """Payloads carrying one slot list in the given chunks, each with an
+def _slot_frames(key, chunks, *bit_names):
+    """Payloads carrying one slot list, one frame per chunk, each with an
     all-zero bit array per name in bit_names. A chunk that is a list of
     slots is packed, continuing from the previous chunk; any other value
-    goes under `key` as it is, and None leaves `key` out. The last frame's
-    "final" is `final`, and None leaves it out. The helpers below queue
-    the frames and close the peer, so a receiver that accepts them meets
-    a closed channel rather than waiting forever."""
+    goes under `key` as it is, and None leaves `key` out. The helpers
+    below queue the frames and close the peer, so a receiver that accepts
+    them meets a closed channel rather than waiting forever."""
     frames = []
     prev = -1
-    for i, chunk in enumerate(chunks):
+    for chunk in chunks:
         slots = chunk if isinstance(chunk, list) else []
         payload = {name: pack_bits([0] * len(slots)) for name in bit_names}
         if isinstance(chunk, list):
@@ -548,17 +547,20 @@ def _slot_frames(key, chunks, *bit_names, final=True):
             prev = chunk[-1] if chunk else prev
         elif chunk is not None:
             payload[key] = chunk
-        if i < len(chunks) - 1:
-            payload["final"] = False
-        elif final is not None:
-            payload["final"] = final
         frames.append(payload)
     return frames
 
 
-def _alice_receives_declaration(chunks, final=True):
+def _chunked(entries):
+    """An honest sender's chunks of a list: SLOT_CHUNK entries each, then
+    a shorter last one, which is empty when SLOT_CHUNK divides the length."""
+    entries, chunk = list(entries), session_mod.SLOT_CHUNK
+    return [entries[i : i + chunk] for i in range(0, len(entries) + 1, chunk)]
+
+
+def _alice_receives_declaration(chunks):
     link, peer = memory_pair()
-    for payload in _slot_frames("slots", chunks, "bases", final=final):
+    for payload in _slot_frames("slots", chunks, "bases"):
         peer.send(Message("DETECTIONS", payload))
     peer.close()
     alice_sift_exchange(link, np.arange(8), np.zeros(8, dtype=np.int64), np.zeros(8, dtype=np.int64))
@@ -566,17 +568,17 @@ def _alice_receives_declaration(chunks, final=True):
 
 def _run_bob_against(*frames, records=tuple(range(8)), keep=None):
     """Bob's whole endpoint against a scripted Alice who sends HELLO, then
-    records on the slots `records` (eight on slots 0-7 by default), then
-    the SIFT_KEEP payloads `keep` (by default keep bits of all ones, one
-    frame per SLOT_CHUNK records), then `frames`. Returns Bob's result."""
+    records on the slots `records` (eight on slots 0-7 by default) in
+    frames of SLOT_CHUNK, then the SIFT_KEEP payloads `keep` (by default
+    keep bits of all ones, one frame per frame of records), then `frames`.
+    Returns Bob's result."""
     cfg = small_cfg()
     link, peer = memory_pair()
     peer.send(Message("HELLO", {"config": cfg.to_dict(), "wire_version": session_mod.WIRE_VERSION}))
-    for payload in _slot_frames("slots", [list(records)], "bases", "bits"):
+    for payload in _slot_frames("slots", _chunked(records), "bases", "bits"):
         peer.send(Message("DETECTIONS", payload))
     if keep is None:
-        n, chunk = len(records), session_mod.SLOT_CHUNK
-        keep = [{"keep": pack_bits([1] * min(chunk, n - start))} for start in range(0, max(n, 1), chunk)]
+        keep = [{"keep": pack_bits([1] * len(chunk))} for chunk in _chunked(records)]
     for payload in keep:
         peer.send(Message("SIFT_KEEP", payload))
     for kind, payload in frames:
@@ -585,19 +587,78 @@ def _run_bob_against(*frames, records=tuple(range(8)), keep=None):
     return run_bob_endpoint(cfg, link)
 
 
-def _bob_receives_sample_request(chunks, final=True):
-    _run_bob_against(*[("SAMPLE_REQUEST", payload) for payload in _slot_frames("positions", chunks, final=final)])
+def _bob_receives_sample_request(chunks):
+    _run_bob_against(*[("SAMPLE_REQUEST", payload) for payload in _slot_frames("positions", chunks)])
 
 
 def _b64(raw: bytes) -> str:
     return base64.b64encode(raw).decode("ascii")
 
 
+class _Tap(tp.Transport):
+    """A link that keeps every message sent through it."""
+
+    def __init__(self, inner: tp.Transport):
+        self.inner, self.sent = inner, []
+
+    def send(self, message):
+        self.sent.append(message)
+        self.inner.send(message)
+
+
+class TestListFraming:
+    """Every list of the conversation goes as n // SLOT_CHUNK + 1 frames:
+    frames of exactly SLOT_CHUNK entries, then one of fewer, possibly
+    none, that ends the list."""
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_round_trip_in_frames_of_three(self, monkeypatch, n):
+        monkeypatch.setattr(session_mod, "SLOT_CHUNK", 3)
+        rng = np.random.default_rng(n)
+        slots = np.sort(rng.choice(100, size=n, replace=False)).astype(np.int64)
+        bits = rng.integers(0, 2, size=n).astype(np.uint8)
+        link, peer = memory_pair()
+        tap = _Tap(link)
+        session_mod._send_list(tap, "DETECTIONS", "slots", slots, bases=bits)
+        session_mod._send_list(tap, "SAMPLE_BITS", bits=bits)
+        link.close()
+        sizes = [3] * (n // 3) + [n % 3]
+        detections = [m.payload for m in tap.sent if m.type == "DETECTIONS"]
+        sample_bits = [m.payload for m in tap.sent if m.type == "SAMPLE_BITS"]
+        # a frame's entry count is its number of varint bytes below 0x80
+        assert [np.count_nonzero(np.frombuffer(base64.b64decode(p["slots"]), np.uint8) < 0x80)
+                for p in detections] == sizes
+        assert [len(base64.b64decode(p["bits"])) for p in sample_bits] == [-(-size // 8) for size in sizes]
+        got_slots, got_bases = session_mod._recv_slots(peer, "DETECTIONS", "slots", 100, "bases")
+        got_bits = session_mod._recv_bits(peer, "SAMPLE_BITS", "bits", n)
+        _assert_same(got_slots, slots)
+        _assert_same(got_bases, bits)
+        _assert_same(got_bits, bits)
+        # the receivers took every frame and no more
+        with pytest.raises(tp.TransportClosed):
+            peer.recv()
+
+    def test_session_stays_under_the_frame_cap_whatever_its_error_test(self, monkeypatch, frame_sizes):
+        # every sifted bit disclosed: about 9 800 sample bits, which as one
+        # SAMPLE_BITS frame would pass a 600-byte cap
+        monkeypatch.setattr(tp, "MAX_FRAME_BYTES", 600)
+        monkeypatch.setattr(session_mod, "SLOT_CHUNK", 100)
+        summary = run_session(small_cfg(duration_s=5.0, sample_fraction=1.0))
+        assert summary.qber.n_compared == summary.n_sifted > 9_000
+        assert max(frame_sizes) <= 4 + 600
+
+
 class TestHostileSlotLists:
     """Every site that receives a slot list refuses a malformed one with a
     ProtocolError that says what was wrong. A well-formed list is always
     non-negative and strictly increasing (see the property tests in
-    test_transport.py), so order, sign and type need no checks here."""
+    test_transport.py), so order, sign and type need no checks here. The
+    tests send frames of 3 entries, so that a list can go on past its
+    first frame."""
+
+    @pytest.fixture(autouse=True)
+    def frames_of_three(self, monkeypatch):
+        monkeypatch.setattr(session_mod, "SLOT_CHUNK", 3)
 
     @pytest.mark.parametrize(
         "receive", [_alice_receives_declaration, _bob_receives_sample_request]
@@ -611,7 +672,7 @@ class TestHostileSlotLists:
             ([_b64(b"\x00\x80")], "ends inside a varint at 1"),
             ([_b64(b"\x80" * 9 + b"\x00")], "varint longer than 9 bytes at 0"),
             # a 9-byte varint of 2**63 - 1 after the entry 5
-            ([[5], _b64(b"\xff" * 8 + b"\x7f")], re.escape("slot past 2**63 - 1 at 0")),
+            ([[3, 4, 5], _b64(b"\xff" * 8 + b"\x7f")], re.escape("slot past 2**63 - 1 at 0")),
         ],
         ids=["missing", "non-string", "non-base-64", "unterminated", "10-byte-varint", "past-int64-after-prev"],
     )
@@ -630,8 +691,8 @@ class TestHostileSlotLists:
     def test_entry_at_the_bound_is_a_protocol_error(self, receive, kind):
         # each of these lists is bounded by 8: past Alice's last pair slot,
         # past the end of the sifted key
-        with pytest.raises(ProtocolError, match=f"{kind} entry 8 at 2 is not below 8"):
-            receive([[1], [3, 8]])
+        with pytest.raises(ProtocolError, match=f"{kind} entry 8 at 4 is not below 8"):
+            receive([[1, 3, 5], [6, 8]])
 
     def test_record_at_n_slots_is_a_protocol_error(self):
         n = small_cfg().n_slots
@@ -639,27 +700,26 @@ class TestHostileSlotLists:
             _run_bob_against(records=[*range(8), n])
 
     @pytest.mark.parametrize(
+        "receive", [_alice_receives_declaration, _bob_receives_sample_request]
+    )
+    def test_full_frames_then_a_close_is_a_closed_transport(self, receive):
+        # only a short frame ends a list
+        with pytest.raises(tp.TransportClosed):
+            receive([[0, 1, 2], [3, 4, 5]])
+
+    @pytest.mark.parametrize(
         "receive, kind",
         [
-            (_alice_receives_declaration, "DETECTIONS"),
-            (_bob_receives_sample_request, "SAMPLE_REQUEST"),
+            (_alice_receives_declaration, "DETECTIONS 'slots'"),
+            (_bob_receives_sample_request, "SAMPLE_REQUEST 'positions'"),
         ],
         ids=["declaration", "sample-request"],
     )
-    @pytest.mark.parametrize(
-        "final, shown", [("no", "'no'"), (1, "1"), (None, "None")], ids=["string", "int", "missing"]
-    )
-    def test_final_that_is_not_a_boolean_is_a_protocol_error(self, receive, kind, final, shown):
-        # a truthy "no" or 1 would end the list early; a missing flag would
-        # leave the receiver waiting for a frame that never comes
-        with pytest.raises(ProtocolError, match=f"{kind} 'final' must be true or false, got {shown}"):
-            receive([[1, 3]], final=final)
-
-    def test_empty_frame_that_is_not_final_is_a_protocol_error(self):
-        # an honest sender sends an empty frame only for an empty list, as
-        # its final frame; refusing others bounds the frames of a list too
-        with pytest.raises(ProtocolError, match="DETECTIONS 'slots' frame is empty but not final"):
-            _alice_receives_declaration([[], [1]])
+    def test_full_frames_run_into_the_bound(self, receive, kind):
+        # entries rise strictly below the bound, so a peer that never sends
+        # a short frame is refused by its bound / SLOT_CHUNK + 1st frame
+        with pytest.raises(ProtocolError, match=f"{kind} entry 8 at 8 is not below 8"):
+            receive([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
 
 
 class TestHostileKeep:
@@ -710,6 +770,13 @@ class TestHostileKeep:
         sample_request = _slot_frames("positions", [[]])[0]
         with pytest.raises(ProtocolError, match="expected SIFT_KEEP, got SAMPLE_REQUEST"):
             _run_bob_against(("SAMPLE_REQUEST", sample_request), keep=[{"keep": pack_bits([1] * 3)}] * 2)
+
+    def test_full_declaration_takes_an_empty_last_frame(self, monkeypatch):
+        # eight records in frames of 4, 4 and 0 slots: the keep bits too
+        monkeypatch.setattr(session_mod, "SLOT_CHUNK", 4)
+        sample_request = _slot_frames("positions", [[]])[0]
+        with pytest.raises(ProtocolError, match="expected SIFT_KEEP, got SAMPLE_REQUEST"):
+            _run_bob_against(("SAMPLE_REQUEST", sample_request), keep=[{"keep": pack_bits([1] * 4)}] * 2)
 
     def test_one_extra_frame(self):
         keep = [{"keep": pack_bits([1] * 8)}] * 2

@@ -162,7 +162,6 @@ def messages(draw):
                 "slots": pack_slots(slots),
                 "bases": draw(_bit_field(len(slots))),
                 "bits": draw(_bit_field(len(slots))),
-                "final": draw(st.booleans()),
             },
         )
     if kind == "SIFT_KEEP":
@@ -212,7 +211,7 @@ class TestInMemoryTransport:
         a, b = memory_pair()
         slots = pack_slots(np.arange(10**5))
         bits = np.random.default_rng(0).integers(0, 2, 10**5)
-        msg = Message("DETECTIONS", {"slots": slots, "bases": pack_bits(bits), "bits": pack_bits(bits), "final": True})
+        msg = Message("DETECTIONS", {"slots": slots, "bases": pack_bits(bits), "bits": pack_bits(bits)})
         a.send(msg)
         assert b.recv() == msg
 
