@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import protocol, qstate
-from .optics import StaticChannel, require_finite
+from .optics import ChannelSampler, StaticChannel, require_finite
 from .session import (
     ConfigError,
     HandshakeMismatch,
@@ -91,33 +91,40 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--seed-{f.name}", type=int, metavar="N")
 
 
+# The config key each session flag sets, by its argparse name; a dotted key
+# sets a field of that section.
+SESSION_FLAGS = {
+    "protocol": "protocol",
+    "visibility": "visibility",
+    "duration": "duration_s",
+    "pair_rate": "pair_rate_hz",
+    "clock": "clock_hz",
+    "sample_fraction": "sample_fraction",
+    "efficiency": "detectors.efficiency",
+    "dark": "detectors.dark_count_prob",
+    **{f"seed_{f.name}": f"seeds.{f.name}" for f in fields(Seeds)},
+}
+# The flag that gives each channel model field, in degrees, by argparse name.
+CHANNEL_FLAGS = {"theta": "theta", "theta0": "theta", "lo": "channel_lo", "hi": "channel_hi", "step_sigma": "channel_sigma"}
+
+
 def _channel_dict(args) -> Optional[dict]:
     kind = args.channel or "static"
-    # The channel flags each model reads; any other one would be dropped.
-    reads = {
-        "static": ("theta",),
-        "per-slot-uniform": ("channel_lo", "channel_hi"),
-        "random-walk": ("theta", "channel_sigma"),
-    }[kind]
-    given = [name for name in ("theta", "channel_lo", "channel_hi", "channel_sigma") if getattr(args, name) is not None]
-    unread = [f"--{name.replace('_', '-')}" for name in given if name not in reads]
+    model = next(m for m in ChannelSampler.__subclasses__() if m.kind == kind.replace("-", "_"))
+    reads = {f.name: CHANNEL_FLAGS[f.name] for f in fields(model)}
+    given = [name for name in dict.fromkeys(CHANNEL_FLAGS.values()) if getattr(args, name) is not None]
+    # Any other channel flag would be dropped.
+    unread = [f"--{name.replace('_', '-')}" for name in given if name not in reads.values()]
     if unread:
         raise ConfigError(f"a {kind} channel does not read {', '.join(unread)}")
     if args.channel is None and not given:
         return None
-    if kind == "static":
-        return {"kind": "static", "theta_deg": args.theta or 0.0}
-    if kind == "per-slot-uniform":
-        if args.channel_lo is None or args.channel_hi is None:
-            raise ConfigError("per-slot-uniform channel needs --channel-lo and --channel-hi")
-        return {"kind": "per_slot_uniform", "lo_deg": args.channel_lo, "hi_deg": args.channel_hi}
-    if args.channel_sigma is None:
-        raise ConfigError("random-walk channel needs --channel-sigma")
-    return {
-        "kind": "random_walk",
-        "theta0_deg": args.theta or 0.0,
-        "step_sigma_deg": args.channel_sigma,
-    }
+    # Every field but the angle needs its flag; an unset angle is 0.
+    missing = [f"--{flag.replace('_', '-')}" for flag in reads.values() if flag not in (*given, "theta")]
+    if missing:
+        raise ConfigError(f"{kind} channel needs {' and '.join(missing)}")
+    values = {**vars(args), "theta": args.theta or 0.0}
+    return {"kind": model.kind, **{f"{name}_deg": values[flag] for name, flag in reads.items()}}
 
 
 def build_config(args) -> SessionConfig:
@@ -137,36 +144,14 @@ def build_config(args) -> SessionConfig:
             if not isinstance(d[key], dict):
                 raise ConfigError(f"config field {key!r} must be a JSON object")
 
-    scalar_flags = {
-        "protocol": args.protocol,
-        "visibility": args.visibility,
-        "duration_s": args.duration,
-        "pair_rate_hz": args.pair_rate,
-        "clock_hz": args.clock,
-        "sample_fraction": args.sample_fraction,
-    }
-    for key, value in scalar_flags.items():
+    for name, key in SESSION_FLAGS.items():
+        value = getattr(args, name)
         if value is not None:
-            d[key] = value
-
+            section, _, field = key.rpartition(".")
+            (d[section] if section else d)[field] = value
     channel = _channel_dict(args)
     if channel is not None:
         d["channel"] = channel
-
-    detectors = dict(d["detectors"])
-    if args.efficiency is not None:
-        detectors["efficiency"] = args.efficiency
-    if args.dark is not None:
-        detectors["dark_count_prob"] = args.dark
-    d["detectors"] = detectors
-
-    seeds = dict(d["seeds"])
-    for f in fields(Seeds):
-        value = getattr(args, f"seed_{f.name}")
-        if value is not None:
-            seeds[f.name] = value
-    d["seeds"] = seeds
-
     return SessionConfig.from_dict(d)
 
 
@@ -280,8 +265,9 @@ def cmd_fringe(args) -> int:
     require_finite(args, "analyzer2", "theta1_start", "theta1_stop", "theta1_step")
     if args.theta1_step <= 0:
         raise ConfigError("--theta1-step must be positive")
-    if args.shots < 1:
-        raise ConfigError("--shots must be >= 1")
+    # numpy's binomial takes an int64 count.
+    if not 1 <= args.shots < 2**63:
+        raise ConfigError(f"--shots must be from 1 to 2**63 - 1, got {args.shots}")
     # np.arange's length, counted before it allocates the grid
     n_points = (args.theta1_stop + 1e-9 - args.theta1_start) / args.theta1_step
     if n_points > MAX_FRINGE_POINTS:

@@ -56,10 +56,10 @@ class ConfigError(ValueError):
 
 
 def require_finite(owner, *names: str) -> None:
-    """Refuse each named field of `owner` that is not a finite real number
-    with a ConfigError naming it. A bool is not one."""
+    """Refuse each named field of `owner`, an object or a dict, that is not
+    a finite real number with a ConfigError naming it. A bool is not one."""
     for name in names:
-        value = getattr(owner, name)
+        value = owner[name] if isinstance(owner, dict) else getattr(owner, name)
         # The comparison is false for NaN, the infinities and an int past
         # the float range.
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
@@ -164,6 +164,7 @@ def channel_from_dict(d: dict) -> ChannelSampler:
     unknown = set(d) - {"kind", *(f"{name}_deg" for name in names)}
     if unknown:
         raise ValueError(f"unknown fields for a {kind} channel: {sorted(unknown)}")
+    require_finite(d, *(f"{name}_deg" for name in names))
     return models[kind](**{name: np.radians(d[f"{name}_deg"]) for name in names})
 
 

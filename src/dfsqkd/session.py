@@ -386,8 +386,6 @@ def finalize(
 class EndpointResult:
     summary: SessionSummary
     sifted_key: np.ndarray
-    kept_slots: np.ndarray
-    disclosed_positions: np.ndarray
 
 
 _ABSENT = object()
@@ -476,13 +474,10 @@ def _indices_in(known: np.ndarray, slots: np.ndarray, complaint: str) -> np.ndar
     return idx
 
 
-def alice_sift_exchange(
-    link: Transport, pair_slots: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def alice_sift_exchange(link: Transport, pair_slots: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Alice's half of sifting: receive Bob's declaration (slots and
     bases), reply with a keep bit per declared slot, set where his basis
-    matches hers, and build her sifted key. Returns (alice key, kept
-    slots)."""
+    matches hers, and return her sifted key."""
     bound = int(pair_slots[-1]) + 1 if len(pair_slots) else 0
     decl_slots, decl_z = _recv_slots(link, "DETECTIONS", "slots", bound, "bases")
     idx = _indices_in(pair_slots, decl_slots, "peer declared a detection in a slot without pairs")
@@ -490,20 +485,16 @@ def alice_sift_exchange(
     _send_list(link, "SIFT_KEEP", keep=keep)
     # About half the bits are set, where numpy selects several times faster
     # by index than by boolean mask.
-    kept = np.flatnonzero(keep)
-    return y[idx[kept]], decl_slots[kept]
+    return y[idx[np.flatnonzero(keep)]]
 
 
-def bob_sift_exchange(
-    link: Transport, slots: np.ndarray, z: np.ndarray, bits: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def bob_sift_exchange(link: Transport, slots: np.ndarray, z: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Bob's half of sifting: declare every coincidence with its basis,
-    then keep those whose keep bit Alice sets, one SIFT_KEEP frame per
-    declaration frame. Returns (bob key, kept slots)."""
+    then keep the bits of those whose keep bit Alice sets, one SIFT_KEEP
+    frame per declaration frame, and return his sifted key."""
     _send_list(link, "DETECTIONS", "slots", slots, bases=z)
     keep = _recv_bits(link, "SIFT_KEEP", "keep", len(slots))
-    kept = np.flatnonzero(keep)  # by index, as in alice_sift_exchange
-    return bits[kept], slots[kept]
+    return bits[np.flatnonzero(keep)]  # by index, as in alice_sift_exchange
 
 
 def run_alice_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
@@ -514,7 +505,7 @@ def run_alice_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
     sim = simulate_quantum(cfg)
     _send_list(link, "DETECTIONS", "slots", sim.slots, bases=sim.z, bits=sim.bob_bits)
 
-    alice_key, kept_slots = alice_sift_exchange(link, sim.pair_slots, sim.x, sim.y)
+    alice_key = alice_sift_exchange(link, sim.pair_slots, sim.x, sim.y)
     n_sifted = len(alice_key)
 
     positions = sample_positions(n_sifted, cfg.sample_fraction, sim.alice_rng)
@@ -526,7 +517,7 @@ def run_alice_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
     summary = finalize(cfg, len(sim.slots), n_sifted, report, sim.multi_pair_fraction)
     link.send(Message("SUMMARY", {"n_errors": n_errors, "multi_pair_fraction": sim.multi_pair_fraction}))
     expect(link, "BYE")
-    return EndpointResult(summary, alice_key, kept_slots, positions)
+    return EndpointResult(summary, alice_key)
 
 
 def run_bob_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
@@ -536,7 +527,7 @@ def run_bob_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
     _hello_exchange(cfg, link)
 
     slots, z, bits = _recv_slots(link, "DETECTIONS", "slots", cfg.n_slots, "bases", "bits")
-    bob_key, kept_slots = bob_sift_exchange(link, slots, z, bits)
+    bob_key = bob_sift_exchange(link, slots, z, bits)
 
     (positions,) = _recv_slots(link, "SAMPLE_REQUEST", "positions", len(bob_key))
     _send_list(link, "SAMPLE_BITS", bits=bob_key[positions])
@@ -545,7 +536,7 @@ def run_bob_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
     report = qber_report(len(positions), n_errors)
     summary = finalize(cfg, len(slots), len(bob_key), report, multi_fraction)
     link.send(Message("BYE", {}))
-    return EndpointResult(summary, bob_key, kept_slots, positions)
+    return EndpointResult(summary, bob_key)
 
 
 def _summary_fields(payload: dict, n_compared: int) -> tuple[int, float]:
@@ -616,9 +607,8 @@ def run_session_detailed(
     return alice, bob
 
 
-def run_session(cfg: SessionConfig, link: Optional[tuple[Transport, Transport]] = None) -> SessionSummary:
-    alice, _bob = run_session_detailed(cfg, link)
-    return alice.summary
+def run_session(cfg: SessionConfig) -> SessionSummary:
+    return run_session_detailed(cfg)[0].summary
 
 
 # --------------------------------------------------------------------------

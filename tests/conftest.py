@@ -20,7 +20,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 def sift_halves():
     """Run the two halves of the sifting conversation against each other
     in-process: Alice holds (pair_slots, x, y), Bob declares (slots, z)
-    and holds his bits. Returns ((alice key, kept), (bob key, kept))."""
+    and holds his bits. Returns (alice key, bob key)."""
 
     def run(pair_slots, x, y, slots, z, bits):
         a_link, b_link = memory_pair()

@@ -1,5 +1,7 @@
 """CLI behavior: output stability, exit codes, networked mode."""
 
+import argparse
+import dataclasses
 import json
 import socket
 import subprocess
@@ -8,7 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from dfsqkd.cli import MAX_FRINGE_POINTS, main
+from dfsqkd import cli
+from dfsqkd.cli import CHANNEL_FLAGS, MAX_FRINGE_POINTS, SESSION_FLAGS, build_config, build_parser, main
+from dfsqkd.optics import ChannelSampler
 from dfsqkd.protocol import predicted_qber
 from dfsqkd.session import WIRE_VERSION, SessionConfig
 from dfsqkd.transport import Message, StreamTransport, expect
@@ -112,6 +116,21 @@ class TestRun:
         assert code == 2 and out == ""
         assert f"channel does not read {named}\n" in err
 
+    @pytest.mark.parametrize(
+        "argv, needs",
+        [
+            (["--channel", "per-slot-uniform"], "--channel-lo and --channel-hi"),
+            (["--channel", "per-slot-uniform", "--channel-hi", "10"], "--channel-lo"),
+            (["--channel", "per-slot-uniform", "--channel-lo", "5"], "--channel-hi"),
+            (["--channel", "random-walk", "--theta", "5"], "--channel-sigma"),
+        ],
+        ids=["uniform-none", "uniform-hi-only", "uniform-lo-only", "walk-theta-only"],
+    )
+    def test_channel_flag_the_model_needs_exits_2_naming_it(self, capsys, argv, needs):
+        code, out, err = run_main(capsys, ["run", *FAST, *argv])
+        assert code == 2 and out == ""
+        assert err.endswith(f"channel needs {needs}\n")
+
     def test_random_walk_channel_runs(self, capsys):
         code, out, _ = run_main(
             capsys,
@@ -146,6 +165,12 @@ class TestRun:
             ('{"detectors": {"efficiency": true, "dark_count_prob": false}}', "efficiency"),
             ('{"detectors": {"dark_count_prob": false}}', "dark_count_prob"),
             ('{"detectors": {"efficiency": 1.5}}', "efficiency"),
+            # each checked as given, before the conversion to radians
+            ('{"channel": {"kind": "static", "theta_deg": "5"}}', "theta_deg must be a finite number, got '5'"),
+            ('{"channel": {"kind": "static", "theta_deg": null}}', "theta_deg must be a finite number, got None"),
+            ('{"channel": {"kind": "static", "theta_deg": true}}', "theta_deg must be a finite number, got True"),
+            ('{"channel": {"kind": "per_slot_uniform", "lo_deg": [1], "hi_deg": 5}}',
+             "lo_deg must be a finite number, got [1]"),
         ]
         bad = tmp_path / "cfg.json"
         for text, name in cases:
@@ -288,6 +313,13 @@ class TestFringe:
         assert code == 2
         assert f"{flag.replace('-', '_')} must be a finite number" in err
 
+    @pytest.mark.parametrize("shots", ["0", str(2**63), str(10**23)])
+    def test_shots_outside_int64_exits_2_naming_it(self, capsys, shots):
+        # numpy's binomial ended the largest in an OverflowError traceback
+        code, out, err = run_main(capsys, ["fringe", "--exact", "--shots", shots])
+        assert code == 2 and out == ""
+        assert f"--shots must be from 1 to 2**63 - 1, got {shots}" in err
+
     @pytest.mark.parametrize(
         "argv",
         [["--theta1-step=1e-300"], ["--theta1-step=1e-320"], ["--theta1-start=-1e308", "--theta1-stop=1e308"]],
@@ -336,6 +368,45 @@ class TestFringe:
         )
         assert code == 0
         assert json.loads(err)["fitted_visibility"] == pytest.approx(0.9, abs=1e-9)
+
+
+class TestFlagTables:
+    """The tables that map CLI flags to config keys and channel model
+    fields."""
+
+    @staticmethod
+    def _config_flags():
+        """The action of each session flag, by its dest."""
+        parser = argparse.ArgumentParser()
+        cli._add_config_flags(parser)
+        return {a.dest: a for a in parser._actions}
+
+    def test_every_config_flag_is_in_a_table(self):
+        # every flag but the file and the model sets a key
+        others = {"help", "config", "channel"}
+        assert set(self._config_flags()) - others == set(SESSION_FLAGS) | set(CHANNEL_FLAGS.values())
+
+    @pytest.mark.parametrize("dest", SESSION_FLAGS)
+    def test_session_flag_lands_on_its_key(self, dest):
+        action = self._config_flags()[dest]
+        section, _, name = SESSION_FLAGS[dest].rpartition(".")
+        default = SessionConfig().to_dict()
+        default = (default[section] if section else default)[name]
+        if action.choices:
+            value = next(c for c in action.choices if c != default)
+        elif action.type is int:
+            value = default + 1
+        else:
+            value = default / 2 or 0.25
+        args = build_parser().parse_args(["run", action.option_strings[0], str(value)])
+        built = build_config(args).to_dict()
+        assert (built[section] if section else built)[name] == value
+
+    @pytest.mark.parametrize("model", ChannelSampler.__subclasses__(), ids=lambda m: m.kind)
+    def test_every_channel_field_has_a_flag(self, model):
+        flags = self._config_flags()
+        for f in dataclasses.fields(model):
+            assert CHANNEL_FLAGS[f.name] in flags
 
 
 def _free_port() -> int:

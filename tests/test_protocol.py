@@ -215,18 +215,17 @@ class TestSift:
     """The sifting rule, run through the session's two sifting halves."""
 
     def test_all_match(self, sift_halves):
-        (a_key, a_kept), (b_key, b_kept) = sift_halves(
-            pair_slots=[5, 9, 11], x=[0, 1, 0], y=[1, 1, 0], slots=[5, 9, 11], z=[0, 1, 0], bits=[1, 1, 0]
+        a_key, b_key = sift_halves(
+            pair_slots=[5, 9, 11], x=[0, 1, 0], y=[1, 0, 0], slots=[5, 9, 11], z=[0, 1, 0], bits=[0, 1, 1]
         )
-        np.testing.assert_array_equal(a_kept, [5, 9, 11])
-        np.testing.assert_array_equal(b_kept, [5, 9, 11])
-        np.testing.assert_array_equal(a_key, b_key)
+        np.testing.assert_array_equal(a_key, [1, 0, 0])
+        np.testing.assert_array_equal(b_key, [0, 1, 1])
 
     def test_none_match(self, sift_halves):
-        (a_key, a_kept), (b_key, b_kept) = sift_halves(
+        a_key, b_key = sift_halves(
             pair_slots=[2, 3], x=[0, 1], y=[1, 0], slots=[2, 3], z=[1, 0], bits=[1, 0]
         )
-        assert len(a_kept) == len(b_kept) == len(a_key) == len(b_key) == 0
+        assert len(a_key) == len(b_key) == 0
 
     def test_misaligned_inputs(self, sift_halves):
         # a declaration whose bases do not cover its slots is refused
@@ -238,12 +237,13 @@ class TestSift:
     def test_kept_fraction_is_half_for_uniform_bases(self, sift_halves):
         rng = np.random.default_rng(21)
         n = 10**5
-        x = rng.integers(0, 2, n)
-        z = rng.integers(0, 2, n)
-        (_, kept), _ = sift_halves(np.arange(n), x, np.zeros(n), np.arange(n), z, np.zeros(n))
-        np.testing.assert_array_equal(kept, np.flatnonzero(x == z))
+        x, y, z, bits = rng.integers(0, 2, (4, n))
+        a_key, b_key = sift_halves(np.arange(n), x, y, np.arange(n), z, bits)
+        # each side keeps its own bits where the bases match
+        np.testing.assert_array_equal(a_key, y[x == z])
+        np.testing.assert_array_equal(b_key, bits[x == z])
         sigma = np.sqrt(0.25 / n)
-        assert abs(len(kept) / n - 0.5) < 4 * sigma
+        assert abs(len(a_key) / n - 0.5) < 4 * sigma
 
 
 class TestQberEstimate:
@@ -255,7 +255,7 @@ class TestQberEstimate:
         np.testing.assert_array_equal(alice.sifted_key, bob.sifted_key)
         report = alice.summary.qber
         assert report.qber == 0.0
-        assert report.n_compared == len(alice.disclosed_positions) == round(0.5 * len(alice.sifted_key))
+        assert report.n_compared == round(0.5 * len(alice.sifted_key))
 
     def test_complementary_keys(self):
         # a quarter-turn swaps H and V and maps the diagonal basis onto

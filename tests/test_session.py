@@ -14,7 +14,7 @@ import dfsqkd.session as session_mod
 import dfsqkd.transport as tp
 from dfsqkd import protocol
 from dfsqkd.optics import DetectorParams, PerSlotUniformChannel, RandomWalkChannel, StaticChannel, detect_batch
-from dfsqkd.protocol import QberReport
+from dfsqkd.protocol import QberReport, sample_positions
 from dfsqkd.session import (
     ConfigError,
     Seeds,
@@ -400,15 +400,17 @@ class TestSessions:
         np.testing.assert_array_equal(b1.sifted_key, b2.sifted_key)
 
     def test_sides_agree(self):
-        alice, bob = run_session_detailed(small_cfg())
+        cfg = small_cfg()
+        alice, bob = run_session_detailed(cfg)
         assert alice.summary.to_dict() == bob.summary.to_dict()
-        np.testing.assert_array_equal(alice.kept_slots, bob.kept_slots)
-        np.testing.assert_array_equal(alice.disclosed_positions, bob.disclosed_positions)
-        # the error count reported is exactly the disagreement on the sample
-        mism = np.count_nonzero(
-            alice.sifted_key[alice.disclosed_positions] != bob.sifted_key[bob.disclosed_positions]
-        )
-        assert mism == alice.summary.qber.n_errors
+        n_sifted = alice.summary.n_sifted
+        assert len(alice.sifted_key) == len(bob.sifted_key) == n_sifted
+        # the error count reported is exactly the disagreement on the sample,
+        # which Alice draws from her stream where the engine leaves it
+        positions = sample_positions(n_sifted, cfg.sample_fraction, simulate_quantum(cfg).alice_rng)
+        assert len(positions) == alice.summary.qber.n_compared
+        mism = np.count_nonzero(alice.sifted_key[positions] != bob.sifted_key[positions])
+        assert mism == alice.summary.qber.n_errors > 0
 
     def test_key_agreement_tracks_qber(self):
         cfg = small_cfg(duration_s=2.0, sample_fraction=1.0)
@@ -489,7 +491,7 @@ class TestTransportSubstitution:
         cfg = SessionConfig(pair_rate_hz=9e4, duration_s=40)
         in_process = run_session(cfg)
         left, right = socket.socketpair()
-        over_socket = run_session(cfg, link=(StreamTransport(left), StreamTransport(right)))
+        over_socket = run_session_detailed(cfg, link=(StreamTransport(left), StreamTransport(right)))[0].summary
         assert in_process.n_coincidences > 2_000_000
         assert over_socket.to_dict() == in_process.to_dict()
         assert max(frame_sizes) <= 2 * 2**20
@@ -505,13 +507,11 @@ class TestSiftExchange:
 
     def test_matching_and_mismatching_bases(self, sift_halves):
         # slots 2 and 9 match bases, slot 5 does not
-        (a_key, a_kept), (b_key, b_kept) = sift_halves(
-            pair_slots=[2, 5, 9], x=[0, 1, 1], y=[1, 0, 1], slots=[2, 5, 9], z=[0, 0, 1], bits=[1, 0, 1]
+        a_key, b_key = sift_halves(
+            pair_slots=[2, 5, 9], x=[0, 1, 1], y=[1, 1, 0], slots=[2, 5, 9], z=[0, 0, 1], bits=[0, 1, 1]
         )
-        np.testing.assert_array_equal(a_kept, [2, 9])
-        np.testing.assert_array_equal(a_kept, b_kept)
-        np.testing.assert_array_equal(a_key, [1, 1])
-        np.testing.assert_array_equal(b_key, [1, 1])
+        np.testing.assert_array_equal(a_key, [1, 0])
+        np.testing.assert_array_equal(b_key, [0, 1])
 
     def test_unknown_slot_rejected(self, sift_halves):
         with pytest.raises(ProtocolError, match="without pairs: slot 3"):
@@ -566,17 +566,24 @@ def _alice_receives_declaration(chunks):
     alice_sift_exchange(link, np.arange(8), np.zeros(8, dtype=np.int64), np.zeros(8, dtype=np.int64))
 
 
+def _record_bits(n):
+    """The bits of a scripted Alice's n records to Bob: mixed, so that his
+    sifted key shows which records he kept."""
+    return np.random.default_rng(n).integers(0, 2, n).astype(np.uint8)
+
+
 def _run_bob_against(*frames, records=tuple(range(8)), keep=None):
     """Bob's whole endpoint against a scripted Alice who sends HELLO, then
-    records on the slots `records` (eight on slots 0-7 by default) in
-    frames of SLOT_CHUNK, then the SIFT_KEEP payloads `keep` (by default
-    keep bits of all ones, one frame per frame of records), then `frames`.
-    Returns Bob's result."""
+    records on the slots `records` (eight on slots 0-7 by default), with
+    the bits _record_bits gives, in frames of SLOT_CHUNK, then the
+    SIFT_KEEP payloads `keep` (by default keep bits of all ones, one frame
+    per frame of records), then `frames`. Returns Bob's result."""
     cfg = small_cfg()
     link, peer = memory_pair()
     peer.send(Message("HELLO", {"config": cfg.to_dict(), "wire_version": session_mod.WIRE_VERSION}))
-    for payload in _slot_frames("slots", _chunked(records), "bases", "bits"):
-        peer.send(Message("DETECTIONS", payload))
+    bits = _chunked(_record_bits(len(records)))
+    for payload, chunk in zip(_slot_frames("slots", _chunked(records), "bases"), bits):
+        peer.send(Message("DETECTIONS", {**payload, "bits": pack_bits(chunk)}))
     if keep is None:
         keep = [{"keep": pack_bits([1] * len(chunk))} for chunk in _chunked(records)]
     for payload in keep:
@@ -733,15 +740,15 @@ class TestHostileKeep:
         keep = [{"keep": pack_bits(bits)} for bits in ([1, 0, 1], [1, 1, 0], [0, 1])]
         sample_request = _slot_frames("positions", [[]])[0]
         bob = _run_bob_against(("SAMPLE_REQUEST", sample_request), ("SUMMARY", _HONEST_SUMMARY), keep=keep)
-        np.testing.assert_array_equal(bob.kept_slots, [0, 2, 3, 4, 7])
-        assert len(bob.sifted_key) == bob.summary.n_sifted == 5
+        np.testing.assert_array_equal(bob.sifted_key, _record_bits(8)[[0, 2, 3, 4, 7]])
+        assert bob.summary.n_sifted == 5
 
     def test_empty_declaration_takes_one_empty_frame(self):
         sample_request = _slot_frames("positions", [[]])[0]
         bob = _run_bob_against(
             ("SAMPLE_REQUEST", sample_request), ("SUMMARY", _HONEST_SUMMARY), records=(), keep=[{"keep": ""}]
         )
-        assert len(bob.kept_slots) == bob.summary.n_sifted == 0
+        assert len(bob.sifted_key) == bob.summary.n_sifted == 0
 
     @pytest.mark.parametrize(
         "records, keep, match",
@@ -836,7 +843,8 @@ class TestHostilePayloads:
         sample_request = _slot_frames("positions", [[1, 3, 6]])[0]
         summary = {"n_errors": 2, "multi_pair_fraction": 0.25}
         bob = _run_bob_against(("SAMPLE_REQUEST", sample_request), ("SUMMARY", summary))
-        assert bob.summary.qber.n_compared == len(bob.disclosed_positions) == 3
+        np.testing.assert_array_equal(bob.sifted_key, _record_bits(8))
+        assert bob.summary.qber.n_compared == 3
         assert bob.summary.qber.n_errors == 2
         assert bob.summary.to_dict() == session_mod.finalize(
             small_cfg(), 8, 8, protocol.qber_report(3, 2), 0.25
