@@ -70,7 +70,7 @@ def _print_json(obj: dict) -> None:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="flat JSON config file")
-    p.add_argument("--protocol", choices=("dfs2", "bb84"))
+    p.add_argument("--protocol", choices=protocol.PROTOCOLS)
     p.add_argument("--theta", type=float, metavar="DEG", help="static channel rotation angle")
     p.add_argument("--visibility", type=float, metavar="F")
     p.add_argument("--duration", type=float, metavar="S")
@@ -81,7 +81,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dark", type=float, metavar="F", help="dark count probability per window")
     p.add_argument(
         "--channel",
-        choices=("static", "per-slot-uniform", "random-walk"),
+        choices=[m.kind.replace("_", "-") for m in ChannelSampler.__subclasses__()],
         help="channel model (default static at --theta)",
     )
     p.add_argument("--channel-lo", type=float, metavar="DEG")
@@ -334,10 +334,7 @@ def _parse_hostport(text: str) -> tuple[str, int]:
 def cmd_serve_alice(args) -> int:
     cfg = build_config(args)
     host, port = _parse_hostport(args.listen)
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind((host, port))
-        server.listen(1)
+    with socket.create_server((host, port), backlog=1) as server:
         bound = server.getsockname()
         sys.stderr.write(f"listening on {bound[0]}:{bound[1]}\n")
         sys.stderr.flush()

@@ -169,13 +169,12 @@ def angle_free(protocol: str) -> bool:
     return not series_coefficients(protocol)[:, 1:].any()
 
 
-def _series_batch(protocol: str, x, y, z, thetas, visibility: float) -> np.ndarray:
-    """Each row's Born probabilities, shape (outcomes, n), summed one 1-D
-    column at a time: p = V p_pure + (1 - V) / k, white noise spread over
-    k = 4 detector pairs (dfs2) or 2 ports (bb84)."""
+def _series_batch(protocol: str, s, thetas, visibility: float) -> np.ndarray:
+    """Born probabilities of each row's symbol s = 4x + 2y + z, shape
+    (outcomes, n), summed one 1-D column at a time: p = V p_pure + (1 - V) / k,
+    white noise spread over k = 4 detector pairs (dfs2) or 2 ports (bb84)."""
     coefficients = visibility * series_coefficients(protocol)
     coefficients[:, 0] += (1.0 - visibility) / (4 if protocol == "dfs2" else 2)
-    s = (4 * np.asarray(x) + 2 * np.asarray(y) + np.asarray(z)).astype(np.intp)
     order = coefficients.shape[1] // 2  # of 2 order + 1 terms
     terms = _harmonics(np.asarray(thetas, dtype=float), order)
     out = np.empty((len(coefficients), len(s)))
@@ -186,11 +185,9 @@ def _series_batch(protocol: str, x, y, z, thetas, visibility: float) -> np.ndarr
     return out
 
 
-def dfs2_probs_batch(
-    x: np.ndarray, y: np.ndarray, z: np.ndarray, thetas: np.ndarray, visibility: float
-) -> np.ndarray:
-    """Per-slot :func:`dfs2_outcome_probs`, shape (n, 4), from its series."""
-    return _series_batch("dfs2", x, y, z, thetas, visibility).T
+def dfs2_probs_batch(s: np.ndarray, thetas: np.ndarray, visibility: float) -> np.ndarray:
+    """Per-symbol :func:`dfs2_outcome_probs`, shape (n, 4), from its series."""
+    return _series_batch("dfs2", s, thetas, visibility).T
 
 
 def bb84_prepare(x: int, y: int, visibility: float) -> np.ndarray:
@@ -213,11 +210,9 @@ def bb84_port1_prob(x: int, y: int, z: int, theta: float, visibility: float) -> 
     return float(np.real(a1.conj() @ rho @ a1))
 
 
-def bb84_port1_batch(
-    x: np.ndarray, y: np.ndarray, z: np.ndarray, thetas: np.ndarray, visibility: float
-) -> np.ndarray:
-    """Per-slot :func:`bb84_port1_prob`, shape (n,), from its series."""
-    return _series_batch("bb84", x, y, z, thetas, visibility)[0]
+def bb84_port1_batch(s: np.ndarray, thetas: np.ndarray, visibility: float) -> np.ndarray:
+    """Per-symbol :func:`bb84_port1_prob`, shape (n,), from its series."""
+    return _series_batch("bb84", s, thetas, visibility)[0]
 
 
 # --------------------------------------------------------------------------
@@ -244,14 +239,17 @@ def qber_report(n_compared: int, n_errors: int) -> QberReport:
     return QberReport(n_compared, n_errors, q, float(np.sqrt(q * (1.0 - q) / n_compared)))
 
 
+def sample_size(n: int, fraction: float) -> int:
+    """How many of n sifted bits the error test discloses: the fraction,
+    rounded, but at least one bit of a key that has any."""
+    return min(n, max(1, round(fraction * n)))
+
+
 def sample_positions(n: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
-    """Random key positions to disclose for the error test (sorted)."""
+    """sample_size(n, fraction) random key positions to disclose (sorted)."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"sample_fraction must be in (0, 1], got {fraction}")
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    m = min(n, max(1, int(round(fraction * n))))
-    return np.sort(rng.permutation(n)[:m]).astype(np.int64)
+    return np.sort(rng.permutation(n)[: sample_size(n, fraction)]).astype(np.int64)
 
 
 # --------------------------------------------------------------------------

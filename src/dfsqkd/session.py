@@ -44,11 +44,12 @@ entries, then one shorter frame, possibly empty, that ends it. A slot
 list (that stream, Bob's declaration, SAMPLE_REQUEST) travels as base-64
 gap varints (transport.pack_slots), each frame's first gap counted from
 the previous frame's last entry, so a decoded list always increases
-strictly, and each entry must lie below a bound the receiver knows
-(_recv_slots). The bits that answer a list, Alice's keep bit per declared
-slot in Bob's order and Bob's SAMPLE_BITS per position, go frame for
-frame with it, so their receiver knows how many frames and bits to
-expect (_recv_bits). Bob keeps his own records by the keep mask.
+strictly; the decoder refuses an entry at or past the bound its receiver
+passes (_recv_slots), and Bob a SAMPLE_REQUEST of any other length than
+the agreed sample size. The bits that answer a list, Alice's keep bit
+per declared slot in Bob's order and Bob's SAMPLE_BITS per position, go
+frame for frame with it, so their receiver knows how many frames and
+bits to expect (_recv_bits). Bob keeps his own records by the keep mask.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from .protocol import (
     key_rate,
     qber_report,
     sample_positions,
+    sample_size,
 )
 from .transport import Message, Transport, expect, memory_pair, pack_bits, pack_slots, unpack_bits
 
@@ -247,44 +249,37 @@ def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> tuple
 
 
 def _outcomes(
-    cfg: SessionConfig,
-    x: np.ndarray,
-    y: np.ndarray,
-    z: np.ndarray,
-    u: np.ndarray,
-    pair_slots: np.ndarray,
-    rng_channel: np.random.Generator,
+    cfg: SessionConfig, s: np.ndarray, u: np.ndarray, pair_slots: np.ndarray, rng_channel: np.random.Generator
 ) -> np.ndarray:
     """Each pair slot's measurement outcome, decided by its uniform u on
     the protocol's Born kernel: the index of the detector pair for dfs2,
     0 or 2 (photon 1's port, photon 2 on D3) for bb84.
 
-    The kernel sums each symbol's fitted harmonic series in the channel
-    angle. When every pair slot sees the same law, the kernel runs once on
-    the 8 (x, y, z) symbols and each slot reads row 4x + 2y + z: on a
-    static channel at its angle, and, on any channel, for a protocol whose
-    fitted series has no angle terms (protocol.angle_free, which holds for
-    dfs2) at angle 0. The channel then draws nothing. Otherwise the channel
-    draws each pair slot's angle, and the kernel runs over BORN_BLOCK rows
-    at a time, each block's outcomes decided before the next, which bounds
-    the kernel's temporaries. Each row is computed on its own, and an angle
-    term that is exactly 0 adds exactly 0, so every path gives the values
-    of one call over every pair slot at its sampled angle.
+    The kernel sums the fitted harmonic series in the channel angle of
+    each pair slot's symbol s = 4x + 2y + z. When every pair slot sees the
+    same law, the kernel runs once on the 8 symbols and each slot reads row
+    s: on a static channel at its angle, and, on any channel, for a
+    protocol whose fitted series has no angle terms (protocol.angle_free,
+    which holds for dfs2) at angle 0. The channel then draws nothing.
+    Otherwise the channel draws each pair slot's angle, and the kernel runs
+    over BORN_BLOCK rows at a time, each block's outcomes decided before
+    the next, which bounds the kernel's temporaries. Each row is computed
+    on its own, and an angle term that is exactly 0 adds exactly 0, so
+    every path gives the values of one call over every pair slot at its
+    sampled angle.
     """
     # Looked up on the module at each call, so that a span recorder that
     # replaces these attributes (perfbench/spans.py) sees the calls.
     kernel = protocol.dfs2_probs_batch if cfg.protocol == "dfs2" else protocol.bb84_port1_batch
     static = isinstance(cfg.channel, StaticChannel)
     if static or protocol.angle_free(cfg.protocol):
-        s = np.arange(8)
         theta = float(cfg.channel.theta) if static else 0.0
-        table = kernel(s >> 2, (s >> 1) & 1, s & 1, np.full(8, theta), cfg.visibility)
-        return _decide(cfg, table, u, 4 * x + 2 * y + z)
+        return _decide(cfg, kernel(np.arange(8), np.full(8, theta), cfg.visibility), u, s)
     theta = cfg.channel.sample_batch(pair_slots, rng_channel)
     outcome = np.empty(len(u), dtype=np.int64)
     for i in range(0, len(u), BORN_BLOCK):
         b = slice(i, i + BORN_BLOCK)
-        outcome[b] = _decide(cfg, kernel(x[b], y[b], z[b], theta[b], cfg.visibility), u[b])
+        outcome[b] = _decide(cfg, kernel(s[b], theta[b], cfg.visibility), u[b])
     return outcome
 
 
@@ -321,7 +316,7 @@ def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
 
     # The index (det1 - 1) << 1 | (det2 - 3) of the detector pair that the
     # photons reach, and then of the pair that fired.
-    fired = _outcomes(cfg, x, y, z, rng_source.random(k), pair_slots, rng_channel)
+    fired = _outcomes(cfg, 4 * x + 2 * y + z, rng_source.random(k), pair_slots, rng_channel)
     if cfg.detectors.efficiency == 1.0 and cfg.detectors.dark_count_prob == 0.0:
         # Each photon fires its own detector and nothing else does, so
         # every pair slot is a coincidence.
@@ -434,21 +429,18 @@ def _send_list(link: Transport, kind: str, slots_key=None, slots=None, **bits: n
 def _recv_slots(link: Transport, kind: str, key: str, bound: int, *bit_names: str) -> tuple[np.ndarray, ...]:
     """Receive a slot list sent by _send_list, decoding and validating
     every frame, up to its first frame of fewer than SLOT_CHUNK entries.
-    Every entry must lie below `bound`, and entries rise strictly, so a
-    peer can send at most bound / SLOT_CHUNK + 1 frames. Returns the
-    slots, then each named bit array."""
+    The decoder refuses an entry at or past `bound`, and entries rise
+    strictly, so a peer can send at most bound / SLOT_CHUNK + 1 frames.
+    Returns the slots, then each named bit array."""
     frames = []
-    prev, n = -1, 0
+    prev = -1
     while True:
         payload = expect(link, kind).payload
-        slots = tp.validate_detections_payload(payload, key, prev)
-        if len(slots) and slots[-1] >= bound:
-            i = int(np.searchsorted(slots, bound))
-            raise tp.ProtocolError(f"{kind} {key!r} entry {slots[i]} at {n + i} is not below {bound}")
+        slots = tp.validate_detections_payload(payload, key, prev, bound)
         frames.append([slots] + [unpack_bits(payload.get(name), len(slots)) for name in bit_names])
         if len(slots) < SLOT_CHUNK:
             return tuple(np.concatenate(column) for column in zip(*frames))
-        prev, n = slots[-1], n + len(slots)
+        prev = slots[-1]
 
 
 def _recv_bits(link: Transport, kind: str, key: str, n: int) -> np.ndarray:
@@ -463,12 +455,10 @@ def _recv_bits(link: Transport, kind: str, key: str, n: int) -> np.ndarray:
 
 
 def _indices_in(known: np.ndarray, slots: np.ndarray, complaint: str) -> np.ndarray:
-    """Index of each slot in the sorted array `known`; a slot that `known`
-    lacks is a ProtocolError that names it."""
+    """Index of each slot in the sorted array `known`, none of them past its
+    last entry; a slot that `known` lacks is a ProtocolError that names it."""
     idx = np.searchsorted(known, slots)
-    # A slot past the end of `known` is clipped to its last entry, which is
-    # below that slot; an empty `known` holds none of them.
-    missing = np.flatnonzero(np.take(known, idx, mode="clip") != slots) if len(known) else np.arange(len(slots))
+    missing = np.flatnonzero(known[idx] != slots)
     if len(missing):
         raise tp.ProtocolError(f"{complaint}: slot {slots[missing[0]]}")
     return idx
@@ -522,14 +512,16 @@ def run_alice_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
 
 def run_bob_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
     """Bob's whole session: receive measurement records, declare them,
-    sift, answer the error test, and build the summary from his own
-    counts and Alice's SUMMARY."""
+    sift, answer an error test of the agreed size, and build the summary
+    from his own counts and Alice's SUMMARY."""
     _hello_exchange(cfg, link)
 
     slots, z, bits = _recv_slots(link, "DETECTIONS", "slots", cfg.n_slots, "bases", "bits")
     bob_key = bob_sift_exchange(link, slots, z, bits)
 
     (positions,) = _recv_slots(link, "SAMPLE_REQUEST", "positions", len(bob_key))
+    if len(positions) != (m := sample_size(len(bob_key), cfg.sample_fraction)):
+        raise tp.ProtocolError(f"SAMPLE_REQUEST asks for {len(positions)} positions, not the agreed {m}")
     _send_list(link, "SAMPLE_BITS", bits=bob_key[positions])
 
     n_errors, multi_fraction = _summary_fields(expect(link, "SUMMARY").payload, len(positions))

@@ -2,10 +2,10 @@
 
 Wire format, bit-exact: a 4-byte big-endian unsigned length prefix
 followed by a UTF-8 JSON body ``{"type": "<TYPE>", "payload": {...}}``.
-Encoding is canonical (sorted keys, no whitespace) so equal messages
-produce equal bytes. Frames are capped at 16 MiB. Bit arrays travel
-base-64 encoded, packed 8 bits per byte, most significant bit first.
-Slot lists travel base-64 encoded as gap varints (see pack_slots).
+Encoding is canonical (sorted keys, no whitespace): equal messages give
+equal bytes. Frames are capped at 16 MiB. Bit arrays travel base-64
+encoded, packed 8 bits per byte, most significant bit first; slot lists,
+as gap varints (pack_slots) decoded against the receiver's bound.
 
 Two interchangeable transports are provided: an in-process pair backed
 by queues, and a length-framed byte-stream transport for sockets. A
@@ -254,7 +254,7 @@ def expect(transport: Transport, expected_type: str) -> Message:
     return msg
 
 
-def validate_detections_payload(payload: dict, key: str = "slots", prev: int = -1) -> np.ndarray:
+def validate_detections_payload(payload: dict, key: str = "slots", prev: int = -1, bound: int = 2**63) -> np.ndarray:
     """Decode the slot list under `key` of one slot-carrying frame, as
     int64 (see pack_slots; `prev` is the last entry of the list's
     previous frame, -1 for the first).
@@ -262,7 +262,8 @@ def validate_detections_payload(payload: dict, key: str = "slots", prev: int = -
     Gaps are non-negative, so a decoded list always increases strictly
     from above `prev`. A field that is missing, not a string or not
     base-64, a last byte that does not end a varint, a varint longer than
-    9 bytes and a slot past 2**63 - 1 are ProtocolErrors naming the entry.
+    9 bytes and an entry at or past `bound` (the receiver's, at most the
+    int64 limit) are ProtocolErrors; entries rise, so only the last is compared.
 
     An entry's last byte is its only byte below 0x80, so those bytes are
     the entries; only the entries with continuation bytes, found from
@@ -274,9 +275,8 @@ def validate_detections_payload(payload: dict, key: str = "slots", prev: int = -
     raw = _b64_bytes(text, f"{key!r}")
     cont = np.flatnonzero(raw >= 0x80)
     gaps = (raw[raw < 0x80] if len(cont) else raw).astype(np.int64)
-    # A gap below 0x80 adds at most 0x80 to the last slot, a long one
-    # itself plus one; if that sum cannot pass 2**63 - 1, no slot can.
-    bound = 0x80 * len(gaps)
+    # Each entry is prev + the sum of (gap + 1) up to it, summed exactly.
+    last = int(prev) + len(gaps) + int(gaps.sum())
     if len(cont):
         # The entry of a continuation byte is the number of last bytes
         # before it; an entry's continuation bytes are adjacent.
@@ -292,22 +292,16 @@ def validate_detections_payload(payload: dict, key: str = "slots", prev: int = -
         shift = np.uint64(7) * (np.arange(len(cont)) - np.repeat(run, n_cont)).astype(np.uint64)
         low = np.bitwise_or.reduceat((raw[cont] & 0x7F).astype(np.uint64) << shift, run)
         top = gaps[long].astype(np.uint64) << np.uint64(7) * n_cont.astype(np.uint64)
-        # At most 9 groups of 7 bits: below 2**63, so int64 holds it.
-        gaps[long] = (low | top).view(np.int64)
-        bound += sum(gaps[long].tolist())
+        # At most 9 groups of 7 bits: below 2**63, so int64 holds each one,
+        # but not always their sum, which is taken in Python ints.
+        full = (low | top).view(np.int64)
+        last += sum(full.tolist()) - int(gaps[long].sum())
+        gaps[long] = full
+    if last >= bound:
+        raise ProtocolError(f"{key!r} rises to {last}, not below {bound}")
     if not len(gaps):
         return gaps
-    limit = 2**63 - 1 - int(prev)
-    if bound > limit:
-        # steps = slot - prev per entry; the uint64 cumsum can wrap past
-        # 2**64, which shows as a step that does not increase.
-        steps = np.cumsum(gaps.view(np.uint64) + np.uint64(1))
-        bad = steps > np.uint64(limit)
-        bad[1:] |= steps[1:] <= steps[:-1]
-        if bad.any():
-            raise ProtocolError(f"{key!r} has a slot past 2**63 - 1 at {np.argmax(bad)}")
     # Now every slot, and so every partial sum, fits int64.
-    first = int(prev) + 1 + int(gaps[0])
     gaps[1:] += 1
-    gaps[0] = first
+    gaps[0] += int(prev) + 1
     return np.cumsum(gaps, out=gaps)

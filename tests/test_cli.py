@@ -14,7 +14,7 @@ from dfsqkd import cli
 from dfsqkd.cli import CHANNEL_FLAGS, MAX_FRINGE_POINTS, SESSION_FLAGS, build_config, build_parser, main
 from dfsqkd.optics import ChannelSampler
 from dfsqkd.protocol import predicted_qber
-from dfsqkd.session import WIRE_VERSION, SessionConfig
+from dfsqkd.session import WIRE_VERSION, SessionConfig, run_bob_endpoint
 from dfsqkd.transport import Message, StreamTransport, expect
 
 FAST = ["--duration", "0.5"]
@@ -140,6 +140,14 @@ class TestRun:
         summary = json.loads(out)
         # the walk wanders but the encoded protocol stays at the noise floor
         assert abs(summary["qber"]["qber"] - 0.06) < 6 * summary["qber"]["stderr"]
+
+    def test_random_walk_past_the_float_range_exits_2(self, capsys):
+        # it ran on NaN angles and printed a QBER as if measured, with numpy's
+        # overflow warning on stderr (an error here, as in every test)
+        argv = ["run", *FAST, "--protocol", "bb84", "--channel", "random-walk", "--channel-sigma", "1e308"]
+        code, out, err = run_main(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: step_sigma 1e+308 deg") and err.count("\n") == 1
 
     def test_bad_config_file_exits_2(self, tmp_path, capsys):
         # each file paired with the name the diagnostic must mention
@@ -447,6 +455,21 @@ class TestNetworkedMode:
         )
         assert alice.returncode == bob.returncode == run.returncode == 0
         assert alice_out == bob.stdout == run.stdout
+
+    def test_sessions_back_to_back_on_one_port(self):
+        # Bob closes only after Alice has, so her end of the first session's
+        # connection holds the port in TIME_WAIT; the second listener binds
+        # it only with SO_REUSEADDR
+        port = _free_port()
+        for _ in range(2):
+            alice = _spawn(["serve-alice", "--listen", f"127.0.0.1:{port}", *FAST])
+            assert "listening on" in alice.stderr.readline()
+            with socket.create_connection(("127.0.0.1", port), timeout=120) as sock:
+                bob = run_bob_endpoint(SessionConfig(duration_s=0.5), StreamTransport(sock))
+                alice_out, alice_err = alice.communicate(timeout=120)
+                assert sock.recv(1) == b""
+            assert alice.returncode == 0, alice_err
+            assert json.loads(alice_out) == bob.summary.to_dict()
 
     def test_seed_mismatch_exits_4_on_both_ends(self):
         port = _free_port()

@@ -166,11 +166,9 @@ class TestFaultTolerance:
         # bit for bit, which is what lets a dfs2 session skip the channel
         rng = np.random.default_rng(32)
         s = rng.integers(0, 8, 10_000)
-        x, y, z = s >> 2, s >> 1 & 1, s & 1
-        symbols = np.arange(8)
         for visibility in (0.0, 0.5, 0.88, 1.0):
-            table = protocol.dfs2_probs_batch(symbols >> 2, symbols >> 1 & 1, symbols & 1, np.zeros(8), visibility)
-            got = protocol.dfs2_probs_batch(x, y, z, rng.uniform(-2 * np.pi, 4 * np.pi, len(s)), visibility)
+            table = protocol.dfs2_probs_batch(np.arange(8), np.zeros(8), visibility)
+            got = protocol.dfs2_probs_batch(s, rng.uniform(-2 * np.pi, 4 * np.pi, len(s)), visibility)
             np.testing.assert_array_equal(got, table[s])
 
 
@@ -182,26 +180,30 @@ class TestBatchKernels:
     THETAS = np.random.default_rng(31).uniform(-2 * np.pi, 4 * np.pi, 240)
 
     def _rows(self):
-        """(x, y, z, theta) columns: every symbol at each angle."""
-        s = np.tile(np.arange(8), len(self.THETAS))
-        return s >> 2, s >> 1 & 1, s & 1, np.repeat(self.THETAS, 8)
+        """(s, theta) columns: every symbol s = 4x + 2y + z at each angle."""
+        return np.tile(np.arange(8), len(self.THETAS)), np.repeat(self.THETAS, 8)
+
+    @staticmethod
+    def _scalar(oracle, s, thetas, visibility):
+        """The scalar pipeline's value on each row, the symbol split into bits."""
+        return [oracle(si >> 2, si >> 1 & 1, si & 1, t, visibility) for si, t in zip(s.tolist(), thetas)]
 
     def test_angles_cover_both_signs_and_more_than_a_turn(self):
         assert (self.THETAS < 0).any() and (self.THETAS > 2 * np.pi).any()
 
     @pytest.mark.parametrize("visibility", [0.0, 0.5, 0.88, 1.0])
     def test_dfs2_kernel_equals_the_scalar_pipeline(self, visibility):
-        x, y, z, thetas = self._rows()
-        got = protocol.dfs2_probs_batch(x, y, z, thetas, visibility)
-        want = [dfs2_outcome_probs(*row, visibility) for row in zip(x, y, z, thetas)]
+        s, thetas = self._rows()
+        got = protocol.dfs2_probs_batch(s, thetas, visibility)
+        want = self._scalar(dfs2_outcome_probs, s, thetas, visibility)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
         np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("visibility", [0.0, 0.5, 0.88, 1.0])
     def test_bb84_kernel_equals_the_scalar_pipeline(self, visibility):
-        x, y, z, thetas = self._rows()
-        got = protocol.bb84_port1_batch(x, y, z, thetas, visibility)
-        want = [bb84_port1_prob(*row, visibility) for row in zip(x, y, z, thetas)]
+        s, thetas = self._rows()
+        got = protocol.bb84_port1_batch(s, thetas, visibility)
+        want = self._scalar(bb84_port1_prob, s, thetas, visibility)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_fit_waits_for_first_use(self):

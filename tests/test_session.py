@@ -239,7 +239,7 @@ def _reference_simulation(cfg):
     z = rng_bob.integers(0, 2, size=k)
     theta = cfg.channel.sample_batch(pair_slots, rng_channel)
     u = rng_source.random(k)
-    outcome = _reference_outcomes(cfg.protocol, KERNELS[cfg.protocol](x, y, z, theta, cfg.visibility), u)
+    outcome = _reference_outcomes(cfg.protocol, KERNELS[cfg.protocol](4 * x + 2 * y + z, theta, cfg.visibility), u)
     coinc, fired = detect_batch(outcome, cfg.detectors, rng_source)
     if cfg.protocol == "dfs2":
         bob_bits = protocol.OUTCOME_BIT[fired]
@@ -331,28 +331,28 @@ class TestBoundedMemory:
     @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
     def test_static_table_equals_the_per_row_kernel(self, protocol_name):
         rng = np.random.default_rng(5)
-        x, y, z = rng.integers(0, 2, size=(3, 1000))
+        s = rng.integers(0, 8, size=1000)
         slots = np.arange(1000)
         for deg in (0.0, 7.5, 20.0, 45.0, 90.0, -33.0):
             cfg = small_cfg(protocol=protocol_name, channel=StaticChannel(np.radians(deg)))
             theta = np.full(1000, np.radians(deg))
-            probs = KERNELS[protocol_name](x, y, z, theta, cfg.visibility)
+            probs = KERNELS[protocol_name](s, theta, cfg.visibility)
             u = _uniforms_with_ties(protocol_name, probs, rng)
-            got = session_mod._outcomes(cfg, x, y, z, u, slots, np.random.default_rng(0))
+            got = session_mod._outcomes(cfg, s, u, slots, np.random.default_rng(0))
             _assert_same(got, _reference_outcomes(protocol_name, probs, u))
 
     @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
     @pytest.mark.parametrize("block", [7, 4096])
     def test_kernel_blocks_equal_one_call(self, monkeypatch, protocol_name, block):
         rng = np.random.default_rng(6)
-        x, y, z = rng.integers(0, 2, size=(3, 10_000))
+        s = rng.integers(0, 8, size=10_000)
         slots = np.arange(10_000)
         cfg = small_cfg(protocol=protocol_name, channel=PerSlotUniformChannel(-np.pi, np.pi))
         theta = cfg.channel.sample_batch(slots, np.random.default_rng(7))
-        probs = KERNELS[protocol_name](x, y, z, theta, cfg.visibility)
+        probs = KERNELS[protocol_name](s, theta, cfg.visibility)
         u = _uniforms_with_ties(protocol_name, probs, rng)
         monkeypatch.setattr(session_mod, "BORN_BLOCK", block)
-        got = session_mod._outcomes(cfg, x, y, z, u, slots, np.random.default_rng(7))
+        got = session_mod._outcomes(cfg, s, u, slots, np.random.default_rng(7))
         _assert_same(got, _reference_outcomes(protocol_name, probs, u))
 
     @pytest.mark.parametrize("channel", ["uniform", "random_walk"])
@@ -520,10 +520,18 @@ class TestSiftExchange:
             )
 
     @pytest.mark.parametrize(
-        "known, slots, missing",
-        [([2, 5], [2, 3, 4], 3), ([2, 5], [5, 6], 6), ([], [0], 0)],
-        ids=["between", "past-the-end", "nothing-known"],
+        "pair_slots, slot",
+        [([2, 5], 6), ([], 0)],
+        ids=["past-the-last-pair-slot", "no-pair-slots"],
     )
+    def test_slot_past_the_last_pair_slot_rejected(self, sift_halves, pair_slots, slot):
+        # Alice's bound is one past her last pair slot, so every slot her
+        # lookup (_indices_in) meets lies at or below that pair slot
+        n = len(pair_slots)
+        with pytest.raises(ProtocolError, match=f"'slots' rises to {slot}, not below {slot}"):
+            sift_halves(pair_slots=pair_slots, x=[0] * n, y=[0] * n, slots=[slot], z=[0], bits=[1])
+
+    @pytest.mark.parametrize("known, slots, missing", [([2, 5], [2, 3, 4], 3)], ids=["between"])
     def test_indices_in_names_the_first_missing_slot(self, known, slots, missing):
         known, slots = np.array(known, dtype=np.int64), np.array(slots, dtype=np.int64)
         with pytest.raises(ProtocolError, match=f"not here: slot {missing}$"):
@@ -572,13 +580,13 @@ def _record_bits(n):
     return np.random.default_rng(n).integers(0, 2, n).astype(np.uint8)
 
 
-def _run_bob_against(*frames, records=tuple(range(8)), keep=None):
+def _run_bob_against(*frames, records=tuple(range(8)), keep=None, sample_fraction=0.1):
     """Bob's whole endpoint against a scripted Alice who sends HELLO, then
     records on the slots `records` (eight on slots 0-7 by default), with
     the bits _record_bits gives, in frames of SLOT_CHUNK, then the
     SIFT_KEEP payloads `keep` (by default keep bits of all ones, one frame
     per frame of records), then `frames`. Returns Bob's result."""
-    cfg = small_cfg()
+    cfg = small_cfg(sample_fraction=sample_fraction)
     link, peer = memory_pair()
     peer.send(Message("HELLO", {"config": cfg.to_dict(), "wire_version": session_mod.WIRE_VERSION}))
     bits = _chunked(_record_bits(len(records)))
@@ -594,8 +602,24 @@ def _run_bob_against(*frames, records=tuple(range(8)), keep=None):
     return run_bob_endpoint(cfg, link)
 
 
+def _bob_receives_records(chunks):
+    """Bob's whole endpoint against a scripted Alice whose records have the
+    slots of `chunks`, then an honest rest of the conversation."""
+    request = ("SAMPLE_REQUEST", _slot_frames("positions", [[0]])[0])
+    _run_bob_against(request, ("SUMMARY", _HONEST_SUMMARY), records=tuple(sum(chunks, [])))
+
+
 def _bob_receives_sample_request(chunks):
-    _run_bob_against(*[("SAMPLE_REQUEST", payload) for payload in _slot_frames("positions", chunks)])
+    """Bob's whole endpoint against a scripted Alice whose SAMPLE_REQUEST on
+    his eight sifted bits has the frames `chunks`, at the sample fraction
+    that agrees with the positions they hold (from 1 to 8), then, if its
+    last frame is short and so ends it, an honest SUMMARY."""
+    lists = [chunk for chunk in chunks if isinstance(chunk, list)]
+    n = sum(map(len, lists))
+    frames = [("SAMPLE_REQUEST", payload) for payload in _slot_frames("positions", chunks)]
+    if lists and len(lists[-1]) < session_mod.SLOT_CHUNK:
+        frames.append(("SUMMARY", _HONEST_SUMMARY))
+    _run_bob_against(*frames, sample_fraction=min(max(n, 1), 8) / 8)
 
 
 def _b64(raw: bytes) -> str:
@@ -678,8 +702,9 @@ class TestHostileSlotLists:
             (["@@@@"], "is not base-64 text"),
             ([_b64(b"\x00\x80")], "ends inside a varint at 1"),
             ([_b64(b"\x80" * 9 + b"\x00")], "varint longer than 9 bytes at 0"),
-            # a 9-byte varint of 2**63 - 1 after the entry 5
-            ([[3, 4, 5], _b64(b"\xff" * 8 + b"\x7f")], re.escape("slot past 2**63 - 1 at 0")),
+            # a 9-byte varint of 2**63 - 1 after the entry 5: past int64
+            # and past the bound, 8, of both receivers
+            ([[3, 4, 5], _b64(b"\xff" * 8 + b"\x7f")], f"rises to {2**63 + 5}, not below 8"),
         ],
         ids=["missing", "non-string", "non-base-64", "unterminated", "10-byte-varint", "past-int64-after-prev"],
     )
@@ -687,24 +712,28 @@ class TestHostileSlotLists:
         with pytest.raises(ProtocolError, match=match):
             receive(chunks)
 
-    @pytest.mark.parametrize(
-        "receive, kind",
+    # Each receiver's bound: one past Alice's last pair slot (slots 0-7),
+    # the session's slot count, the length of Bob's sifted key (8 bits).
+    RECEIVERS = pytest.mark.parametrize(
+        "receive, key, bound",
         [
-            (_alice_receives_declaration, "DETECTIONS 'slots'"),
-            (_bob_receives_sample_request, "SAMPLE_REQUEST 'positions'"),
+            (_alice_receives_declaration, "'slots'", 8),
+            (_bob_receives_records, "'slots'", small_cfg().n_slots),
+            (_bob_receives_sample_request, "'positions'", 8),
         ],
-        ids=["declaration", "sample-request"],
+        ids=["declaration", "records", "sample-request"],
     )
-    def test_entry_at_the_bound_is_a_protocol_error(self, receive, kind):
-        # each of these lists is bounded by 8: past Alice's last pair slot,
-        # past the end of the sifted key
-        with pytest.raises(ProtocolError, match=f"{kind} entry 8 at 4 is not below 8"):
-            receive([[1, 3, 5], [6, 8]])
 
-    def test_record_at_n_slots_is_a_protocol_error(self):
-        n = small_cfg().n_slots
-        with pytest.raises(ProtocolError, match=f"DETECTIONS 'slots' entry {n} at 8 is not below {n}"):
-            _run_bob_against(records=[*range(8), n])
+    @RECEIVERS
+    def test_last_entry_below_the_bound_is_accepted(self, receive, key, bound):
+        receive([[0, 1, 2], [bound - 1]])
+
+    @RECEIVERS
+    def test_entry_at_the_bound_is_a_protocol_error(self, receive, key, bound):
+        # in a frame after the first, which the decoder checks against the
+        # same bound
+        with pytest.raises(ProtocolError, match=f"{key} rises to {bound}, not below {bound}"):
+            receive([[0, 1, 2], [bound]])
 
     @pytest.mark.parametrize(
         "receive", [_alice_receives_declaration, _bob_receives_sample_request]
@@ -715,17 +744,17 @@ class TestHostileSlotLists:
             receive([[0, 1, 2], [3, 4, 5]])
 
     @pytest.mark.parametrize(
-        "receive, kind",
+        "receive, key",
         [
-            (_alice_receives_declaration, "DETECTIONS 'slots'"),
-            (_bob_receives_sample_request, "SAMPLE_REQUEST 'positions'"),
+            (_alice_receives_declaration, "'slots'"),
+            (_bob_receives_sample_request, "'positions'"),
         ],
         ids=["declaration", "sample-request"],
     )
-    def test_full_frames_run_into_the_bound(self, receive, kind):
+    def test_full_frames_run_into_the_bound(self, receive, key):
         # entries rise strictly below the bound, so a peer that never sends
         # a short frame is refused by its bound / SLOT_CHUNK + 1st frame
-        with pytest.raises(ProtocolError, match=f"{kind} entry 8 at 8 is not below 8"):
+        with pytest.raises(ProtocolError, match=f"{key} rises to 8, not below 8"):
             receive([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
 
 
@@ -738,7 +767,7 @@ class TestHostileKeep:
         # eight records declared in frames of 3, 3 and 2 slots
         monkeypatch.setattr(session_mod, "SLOT_CHUNK", 3)
         keep = [{"keep": pack_bits(bits)} for bits in ([1, 0, 1], [1, 1, 0], [0, 1])]
-        sample_request = _slot_frames("positions", [[]])[0]
+        sample_request = _slot_frames("positions", [[0]])[0]
         bob = _run_bob_against(("SAMPLE_REQUEST", sample_request), ("SUMMARY", _HONEST_SUMMARY), keep=keep)
         np.testing.assert_array_equal(bob.sifted_key, _record_bits(8)[[0, 2, 3, 4, 7]])
         assert bob.summary.n_sifted == 5
@@ -833,22 +862,38 @@ class TestHostilePayloads:
              "string-fraction", "negative-fraction", "fraction-above-1", "nan-fraction"],
     )
     def test_malformed_summary_is_a_protocol_error(self, edit, match):
+        # no records, so the agreed sample is empty
         sample_request = _slot_frames("positions", [[]])[0]
         with pytest.raises(ProtocolError, match=match):
-            _run_bob_against(("SAMPLE_REQUEST", sample_request), ("SUMMARY", edit(_HONEST_SUMMARY)))
+            _run_bob_against(
+                ("SAMPLE_REQUEST", sample_request),
+                ("SUMMARY", edit(_HONEST_SUMMARY)),
+                records=(),
+                keep=[{"keep": ""}],
+            )
 
     def test_honest_summary_is_accepted(self):
         # the scripted conversation above is honest up to the summary; Bob
         # counts the compared bits himself and takes only the two numbers
         sample_request = _slot_frames("positions", [[1, 3, 6]])[0]
         summary = {"n_errors": 2, "multi_pair_fraction": 0.25}
-        bob = _run_bob_against(("SAMPLE_REQUEST", sample_request), ("SUMMARY", summary))
+        # three of the eight sifted bits
+        bob = _run_bob_against(("SAMPLE_REQUEST", sample_request), ("SUMMARY", summary), sample_fraction=0.375)
         np.testing.assert_array_equal(bob.sifted_key, _record_bits(8))
         assert bob.summary.qber.n_compared == 3
         assert bob.summary.qber.n_errors == 2
         assert bob.summary.to_dict() == session_mod.finalize(
-            small_cfg(), 8, 8, protocol.qber_report(3, 2), 0.25
+            small_cfg(sample_fraction=0.375), 8, 8, protocol.qber_report(3, 2), 0.25
         ).to_dict()
+
+    @pytest.mark.parametrize("positions", [list(range(8)), []], ids=["every-bit", "none"])
+    def test_sample_request_of_another_size_is_refused(self, positions):
+        # HELLO fixes the sample fraction, so the agreed sample of eight
+        # sifted bits at 0.1 is one bit; Bob disclosed as many as asked for
+        sample_request = _slot_frames("positions", [positions])[0]
+        match = f"SAMPLE_REQUEST asks for {len(positions)} positions, not the agreed 1"
+        with pytest.raises(ProtocolError, match=match):
+            _run_bob_against(("SAMPLE_REQUEST", sample_request), ("SUMMARY", _HONEST_SUMMARY))
 
     @pytest.mark.parametrize(
         "payload, match",

@@ -1,7 +1,6 @@
 """Framing, canonical encoding, and transport behavior."""
 
 import base64
-import re
 import socket
 import struct
 import threading
@@ -306,11 +305,12 @@ class TestDetectionsValidation:
             ({"slots": _b64(b"\xff" * 3)}, -1, "ends inside a varint at 0"),
             ({"slots": _b64(b"\x00" + b"\x80" * 9 + b"\x00")}, -1, "varint longer than 9 bytes at 1"),
             ({"slots": _b64(b"\x80" * 12)}, -1, "ends inside a varint at 0"),
-            ({"slots": _varints(0, 0)}, 2**63 - 2, re.escape("slot past 2**63 - 1 at 1")),
-            ({"slots": _varints(0)}, 2**63 - 1, re.escape("slot past 2**63 - 1 at 0")),
-            ({"slots": _varints(2**63 - 1)}, 5, re.escape("slot past 2**63 - 1 at 0")),
-            # the second step wraps a uint64 sum to exactly 2**64
-            ({"slots": _varints(2**63 - 1, 2**63 - 1)}, -1, re.escape("slot past 2**63 - 1 at 1")),
+            # past the default bound, 2**63
+            ({"slots": _varints(0, 0)}, 2**63 - 2, f"'slots' rises to {2**63}, not below {2**63}"),
+            ({"slots": _varints(0)}, 2**63 - 1, f"rises to {2**63}, not below"),
+            ({"slots": _varints(2**63 - 1)}, 5, f"rises to {2**63 + 5}, not below"),
+            # the sum of these gaps is past uint64
+            ({"slots": _varints(2**63 - 1, 2**63 - 1)}, -1, f"rises to {2**64 - 1}, not below"),
         ],
     )
     def test_malformed_frame_names_what_is_wrong(self, payload, prev, match):
@@ -416,6 +416,22 @@ def _reference_decode(raw: bytes, prev: int):
             slots.append(prev)
             gap, shift, n_bytes = 0, 0, 0
     return None if n_bytes else slots
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_slot_lists(), st.sampled_from([-1, 0, 2**62, 2**63 - 2**40]), st.integers(-2, 2))
+def test_a_list_is_refused_exactly_when_its_last_entry_reaches_the_bound(case, prev, offset):
+    slots, _ = case
+    text = pack_slots(np.array(slots, dtype=np.int64))
+    want = _reference_decode(base64.b64decode(text), prev)
+    # a bound near the last entry, above prev and at most the int64 limit
+    bound = min(max((want[-1] if want else prev) + 1 + offset, prev + 1), 2**63)
+    try:
+        got = validate_detections_payload({"slots": text}, "slots", prev, bound)
+    except ProtocolError:
+        assert want is None or want[-1] >= bound
+        return
+    assert got.tolist() == want and (not want or want[-1] < bound)
 
 
 @settings(max_examples=300, deadline=None)
