@@ -149,13 +149,9 @@ class RandomWalkChannel(ChannelSampler):
         if np.any(gaps < 0):
             raise ValueError("random-walk channel queried out of order")
         theta = rng.normal(0.0, self.step_sigma, len(gaps))
-        with np.errstate(over="ignore", invalid="ignore"):
-            theta *= np.sqrt(gaps)
-            np.cumsum(theta, out=theta)
-            theta += self.theta0
-        # Past the float range a walk stays non-finite, so its last angle tells.
-        if len(theta) and not np.isfinite(theta[-1]):
-            raise ConfigError(f"step_sigma {np.degrees(self.step_sigma):g} deg takes the random walk past the float range")
+        theta *= np.sqrt(gaps)
+        np.cumsum(theta, out=theta)
+        theta += self.theta0
         return theta
 
 

@@ -246,10 +246,11 @@ def sample_size(n: int, fraction: float) -> int:
 
 
 def sample_positions(n: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
-    """sample_size(n, fraction) random key positions to disclose (sorted)."""
+    """sample_size(n, fraction) random key positions to disclose (sorted),
+    drawn directly, without shuffling all n."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"sample_fraction must be in (0, 1], got {fraction}")
-    return np.sort(rng.permutation(n)[: sample_size(n, fraction)]).astype(np.int64)
+    return np.sort(rng.choice(n, sample_size(n, fraction), replace=False, shuffle=False)).astype(np.int64)
 
 
 # --------------------------------------------------------------------------

@@ -13,28 +13,32 @@ rest of his summary from his own counts, through the same qber_report
 and finalize as Alice.
 
 All randomness comes from four seeded streams. The engine consumes them
-in a fixed, documented order, which is what makes identical configs give
-bit-identical sessions:
+in a fixed, documented order, counted in raw 64-bit words of each
+stream's PCG64, which is what makes identical configs give bit-identical
+sessions:
 
-* source: geometric gaps between pair slots, GAP_BATCH per draw, until
-  one batch passes the last slot; then one multi-pair uniform per pair
-  slot (whether its count, from the Poisson law truncated at zero, is 2
-  or more); then one outcome uniform per pair slot; then, only when the
-  detectors are not ideal (efficiency < 1 or dark_count_prob > 0), the
-  detector draws (2 efficiency + 4 dark uniforms per pair slot). Ideal
+* source: one word per geometric gap between pair slots, up to and
+  including the gap that passes the last slot (_draw_pair_slots); then
+  one word per pair slot, the multi-pair uniform (whether its count,
+  from the Poisson law truncated at zero, is 2 or more); then one word
+  per pair slot, the outcome uniform; then, only when the detectors are
+  not ideal (efficiency < 1 or dark_count_prob > 0), six words per pair
+  slot for the detector draws (2 efficiency + 4 dark uniforms). Ideal
   detectors draw nothing: every pair slot is a coincidence on the
   outcome's detector pair. Nothing draws from the source stream after
   them, so skipping them moves no other draw. Time and memory grow with
   pair slots, not clock slots;
-* alice: x bits, then y bits (one batch each over pair slots), then the
-  error-test sample positions;
-* bob: z bits over pair slots;
-* channel: per pair slot, nothing on a static channel, one uniform on a
-  per-slot uniform one, one normal step (scaled by the square root of
-  the gap from the previous pair slot, or from slot 0) on a random walk.
-  When the protocol's outcome law has no angle terms (dfs2, see
-  _outcomes) the channel draws nothing on any model. Nothing else reads
-  the channel stream, so skipping its draws moves no other draw.
+* alice: ceil(k/64) words of x bits, then ceil(k/64) words of y bits,
+  for k pair slots (_bits); then the error-test sample positions, drawn
+  by numpy's Generator.choice;
+* bob: ceil(k/64) words of z bits;
+* channel: per pair slot, nothing on a static channel, one uniform (one
+  word) on a per-slot uniform one, one normal step (numpy's ziggurat:
+  one word, now and then more; scaled by the square root of the gap from
+  the previous pair slot, or from slot 0) on a random walk. When the
+  protocol's outcome law has no angle terms (dfs2, see _outcomes) the
+  channel draws nothing on any model. Nothing else reads the channel
+  stream, so skipping its draws moves no other draw.
 
 Networked mode simulates the quantum side on Alice's process and streams
 Bob's measurement records to him as DETECTIONS that also carry his
@@ -55,6 +59,7 @@ bits to expect (_recv_bits). Bob keeps his own records by the keep mask.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
@@ -62,7 +67,15 @@ from typing import Optional
 import numpy as np
 
 from . import protocol, transport as tp
-from .optics import ConfigError, DetectorParams, StaticChannel, channel_from_dict, detect_batch, require_finite
+from .optics import (
+    ConfigError,
+    DetectorParams,
+    RandomWalkChannel,
+    StaticChannel,
+    channel_from_dict,
+    detect_batch,
+    require_finite,
+)
 from .protocol import (
     BB84_PORT_BIT,
     OUTCOME_BIT,
@@ -77,10 +90,10 @@ from .transport import Message, Transport, expect, memory_pair, pack_bits, pack_
 
 # Version of the conversation's wire format and of the draw order, checked
 # in HELLO.
-WIRE_VERSION = 7
+WIRE_VERSION = 8
 # Entries of a full frame of a list.
 SLOT_CHUNK = 100_000
-# Geometric gaps per draw of the source stream.
+# Most geometric gaps per draw of the source stream.
 GAP_BATCH = 1 << 16
 # Pair slots per Born-kernel call on a channel whose angle varies.
 BORN_BLOCK = 1 << 16
@@ -138,6 +151,19 @@ class SessionConfig:
             raise ConfigError(
                 f"mean pairs per slot must stay below 1, got {self.pair_rate_hz / self.clock_hz}"
             )
+        walk = self.channel
+        if isinstance(walk, RandomWalkChannel) and not protocol.angle_free(self.protocol):
+            # A step is a normal below 13.71 in size (numpy's ziggurat takes
+            # its tail from the log of a 53-bit uniform) times step_sigma and
+            # the root of its gap, and the roots of the gaps sum to at most
+            # n_slots. So every angle is at most the bound below times the
+            # rounding of its sum, a factor under 2 for fewer than 2**52 pair
+            # slots (far more than fit in memory), and stays finite.
+            if not abs(float(walk.theta0)) + 14 * float(walk.step_sigma) * self.n_slots <= sys.float_info.max / 2:
+                raise ConfigError(
+                    f"step_sigma {math.degrees(walk.step_sigma):g} deg over {self.n_slots} slots"
+                    " takes the random walk past the float range"
+                )
 
     @property
     def mean_pairs_per_slot(self) -> float:
@@ -225,27 +251,53 @@ def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> tuple
     """Pair slots, and whether each holds more than one pair, by the skip
     method (Devroye, 1986), which has the joint law of one Poisson(mu)
     count per clock slot. The gaps between pair slots are geometric with
-    p = 1 - e^-mu, drawn GAP_BATCH at a time until a batch passes n_slots.
-    Each pair slot's count is Poisson(mu) given at least one pair; it is 1
-    with probability mu e^-mu / p, the first step of that law's CDF, so
-    one uniform at or above that step marks a multi-pair slot (the count
-    by inverse CDF on the same uniform is then 2 or more)."""
+    p = 1 - e^-mu, each by inversion of one raw word w of the stream:
+    floor(log(u) / log(1 - p)) + 1 with u = ((w >> 11) + 1) 2^-53 in (0, 1].
+    They are drawn in batches of at most GAP_BATCH, each sized to the gaps
+    expected in the slots left plus a margin, until a batch passes n_slots;
+    the stream is then set back to just after the gap that passed it, so
+    the words drawn do not depend on the batch size. Each pair slot's count
+    is Poisson(mu) given at least one pair; it is 1 with probability
+    mu e^-mu / p, the first step of that law's CDF, so one uniform at or
+    above that step marks a multi-pair slot (the count by inverse CDF on
+    the same uniform is then 2 or more)."""
     if mu == 0.0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
     p = -math.expm1(-mu)
+    log_q = math.log1p(-p)
+    stream = rng.bit_generator
     batches, last = [], -1
     while True:
-        # A gap of `left` or more ends the list. Capped there, the running
-        # sums stay exact in uint64 up to the first one that ends it.
+        # A gap of `left` (below 2**63) or more ends the list. Capped at
+        # 2**63 before the integer cast (at a subnormal p a quotient can pass
+        # the float range), the running sums stay exact in uint64 up to the
+        # first one that ends it. A cap at float(left) could round below it.
         left = n_slots - last
-        run = np.cumsum(np.minimum(rng.geometric(p, GAP_BATCH), left), dtype=np.uint64)
+        expected = (left - 1) * p + 1
+        size = int(min(GAP_BATCH, expected + 4 * math.sqrt(expected) + 16))
+        saved = stream.state
+        u = ((stream.random_raw(size) >> 11) + 1) * 2.0**-53
+        with np.errstate(over="ignore"):
+            gaps = np.floor(np.log(u) / log_q) + 1
+        run = np.cumsum(np.minimum(gaps, 2.0**63).astype(np.uint64), dtype=np.uint64)
         ended = run >= left
-        batches.append(last + run[: ended.argmax() if ended.any() else GAP_BATCH].astype(np.int64))
         if ended.any():
+            used = int(ended.argmax()) + 1
+            batches.append(last + run[: used - 1].astype(np.int64))
+            stream.state = saved
+            stream.advance(used)
             break
+        batches.append(last + run.astype(np.int64))
         last = int(batches[-1][-1])
     slots = np.concatenate(batches)
     return slots, rng.random(len(slots)) >= mu * math.exp(-mu) / p
+
+
+def _bits(rng: np.random.Generator, k: int) -> np.ndarray:
+    """k uniform bits (uint8) from ceil(k/64) raw words of the stream: bit i
+    is (word[i // 64] >> (i % 64)) & 1."""
+    words = rng.bit_generator.random_raw(-(-k // 64)).astype("<u8", copy=False)
+    return np.unpackbits(words.view(np.uint8), count=k, bitorder="little")
 
 
 def _outcomes(
@@ -309,10 +361,9 @@ def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
     pair_slots, multi_pair = _draw_pair_slots(rng_source, cfg.mean_pairs_per_slot, cfg.n_slots)
     k = len(pair_slots)
 
-    # Bytes, not int64: the same draws at an eighth of the memory.
-    x = rng_alice.integers(0, 2, size=k).astype(np.uint8)
-    y = rng_alice.integers(0, 2, size=k).astype(np.uint8)
-    z = rng_bob.integers(0, 2, size=k).astype(np.uint8)
+    x = _bits(rng_alice, k)
+    y = _bits(rng_alice, k)
+    z = _bits(rng_bob, k)
 
     # The index (det1 - 1) << 1 | (det2 - 3) of the detector pair that the
     # photons reach, and then of the pair that fired.
@@ -455,12 +506,28 @@ def _recv_bits(link: Transport, kind: str, key: str, n: int) -> np.ndarray:
 
 
 def _indices_in(known: np.ndarray, slots: np.ndarray, complaint: str) -> np.ndarray:
-    """Index of each slot in the sorted array `known`, none of them past its
-    last entry; a slot that `known` lacks is a ProtocolError that names it."""
-    idx = np.searchsorted(known, slots)
-    missing = np.flatnonzero(known[idx] != slots)
-    if len(missing):
-        raise tp.ProtocolError(f"{complaint}: slot {slots[missing[0]]}")
+    """Index of each of the sorted slots in the sorted array `known`, none
+    of them past its last entry; a slot that `known` lacks is a
+    ProtocolError that names the first such slot.
+
+    A merge, SLOT_CHUNK slots at a time: a stable argsort of the part of
+    `known` that a chunk spans followed by the chunk merges the two sorted
+    runs in linear time and puts each slot just after its equal in
+    `known`, if any. The entries of `known` before a slot then give its
+    index."""
+    idx = np.empty(len(slots), dtype=np.int64)
+    for start in range(0, len(slots), SLOT_CHUNK):
+        chunk = slots[start : start + SLOT_CHUNK]
+        lo = int(np.searchsorted(known, chunk[0]))
+        span = known[lo : int(np.searchsorted(known, chunk[-1], side="right"))]
+        merged = np.argsort(np.concatenate((span, chunk)), kind="stable")
+        # The slots' places in the merge, in order, less the slots before each.
+        found = idx[start : start + len(chunk)]
+        np.subtract(np.flatnonzero(merged >= len(span)), np.arange(len(chunk)), out=found)
+        found += lo - 1
+        missing = np.flatnonzero(known[found] != chunk)
+        if len(missing):
+            raise tp.ProtocolError(f"{complaint}: slot {chunk[missing[0]]}")
     return idx
 
 

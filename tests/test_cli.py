@@ -488,6 +488,18 @@ class TestNetworkedMode:
         assert "seeds.alice" in alice_err
         assert "seeds.alice" in bob.stderr
 
+    def test_walk_past_the_float_range_exits_2_on_both_ends(self):
+        # refused from the config alone, before either end opens a socket:
+        # Bob exited 3 when Alice's engine refused it after HELLO
+        port = _free_port()
+        walk = [*FAST, "--protocol", "bb84", "--channel", "random-walk", "--channel-sigma", "1e308"]
+        alice = _spawn(["serve-alice", "--listen", f"127.0.0.1:{port}", *walk])
+        bob = _spawn(["connect-bob", "--connect", f"127.0.0.1:{port}", *walk])
+        for end in (alice, bob):
+            _, err = end.communicate(timeout=120)
+            assert end.returncode == 2
+            assert err.startswith("config error: step_sigma 1e+308 deg") and err.count("\n") == 1
+
     @pytest.mark.parametrize("version", [WIRE_VERSION - 1, None], ids=["older", "missing"])
     def test_other_wire_version_exits_4_naming_the_field(self, version):
         port = _free_port()

@@ -27,26 +27,26 @@ from dfsqkd.transport import Message, encode_frame
 GOLDEN_STDOUT = {
     "dfs2-static-20": (
         ["run", "--duration", "2", "--theta", "20"],
-        "4f0b64449326383287b011a2bc082eb2d782464adc106d99895a165b657f30c1",
+        "a0d56f2f88a7803ad63ecfc468b6940ef8bb91658de95a54f9ee9ae61f038ec1",
     ),
     "bb84-static-20": (
         ["run", "--duration", "2", "--theta", "20", "--protocol", "bb84"],
-        "9ac7412a548b1a2bf79c79dda28f2a007e41d337bd4cb5f60f14bdb1ed17b283",
+        "7b7f832b4166c8364e2fef00182029dc54681e33e701d8e8e9e85c13e37003eb",
     ),
     "dfs2-random-walk": (
         ["run", "--duration", "2", "--channel", "random-walk", "--theta", "5", "--channel-sigma", "0.5"],
-        "4f0b64449326383287b011a2bc082eb2d782464adc106d99895a165b657f30c1",
+        "a0d56f2f88a7803ad63ecfc468b6940ef8bb91658de95a54f9ee9ae61f038ec1",
     ),
     "dfs2-uniform-lossy": (
         [
             "run", "--duration", "2", "--channel", "per-slot-uniform", "--channel-lo", "-30",
             "--channel-hi", "30", "--efficiency", "0.8", "--dark", "1e-4",
         ],
-        "497c82e5e92e7fa2f89fe6e19f0e48c6215bd09062408c408ad5376562f1236e",
+        "727cd202e40d62ec92b35a7a081e4a02290455861a3d79bde412b0cd860cff6b",
     ),
     "sweep-4-points": (
         ["sweep", "--duration", "1", "--thetas", "0,30", "--protocols", "dfs2,bb84"],
-        "cb3415a62c77610169aef9bbfb15be646d2ee29ad646923a13c73be504b2a112",
+        "1496b1915d952e2e60c1594251a885c0b644475443afc6d090790d49eba68462",
     ),
     "dfs2-exact-20": (
         ["run", "--exact", "--theta", "20"],
@@ -62,7 +62,7 @@ GOLDEN_STDOUT = {
     ),
 }
 
-WALK_THETAS_SHA256 = "9cf87592929e8e1da6b64d3ed7c3a33d9e56873b2e4c09b375754d2f03a23e18"
+WALK_THETAS_SHA256 = "75bfee4d1c24627a1d6819db7d1e5ce9b632b6022e87184d51deec6d6fa71be2"
 
 DEFAULT_CONFIG_DICT = {
     "protocol": "dfs2",
@@ -75,7 +75,7 @@ DEFAULT_CONFIG_DICT = {
     "sample_fraction": 0.1,
     "seeds": {"alice": 1, "bob": 2, "channel": 3, "source": 4},
 }
-DEFAULT_HELLO_SHA256 = "d8aacb711d75c5aa6b92651fbcb61caae578234b6552cd416d20d8e4f54ab028"
+DEFAULT_HELLO_SHA256 = "ddd6375ffb2bbdccfe24ffcd087b1a1e06fdd3c00371bfd94eafcd930d5940d7"
 
 
 def _sha256(data: bytes) -> str:
@@ -92,7 +92,7 @@ def test_stdout_matches_golden(case, capsys):
 def test_random_walk_angles_match_golden():
     cfg = SessionConfig(duration_s=2.0, channel=RandomWalkChannel(np.radians(5.0), np.radians(0.5)))
     theta = cfg.channel.sample_batch(simulate_quantum(cfg).pair_slots, np.random.default_rng(cfg.seeds.channel))
-    assert len(theta) == 7905
+    assert len(theta) == 7810
     assert _sha256(np.ascontiguousarray(theta, dtype="<f8").tobytes()) == WALK_THETAS_SHA256
 
 

@@ -4,11 +4,15 @@ import base64
 import math
 import re
 import socket
+import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dfsqkd.session as session_mod
 import dfsqkd.transport as tp
@@ -74,11 +78,24 @@ class TestConfig:
             {"duration_s": 1e20},  # slot counts past int64
             {"clock_hz": 1.0, "duration_s": 2.0**63, "pair_rate_hz": 0.0},
             {"clock_hz": 1e200, "duration_s": 1e200, "pair_rate_hz": 1.0},  # the product overflows
+            # a walk that bb84 draws and that can pass the float range
+            {"protocol": "bb84", "channel": {"kind": "random_walk", "theta0_deg": 0, "step_sigma_deg": 1e308}},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SessionConfig.from_dict(kwargs)
+
+    def test_walk_past_the_float_range_is_refused_only_where_it_is_drawn(self):
+        walk = {"kind": "random_walk", "theta0_deg": 0, "step_sigma_deg": 1e306}
+        with pytest.raises(ConfigError, match="^step_sigma 1e\\+306 deg over 5000000 slots takes the random walk"):
+            SessionConfig.from_dict({"protocol": "bb84", "channel": walk})
+        # dfs2 draws no angle, and a walk just inside the bound runs finite
+        SessionConfig.from_dict({"protocol": "dfs2", "channel": walk})
+        sigma = sys.float_info.max / 2 / 14 / 50_000
+        cfg = small_cfg(protocol="bb84", channel=RandomWalkChannel(0.0, sigma))
+        sim = simulate_quantum(cfg)
+        assert np.isfinite(cfg.channel.sample_batch(sim.pair_slots, np.random.default_rng(cfg.seeds.channel))).all()
 
     def test_longest_session_is_accepted(self):
         cfg = SessionConfig(clock_hz=1.0, duration_s=2.0**62, pair_rate_hz=0.0)
@@ -125,6 +142,22 @@ class TestPoissonPairs:
         observed = np.bincount(np.minimum(gaps, bins) - 1, minlength=bins)
         assert _chi2(observed, [*probs, 1 - probs.sum()]) < CHI2_1E6[bins - 1]
 
+    @pytest.mark.parametrize("p", [1e-6, 0.04, 0.5])
+    def test_inversion_gaps_follow_the_geometric_law(self, p):
+        # about 1e6 gaps each: mean 1/p, variance (1 - p)/p^2, P(gap = 1) = p
+        mu = -math.log1p(-p)
+        slots, _multi_pair = session_mod._draw_pair_slots(np.random.default_rng(23), mu, int(1e6 / p))
+        gaps = np.diff(slots, prepend=-1).astype(float)
+        n, var = len(gaps), (1 - p) / p**2
+        # the sample variance's variance is (mu4 - var^2) / n, and the
+        # geometric law's excess kurtosis is 6 + p^2 / (1 - p)
+        for got, want, stderr in [
+            (gaps.mean(), 1 / p, math.sqrt(var / n)),
+            (gaps.var(ddof=1), var, var * math.sqrt((8 + p**2 / (1 - p)) / n)),
+            (np.mean(gaps == 1), p, math.sqrt(p * (1 - p) / n)),
+        ]:
+            assert abs(got - want) < 5 * stderr, (got, want, stderr)
+
     @pytest.mark.parametrize("mu, n_slots", [law[:2] for law in SOURCE_LAWS])
     def test_multi_pair_flags_are_bernoulli(self, mu, n_slots):
         _slots, multi_pair = session_mod._draw_pair_slots(np.random.default_rng(22), mu, n_slots)
@@ -158,8 +191,11 @@ class TestEngine:
     def test_tiny_pair_rate_produces_nothing(self):
         # gaps near 2**63: a batch of them would overflow int64 uncapped, and
         # on 1e15 slots or more a batch of gaps capped at the session's end
-        # would too (its sum wrapped and slots past the session came out)
-        for rate, duration_s in ((1e-12, 0.5), (1e-300, 0.5), (1e-290, 1e10), (1e-290, 9.2e13)):
+        # would too (its sum wrapped and slots past the session came out);
+        # at a subnormal mean pairs per slot a gap's quotient passes the
+        # float range before its cap
+        cases = ((1e-12, 0.5), (1e-300, 0.5), (1e-290, 1e10), (1e-290, 9.2e13), (1e-318, 9.2e13))
+        for rate, duration_s in cases:
             assert len(simulate_quantum(small_cfg(pair_rate_hz=rate, duration_s=duration_s)).pair_slots) == 0
 
     def test_coincidence_count_matches_pair_slots_for_ideal_detectors(self):
@@ -202,41 +238,63 @@ def _uniforms_with_ties(protocol_name, probs, rng):
     return u
 
 
-def _reference_pair_counts(cfg, k):
-    """Each of the k pair slots' pair counts, by inverse CDF of the Poisson
-    law truncated at zero on its uniform of the source stream, which the
-    engine draws after k // GAP_BATCH + 1 batches of gaps. Returns the
-    counts and the stream after those uniforms."""
-    mu = cfg.mean_pairs_per_slot
-    p = -math.expm1(-mu)
+def _reference_gaps(words, p):
+    """One geometric gap per raw word w, by inversion:
+    floor(log(u) / log(1 - p)) + 1 with u = ((w >> 11) + 1) 2^-53."""
+    u = ((words >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    return np.floor(np.log(u) / math.log1p(-p)).astype(np.int64) + 1
+
+
+def _reference_bits(rng, k):
+    """k bits from ceil(k/64) raw words: bit i is (words[i // 64] >> (i % 64)) & 1."""
+    words = rng.bit_generator.random_raw(-(-k // 64))
+    i = np.arange(k)
+    return ((words[i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
+
+
+def _reference_pair_slots(cfg):
+    """The pair slots from one draw of more raw words than the session can
+    use, one per gap, and a source stream that has then drawn exactly the
+    k + 1 words of the k pair slots' gaps and of the gap past the last slot."""
+    p = -math.expm1(-cfg.mean_pairs_per_slot)
+    expected = cfg.n_slots * p
+    words = np.random.default_rng(cfg.seeds.source).bit_generator.random_raw(int(expected + 10 * math.sqrt(expected)) + 100)
+    slots = np.cumsum(_reference_gaps(words, p)) - 1
+    k = int(np.searchsorted(slots, cfg.n_slots))
+    assert k < len(slots)
     replay = np.random.default_rng(cfg.seeds.source)
-    replay.geometric(p, (k // session_mod.GAP_BATCH + 1) * session_mod.GAP_BATCH)
+    replay.bit_generator.random_raw(k + 1)
+    return slots[:k], replay
+
+
+def _reference_pair_counts(cfg, k, replay):
+    """Each of the k pair slots' pair counts, by inverse CDF of the Poisson
+    law truncated at zero on its uniform of the source stream `replay`."""
+    mu = cfg.mean_pairs_per_slot
     # P(count = n | count >= 1) for n = 1, 2, ... until a term is below rounding
-    terms = [mu * math.exp(-mu) / p]
+    terms = [mu * math.exp(-mu) / -math.expm1(-mu)]
     while terms[-1] > 1e-17:
         terms.append(terms[-1] * mu / (len(terms) + 1))
     cdf = np.cumsum(terms)
     counts = 1 + np.searchsorted(cdf, replay.random(k), side="right")
-    return np.minimum(counts, len(cdf)), replay
+    return np.minimum(counts, len(cdf))
 
 
 def _reference_simulation(cfg):
     """The engine's result from the seeds of `cfg` by the one-shot path:
+    every gap from one draw of raw words, bits by their shift definition,
     pair counts by inverse CDF, the channel's angle at every pair slot,
     one kernel call over every pair slot, outcomes decided on whole rows,
     the detector layer's draws even for ideal detectors, and its mask
     applied to Bob's records afterwards."""
     seeds = cfg.seeds
-    rng_alice, rng_bob, rng_channel, rng_source = (
-        np.random.default_rng(seed) for seed in (seeds.alice, seeds.bob, seeds.channel, seeds.source)
-    )
-    pair_slots, _multi_pair = session_mod._draw_pair_slots(rng_source, cfg.mean_pairs_per_slot, cfg.n_slots)
+    rng_alice, rng_bob, rng_channel = (np.random.default_rng(seed) for seed in (seeds.alice, seeds.bob, seeds.channel))
+    pair_slots, rng_source = _reference_pair_slots(cfg)
     k = len(pair_slots)
-    n_pairs, replay = _reference_pair_counts(cfg, k)
-    assert replay.bit_generator.state == rng_source.bit_generator.state
-    x = rng_alice.integers(0, 2, size=k)
-    y = rng_alice.integers(0, 2, size=k)
-    z = rng_bob.integers(0, 2, size=k)
+    n_pairs = _reference_pair_counts(cfg, k, rng_source)
+    x = _reference_bits(rng_alice, k)
+    y = _reference_bits(rng_alice, k)
+    z = _reference_bits(rng_bob, k)
     theta = cfg.channel.sample_batch(pair_slots, rng_channel)
     u = rng_source.random(k)
     outcome = _reference_outcomes(cfg.protocol, KERNELS[cfg.protocol](4 * x + 2 * y + z, theta, cfg.visibility), u)
@@ -248,14 +306,17 @@ def _reference_simulation(cfg):
     n_coinc = np.count_nonzero(coinc)
     return SimulationResult(
         pair_slots=pair_slots,
-        x=x.astype(np.uint8),
-        y=y.astype(np.uint8),
+        x=x,
+        y=y,
         alice_rng=rng_alice,
         slots=pair_slots[coinc],
-        z=z.astype(np.uint8)[coinc],
+        z=z[coinc],
         bob_bits=bob_bits[coinc],
         multi_pair_fraction=float((n_pairs >= 2)[coinc].sum() / n_coinc) if n_coinc else 0.0,
     )
+
+
+SIMULATION_ARRAYS = ("pair_slots", "x", "y", "slots", "z", "bob_bits")
 
 
 def _assert_same(got, want):
@@ -283,23 +344,34 @@ class TestBoundedMemory:
         assert len(sim.pair_slots) < 20_000
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
-    def test_gap_batches_equal_one_geometric_draw(self):
-        cfg = small_cfg(duration_s=60.0)
-        n, mu, batch = cfg.n_slots, cfg.mean_pairs_per_slot, session_mod.GAP_BATCH
-        sim = simulate_quantum(cfg)
-        k = len(sim.pair_slots)
-        # the batches end with the one that holds the first slot past the session
-        n_batches = k // batch + 1
-        assert n_batches >= 3
-        one_shot = np.random.default_rng(cfg.seeds.source)
-        slots = np.cumsum(one_shot.geometric(-math.expm1(-mu), n_batches * batch)) - 1
-        assert slots[k - 1] < n <= slots[k]
-        np.testing.assert_array_equal(sim.pair_slots, slots[:k])
-        # the stream continues exactly where that draw and the count uniforms leave it
-        batched = np.random.default_rng(cfg.seeds.source)
-        session_mod._draw_pair_slots(batched, mu, n)
-        one_shot.random(k)
-        np.testing.assert_array_equal(batched.random(16), one_shot.random(16))
+    @pytest.mark.parametrize("batch", [1, 3, 4096, 65536])
+    def test_output_does_not_depend_on_the_gap_batch(self, monkeypatch, batch):
+        # lossy detectors on a random walk: every stream is drawn from, and
+        # 2 s is about 7 900 pair slots, so the short batches are many
+        cfg = small_cfg(protocol="bb84", duration_s=2.0, channel=CHANNELS["random_walk"], detectors=DETECTORS["lossy"])
+        mu, n = cfg.mean_pairs_per_slot, cfg.n_slots
+        want = simulate_quantum(cfg)
+        want_next = np.random.default_rng(cfg.seeds.source)
+        session_mod._draw_pair_slots(want_next, mu, n)
+        monkeypatch.setattr(session_mod, "GAP_BATCH", batch)
+        got = simulate_quantum(cfg)
+        for name in SIMULATION_ARRAYS:
+            _assert_same(getattr(got, name), getattr(want, name))
+        assert got.multi_pair_fraction == want.multi_pair_fraction
+        assert got.alice_rng.bit_generator.state == want.alice_rng.bit_generator.state
+        # the source stream goes on from the same place
+        got_next = np.random.default_rng(cfg.seeds.source)
+        session_mod._draw_pair_slots(got_next, mu, n)
+        np.testing.assert_array_equal(got_next.bit_generator.random_raw(16), want_next.bit_generator.random_raw(16))
+
+    @pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 1000])
+    def test_bits_are_the_raw_words_least_significant_bit_first(self, k):
+        rng = np.random.default_rng(k)
+        bits = session_mod._bits(rng, k)
+        replay = np.random.default_rng(k)
+        _assert_same(bits, _reference_bits(replay, k))
+        # exactly ceil(k / 64) words, no more
+        assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_a_billion_clock_slots_take_seconds(self):
         # 1e4 s at 40 pairs/s: 1e9 clock slots, about 4e5 pair slots
@@ -382,11 +454,12 @@ class TestBoundedMemory:
         sim = simulate_quantum(cfg)
         assert len(sim.pair_slots) > session_mod.BORN_BLOCK
         ref = _reference_simulation(cfg)
-        for name in ("pair_slots", "x", "y", "slots", "z", "bob_bits"):
+        for name in SIMULATION_ARRAYS:
             _assert_same(getattr(sim, name), getattr(ref, name))
         assert type(sim.multi_pair_fraction) is float
         assert sim.multi_pair_fraction == ref.multi_pair_fraction
-        # Alice's stream is left where the one-shot draws leave it
+        # Alice's stream is left where the one-shot draws leave it: x and y
+        # took ceil(k / 64) words each
         assert sim.alice_rng.bit_generator.state == ref.alice_rng.bit_generator.state
 
 
@@ -536,6 +609,44 @@ class TestSiftExchange:
         known, slots = np.array(known, dtype=np.int64), np.array(slots, dtype=np.int64)
         with pytest.raises(ProtocolError, match=f"not here: slot {missing}$"):
             session_mod._indices_in(known, slots, "not here")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2**63 - 1), unique=True, max_size=40).map(sorted),
+        st.data(),
+        st.sampled_from([1, 2, 3, 7, 100_000]),
+    )
+    def test_indices_in_equals_searchsorted(self, known, data, chunk):
+        # across several SLOT_CHUNK boundaries, and a slot that `known` lacks
+        # (none past its last entry) named as the first one
+        picked = data.draw(st.lists(st.booleans(), min_size=len(known), max_size=len(known)))
+        slots = [v for v, keep in zip(known, picked) if keep]
+        known, want = np.array(known, dtype=np.int64), np.array(slots, dtype=np.int64)
+        with mock.patch.object(session_mod, "SLOT_CHUNK", chunk):
+            _assert_same(session_mod._indices_in(known, want, "not here"), np.searchsorted(known, want))
+            if not len(known):
+                return
+            lacked = data.draw(st.lists(st.integers(0, int(known[-1])), min_size=1, max_size=4))
+            lacked = sorted(set(lacked) - set(known.tolist()))
+            if not lacked:
+                return
+            slots = np.array(sorted(set(slots) | set(lacked)), dtype=np.int64)
+            with pytest.raises(ProtocolError, match=f"^not here: slot {lacked[0]}$"):
+                session_mod._indices_in(known, slots, "not here")
+
+    def test_indices_in_holds_one_chunk_at_a_time(self):
+        # 784 054 pair slots, Alice's at 200 s: beyond the returned indices
+        # the lookup holds a few arrays of one or two SLOT_CHUNKs, where a
+        # merge of the whole list at once would hold several of its length
+        known = np.cumsum(np.random.default_rng(8).integers(1, 50, 784_054))
+        tracemalloc.start()
+        try:
+            idx = session_mod._indices_in(known, known, "not here")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(idx, np.arange(len(known)))
+        assert peak - idx.nbytes < 80 * session_mod.SLOT_CHUNK, f"{(peak - idx.nbytes) / 2**20:.1f} MiB"
 
 
 def _slot_frames(key, chunks, *bit_names):
