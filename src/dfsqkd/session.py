@@ -43,17 +43,28 @@ sessions:
 Networked mode simulates the quantum side on Alice's process and streams
 Bob's measurement records to him as DETECTIONS that also carry his
 "bits"; everything after that is identical in both modes. Every list of
-the conversation goes by one rule (_frames): frames of SLOT_CHUNK
+the conversation goes by one rule (_frames): frames of exactly SLOT_CHUNK
 entries, then one shorter frame, possibly empty, that ends it. A slot
 list (that stream, Bob's declaration, SAMPLE_REQUEST) travels as base-64
 gap varints (transport.pack_slots), each frame's first gap counted from
 the previous frame's last entry, so a decoded list always increases
-strictly; the decoder refuses an entry at or past the bound its receiver
-passes (_recv_slots), and Bob a SAMPLE_REQUEST of any other length than
-the agreed sample size. The bits that answer a list, Alice's keep bit
-per declared slot in Bob's order and Bob's SAMPLE_BITS per position, go
-frame for frame with it, so their receiver knows how many frames and
-bits to expect (_recv_bits). Bob keeps his own records by the keep mask.
+strictly. Its receiver takes it one frame at a time (_recv_slots), which
+refuses an entry at or past the bound the receiver passes and a frame of
+more than SLOT_CHUNK entries, and never holds the whole list:
+
+* Bob checks each record frame as it arrives and keeps only its bits.
+  He declares every coincidence, so his declaration is his record
+  frames as he received them, less the bits (_recv_records);
+* Alice looks up each declaration frame as it arrives and keeps only
+  its packed keep bits and its share of her key;
+* Bob answers each SAMPLE_REQUEST frame with its share of his key, and
+  refuses a request of any other length than the agreed sample size.
+
+The bits that answer a list, Alice's keep bit per declared slot in Bob's
+order and Bob's SAMPLE_BITS per position, go frame for frame with it,
+once the whole list has come, so neither side sends while the other is
+still sending, and their receiver knows how many frames and bits to
+expect. Bob keeps each record frame's bits by its keep frame.
 """
 
 from __future__ import annotations
@@ -254,43 +265,63 @@ def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> tuple
     p = 1 - e^-mu, each by inversion of one raw word w of the stream:
     floor(log(u) / log(1 - p)) + 1 with u = ((w >> 11) + 1) 2^-53 in (0, 1].
     They are drawn in batches of at most GAP_BATCH, each sized to the gaps
-    expected in the slots left plus a margin, until a batch passes n_slots;
-    the stream is then set back to just after the gap that passed it, so
-    the words drawn do not depend on the batch size. Each pair slot's count
-    is Poisson(mu) given at least one pair; it is 1 with probability
-    mu e^-mu / p, the first step of that law's CDF, so one uniform at or
-    above that step marks a multi-pair slot (the count by inverse CDF on
-    the same uniform is then 2 or more)."""
+    expected in the slots left plus a margin (_room), until a batch passes
+    n_slots; the stream is then set back to just after the gap that passed
+    it, so the words drawn do not depend on the batch size. Each batch's
+    slots are written into one array, sized the same way for the whole
+    session and grown by the estimate for the slots left if the margin runs
+    out. Each pair slot's count is Poisson(mu) given at least one pair; it
+    is 1 with probability mu e^-mu / p, the first step of that law's CDF,
+    so one uniform at or above that step marks a multi-pair slot (the count
+    by inverse CDF on the same uniform is then 2 or more). The uniforms are
+    drawn and compared GAP_BATCH at a time, so no float array of them all
+    is held."""
     if mu == 0.0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
     p = -math.expm1(-mu)
     log_q = math.log1p(-p)
     stream = rng.bit_generator
-    batches, last = [], -1
+    slots, k, last = np.empty(_room(n_slots + 1, p), dtype=np.int64), 0, -1
     while True:
         # A gap of `left` (below 2**63) or more ends the list. Capped at
         # 2**63 before the integer cast (at a subnormal p a quotient can pass
         # the float range), the running sums stay exact in uint64 up to the
         # first one that ends it. A cap at float(left) could round below it.
         left = n_slots - last
-        expected = (left - 1) * p + 1
-        size = int(min(GAP_BATCH, expected + 4 * math.sqrt(expected) + 16))
+        size = min(GAP_BATCH, _room(left, p))
         saved = stream.state
         u = ((stream.random_raw(size) >> 11) + 1) * 2.0**-53
         with np.errstate(over="ignore"):
             gaps = np.floor(np.log(u) / log_q) + 1
         run = np.cumsum(np.minimum(gaps, 2.0**63).astype(np.uint64), dtype=np.uint64)
-        ended = run >= left
-        if ended.any():
-            used = int(ended.argmax()) + 1
-            batches.append(last + run[: used - 1].astype(np.int64))
+        ended = np.flatnonzero(run >= left)
+        new = int(ended[0]) if len(ended) else size
+        if k + new > len(slots):
+            grown = np.empty(k + new + _room(left - int(run[new - 1]), p), dtype=np.int64)
+            grown[:k] = slots[:k]
+            slots = grown
+        # Every sum before the one that ends the list is below `left`.
+        np.add(run[:new].view(np.int64), last, out=slots[k : k + new])
+        k += new
+        if len(ended):
             stream.state = saved
-            stream.advance(used)
+            stream.advance(new + 1)
             break
-        batches.append(last + run.astype(np.int64))
-        last = int(batches[-1][-1])
-    slots = np.concatenate(batches)
-    return slots, rng.random(len(slots)) >= mu * math.exp(-mu) / p
+        last = int(slots[k - 1])
+    multi_pair = np.empty(k, dtype=bool)
+    single = mu * math.exp(-mu) / p
+    for start in range(0, k, GAP_BATCH):
+        block = multi_pair[start : start + GAP_BATCH]
+        np.greater_equal(rng.random(len(block)), single, out=block)
+    return slots[:k], multi_pair
+
+
+def _room(left: int, p: float) -> int:
+    """The gaps expected up to the one that passes `left` slots, plus a
+    margin: the size of a gap batch, at most GAP_BATCH, and of the array
+    the pair slots go into."""
+    expected = (left - 1) * p + 1
+    return int(expected + 4 * math.sqrt(expected) + 16)
 
 
 def _bits(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -463,41 +494,40 @@ def _frames(n: int) -> range:
     return range(0, n + 1, SLOT_CHUNK)
 
 
-def _send_list(link: Transport, kind: str, slots_key=None, slots=None, **bits: np.ndarray) -> None:
-    """Send a list as `kind` frames (see _frames), each with its share of
-    the named bit arrays packed, and, under `slots_key`, of the sorted
-    `slots` as gap varints that continue from the previous frame's last
-    entry."""
-    n = len(slots if slots_key else next(iter(bits.values())))
-    for start in _frames(n):
+def _send_list(link: Transport, kind: str, key: str, slots: np.ndarray, **bits: np.ndarray) -> None:
+    """Send the sorted `slots` as `kind` frames (see _frames), each with
+    its share of them under `key`, as gap varints that continue from the
+    previous frame's last entry, and of each named bit array, packed."""
+    for start in _frames(len(slots)):
         chunk = slice(start, start + SLOT_CHUNK)
         payload = {name: pack_bits(b[chunk]) for name, b in bits.items()}
-        if slots_key:
-            payload[slots_key] = pack_slots(slots[chunk], slots[start - 1] if start else -1)
+        payload[key] = pack_slots(slots[chunk], slots[start - 1] if start else -1)
         link.send(Message(kind, payload))
 
 
-def _recv_slots(link: Transport, kind: str, key: str, bound: int, *bit_names: str) -> tuple[np.ndarray, ...]:
-    """Receive a slot list sent by _send_list, decoding and validating
-    every frame, up to its first frame of fewer than SLOT_CHUNK entries.
-    The decoder refuses an entry at or past `bound`, and entries rise
-    strictly, so a peer can send at most bound / SLOT_CHUNK + 1 frames.
-    Returns the slots, then each named bit array."""
-    frames = []
+def _recv_slots(link: Transport, kind: str, key: str, bound: int):
+    """Receive a slot list sent by _send_list, one frame at a time, up to
+    its first frame of fewer than SLOT_CHUNK entries: yield each frame's
+    payload and its slots, decoded and validated. The decoder refuses an
+    entry at or past `bound`, and entries rise strictly, so a peer can
+    send at most bound / SLOT_CHUNK + 1 frames; a frame of more than
+    SLOT_CHUNK entries is refused too."""
     prev = -1
     while True:
         payload = expect(link, kind).payload
         slots = tp.validate_detections_payload(payload, key, prev, bound)
-        frames.append([slots] + [unpack_bits(payload.get(name), len(slots)) for name in bit_names])
+        if len(slots) > SLOT_CHUNK:
+            raise tp.ProtocolError(f"{kind} frame holds {len(slots)} entries, more than {SLOT_CHUNK}")
+        yield payload, slots
         if len(slots) < SLOT_CHUNK:
-            return tuple(np.concatenate(column) for column in zip(*frames))
+            return
         prev = slots[-1]
 
 
 def _recv_bits(link: Transport, kind: str, key: str, n: int) -> np.ndarray:
-    """Receive the n bits under `key` that _send_list sends without a
-    slot list, for an n the receiver knows: one `kind` frame per frame of
-    an n-entry list (see _frames), each with exactly its share."""
+    """Receive the n bits under `key` that answer an n-entry list, for an
+    n the receiver knows: one `kind` frame per frame of the list (see
+    _frames), each with exactly its share."""
     bits = np.empty(n, dtype=np.uint8)
     for start in _frames(n):
         frame = bits[start : start + SLOT_CHUNK]
@@ -532,26 +562,50 @@ def _indices_in(known: np.ndarray, slots: np.ndarray, complaint: str) -> np.ndar
 
 
 def alice_sift_exchange(link: Transport, pair_slots: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Alice's half of sifting: receive Bob's declaration (slots and
-    bases), reply with a keep bit per declared slot, set where his basis
-    matches hers, and return her sifted key."""
+    """Alice's half of sifting: look up each frame of Bob's declaration
+    (slots and bases) as it arrives, and once it has ended answer it frame
+    for frame with a keep bit per declared slot, set where his basis
+    matches hers. Returns her sifted key."""
     bound = int(pair_slots[-1]) + 1 if len(pair_slots) else 0
-    decl_slots, decl_z = _recv_slots(link, "DETECTIONS", "slots", bound, "bases")
-    idx = _indices_in(pair_slots, decl_slots, "peer declared a detection in a slot without pairs")
-    keep = x[idx] == decl_z
-    _send_list(link, "SIFT_KEEP", keep=keep)
-    # About half the bits are set, where numpy selects several times faster
-    # by index than by boolean mask.
-    return y[idx[np.flatnonzero(keep)]]
+    answers, key = [], []
+    for payload, slots in _recv_slots(link, "DETECTIONS", "slots", bound):
+        bases = unpack_bits(payload.get("bases"), len(slots))
+        idx = _indices_in(pair_slots, slots, "peer declared a detection in a slot without pairs")
+        keep = x[idx] == bases
+        answers.append(pack_bits(keep))
+        # About half the bits are set, where numpy selects several times
+        # faster by index than by boolean mask.
+        key.append(y[idx[np.flatnonzero(keep)]])
+    for packed in answers:
+        link.send(Message("SIFT_KEEP", {"keep": packed}))
+    return np.concatenate(key)
 
 
-def bob_sift_exchange(link: Transport, slots: np.ndarray, z: np.ndarray, bits: np.ndarray) -> np.ndarray:
+def _recv_records(link: Transport, n_slots: int) -> tuple[list[dict], list[np.ndarray]]:
+    """Bob's records as Alice streams them, checked frame by frame: the
+    slots (_recv_slots) and the lengths of their bases and bits. Returns
+    each frame's declaration, its slots and bases as they came, and each
+    frame's bits."""
+    declaration, bits = [], []
+    for payload, slots in _recv_slots(link, "DETECTIONS", "slots", n_slots):
+        unpack_bits(payload.get("bases"), len(slots))
+        bits.append(unpack_bits(payload.get("bits"), len(slots)))
+        declaration.append({"slots": payload["slots"], "bases": payload["bases"]})
+    return declaration, bits
+
+
+def bob_sift_exchange(link: Transport, declaration: list[dict], bits: list[np.ndarray]) -> np.ndarray:
     """Bob's half of sifting: declare every coincidence with its basis,
-    then keep the bits of those whose keep bit Alice sets, one SIFT_KEEP
-    frame per declaration frame, and return his sifted key."""
-    _send_list(link, "DETECTIONS", "slots", slots, bases=z)
-    keep = _recv_bits(link, "SIFT_KEEP", "keep", len(slots))
-    return bits[np.flatnonzero(keep)]  # by index, as in alice_sift_exchange
+    one frame per record frame (_recv_records), then keep each frame's
+    bits where Alice's SIFT_KEEP frame for it sets the keep bit, and
+    return his sifted key."""
+    for payload in declaration:
+        link.send(Message("DETECTIONS", payload))
+    kept = []
+    for frame in bits:
+        keep = unpack_bits(expect(link, "SIFT_KEEP").payload.get("keep"), len(frame))
+        kept.append(frame[np.flatnonzero(keep)])  # by index, as in alice_sift_exchange
+    return np.concatenate(kept)
 
 
 def run_alice_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
@@ -579,21 +633,25 @@ def run_alice_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
 
 def run_bob_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
     """Bob's whole session: receive measurement records, declare them,
-    sift, answer an error test of the agreed size, and build the summary
-    from his own counts and Alice's SUMMARY."""
+    sift, answer an error test of the agreed size frame for frame, and
+    build the summary from his own counts and Alice's SUMMARY."""
     _hello_exchange(cfg, link)
 
-    slots, z, bits = _recv_slots(link, "DETECTIONS", "slots", cfg.n_slots, "bases", "bits")
-    bob_key = bob_sift_exchange(link, slots, z, bits)
+    declaration, bits = _recv_records(link, cfg.n_slots)
+    bob_key = bob_sift_exchange(link, declaration, bits)
 
-    (positions,) = _recv_slots(link, "SAMPLE_REQUEST", "positions", len(bob_key))
-    if len(positions) != (m := sample_size(len(bob_key), cfg.sample_fraction)):
-        raise tp.ProtocolError(f"SAMPLE_REQUEST asks for {len(positions)} positions, not the agreed {m}")
-    _send_list(link, "SAMPLE_BITS", bits=bob_key[positions])
+    answers, n_compared = [], 0
+    for _, positions in _recv_slots(link, "SAMPLE_REQUEST", "positions", len(bob_key)):
+        answers.append(pack_bits(bob_key[positions]))
+        n_compared += len(positions)
+    if n_compared != (m := sample_size(len(bob_key), cfg.sample_fraction)):
+        raise tp.ProtocolError(f"SAMPLE_REQUEST asks for {n_compared} positions, not the agreed {m}")
+    for packed in answers:
+        link.send(Message("SAMPLE_BITS", {"bits": packed}))
 
-    n_errors, multi_fraction = _summary_fields(expect(link, "SUMMARY").payload, len(positions))
-    report = qber_report(len(positions), n_errors)
-    summary = finalize(cfg, len(slots), len(bob_key), report, multi_fraction)
+    n_errors, multi_fraction = _summary_fields(expect(link, "SUMMARY").payload, n_compared)
+    report = qber_report(n_compared, n_errors)
+    summary = finalize(cfg, sum(map(len, bits)), len(bob_key), report, multi_fraction)
     link.send(Message("BYE", {}))
     return EndpointResult(summary, bob_key)
 

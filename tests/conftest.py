@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dfsqkd.session import alice_sift_exchange, bob_sift_exchange
+from dfsqkd import session
 from dfsqkd.transport import TransportClosed, memory_pair
 
 # pytest imports dfsqkd from src/ (pyproject's `pythonpath`); the CLI tests'
@@ -19,29 +19,41 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 @pytest.fixture
 def sift_halves():
     """Run the two halves of the sifting conversation against each other
-    in-process: Alice holds (pair_slots, x, y), Bob declares (slots, z)
-    and holds his bits. Returns (alice key, bob key)."""
+    in-process: Alice holds (pair_slots, x, y) and streams Bob his records
+    (slots, z, bits), which he checks and declares. Returns (alice key,
+    bob key). An exception on Bob's thread closes his link, so that Alice
+    is not left waiting, and is raised here, unless all Bob saw was the
+    close that Alice's own failure caused."""
 
     def run(pair_slots, x, y, slots, z, bits):
         a_link, b_link = memory_pair()
-        out = {}
+        session._send_list(
+            a_link, "DETECTIONS", "slots", np.asarray(slots, dtype=np.int64), bases=np.asarray(z), bits=np.asarray(bits)
+        )
+        out, bob_error = {}, []
 
         def bob():
             try:
-                out["bob"] = bob_sift_exchange(b_link, np.asarray(slots), np.asarray(z), np.asarray(bits))
-            except TransportClosed:
-                pass
+                out["bob"] = session.bob_sift_exchange(b_link, *session._recv_records(b_link, 2**63 - 1))
+            except BaseException as exc:  # noqa: BLE001 - raised below
+                bob_error.append(exc)
+                b_link.close()
 
         t = threading.Thread(target=bob)
         t.start()
+        alice_error = None
         try:
-            out["alice"] = alice_sift_exchange(
-                a_link, np.asarray(pair_slots), np.asarray(x), np.asarray(y)
-            )
+            out["alice"] = session.alice_sift_exchange(a_link, np.asarray(pair_slots), np.asarray(x), np.asarray(y))
+        except BaseException as exc:  # noqa: BLE001 - raised below
+            alice_error = exc
         finally:
             a_link.close()
             t.join()
             b_link.close()
+        if bob_error and not (alice_error is not None and isinstance(bob_error[0], TransportClosed)):
+            raise bob_error[0]
+        if alice_error is not None:
+            raise alice_error
         return out["alice"], out["bob"]
 
     return run

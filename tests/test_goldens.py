@@ -11,7 +11,8 @@ The encoded protocol's summary does not depend on the channel angle, so
 the static and random-walk dfs2 runs print the same bytes; the walk's
 own draws are pinned separately through the channel's angles at the
 engine's pair slots. The default config's dict form and the HELLO frame
-that carries it are pinned too.
+that carries it are pinned too, and so is every frame each endpoint sends
+in three whole sessions, in order.
 """
 
 import hashlib
@@ -19,10 +20,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from dfsqkd.cli import main
+from dfsqkd.cli import build_config, build_parser, main
 from dfsqkd.optics import RandomWalkChannel
-from dfsqkd.session import WIRE_VERSION, SessionConfig, simulate_quantum
-from dfsqkd.transport import Message, encode_frame
+from dfsqkd.session import WIRE_VERSION, SessionConfig, run_session_detailed, simulate_quantum
+from dfsqkd.transport import Message, Transport, encode_frame, memory_pair
 
 GOLDEN_STDOUT = {
     "dfs2-static-20": (
@@ -77,6 +78,29 @@ DEFAULT_CONFIG_DICT = {
 }
 DEFAULT_HELLO_SHA256 = "ddd6375ffb2bbdccfe24ffcd087b1a1e06fdd3c00371bfd94eafcd930d5940d7"
 
+# `run` flags, then the SHA-256 of every frame Alice sends and of every
+# frame Bob sends, each in order with its length prefix.
+GOLDEN_FRAMES = {
+    "dfs2-static-200s": (
+        ["--duration", "200"],
+        "df584d4b517ace54646247073724f6daa8380b096abf072f209121648a0b0c95",
+        "61c0f0b097ca0c79dbe41981c81e2c9a578d4a1f0e15714323fca33c2b8a5a00",
+    ),
+    "bb84-uniform-lossy-60s": (
+        [
+            "--duration", "60", "--protocol", "bb84", "--channel", "per-slot-uniform", "--channel-lo", "-30",
+            "--channel-hi", "30", "--efficiency", "0.8", "--dark", "1e-4",
+        ],
+        "0a53c8b2c6c91ef8fae2f813da714ec9f95e6dfd49ae174c6a78ce70f1810e29",
+        "f0ff5e339e71e2664c6a84ccd4991b5279c04fddc1717fbd48adcbba04e51bac",
+    ),
+    "dfs2-every-bit-sampled-60s": (
+        ["--duration", "60", "--sample-fraction", "1"],
+        "5b684aac14ab6a608e18c93fc104dbc2ed610aa1a6be860ad45dc5f049fdff0f",
+        "84c7fc4fe0d0794efb9eeec8da7e9eddf508a71bac3967be493122a8d1530a2f",
+    ),
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -106,3 +130,28 @@ def test_default_config_dict_matches_golden():
 def test_default_hello_frame_matches_golden():
     hello = Message("HELLO", {"config": SessionConfig().to_dict(), "wire_version": WIRE_VERSION})
     assert _sha256(encode_frame(hello)) == DEFAULT_HELLO_SHA256
+
+
+class _Hashing(Transport):
+    """A link that hashes each frame it sends."""
+
+    def __init__(self, inner: Transport):
+        self.inner, self.sent = inner, hashlib.sha256()
+
+    def send(self, message):
+        self.sent.update(encode_frame(message))
+        self.inner.send(message)
+
+    def recv(self):
+        return self.inner.recv()
+
+    def close(self):
+        self.inner.close()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_FRAMES))
+def test_frames_match_golden(case):
+    flags, alice_sha256, bob_sha256 = GOLDEN_FRAMES[case]
+    alice, bob = map(_Hashing, memory_pair())
+    run_session_detailed(build_config(build_parser().parse_args(["run", *flags])), link=(alice, bob))
+    assert (alice.sent.hexdigest(), bob.sent.hexdigest()) == (alice_sha256, bob_sha256)

@@ -364,6 +364,34 @@ class TestBoundedMemory:
         session_mod._draw_pair_slots(got_next, mu, n)
         np.testing.assert_array_equal(got_next.bit_generator.random_raw(16), want_next.bit_generator.random_raw(16))
 
+    @pytest.mark.parametrize("room", [1, 3, 100])
+    def test_output_does_not_depend_on_the_room_estimate(self, monkeypatch, room):
+        # an estimate far too small grows the slot array at every batch
+        mu, n = 0.04, 50_000
+        want_next = np.random.default_rng(24)
+        want = session_mod._draw_pair_slots(want_next, mu, n)
+        monkeypatch.setattr(session_mod, "_room", lambda left, p: room)
+        got_next = np.random.default_rng(24)
+        got = session_mod._draw_pair_slots(got_next, mu, n)
+        for got_array, want_array in zip(got, want):
+            _assert_same(got_array, want_array)
+        np.testing.assert_array_equal(got_next.bit_generator.random_raw(16), want_next.bit_generator.random_raw(16))
+
+    def test_pair_slot_draws_hold_little_beyond_their_result(self):
+        # 2e7 clock slots at the default rate, about 785 000 pair slots
+        # (6.7 MiB of slots and flags): beyond the result, the draws hold
+        # about one gap batch, where a list of batches, their concatenation
+        # and a float per pair slot took 14 MiB more
+        tracemalloc.start()
+        try:
+            slots, multi_pair = session_mod._draw_pair_slots(np.random.default_rng(4), 0.04, 20_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(slots) > 700_000
+        extra = peak - slots.base.nbytes - multi_pair.nbytes
+        assert extra < 64 * session_mod.GAP_BATCH, f"{extra / 2**20:.1f} MiB"
+
     @pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 1000])
     def test_bits_are_the_raw_words_least_significant_bit_first(self, k):
         rng = np.random.default_rng(k)
@@ -691,20 +719,24 @@ def _record_bits(n):
     return np.random.default_rng(n).integers(0, 2, n).astype(np.uint8)
 
 
-def _run_bob_against(*frames, records=tuple(range(8)), keep=None, sample_fraction=0.1):
+def _run_bob_against(*frames, records=tuple(range(8)), record_frames=None, keep=None, sample_fraction=0.1):
     """Bob's whole endpoint against a scripted Alice who sends HELLO, then
     records on the slots `records` (eight on slots 0-7 by default), with
-    the bits _record_bits gives, in frames of SLOT_CHUNK, then the
-    SIFT_KEEP payloads `keep` (by default keep bits of all ones, one frame
-    per frame of records), then `frames`. Returns Bob's result."""
+    the bits _record_bits gives, in frames of SLOT_CHUNK, or in the frames
+    `record_frames` if given, then the SIFT_KEEP payloads `keep` (by
+    default keep bits of all ones, one frame per frame of records), then
+    `frames`. Returns Bob's result."""
     cfg = small_cfg(sample_fraction=sample_fraction)
     link, peer = memory_pair()
     peer.send(Message("HELLO", {"config": cfg.to_dict(), "wire_version": session_mod.WIRE_VERSION}))
-    bits = _chunked(_record_bits(len(records)))
-    for payload, chunk in zip(_slot_frames("slots", _chunked(records), "bases"), bits):
-        peer.send(Message("DETECTIONS", {**payload, "bits": pack_bits(chunk)}))
+    if record_frames is None:
+        record_frames = _chunked(records)
+    bits, start = _record_bits(sum(map(len, record_frames))), 0
+    for payload, chunk in zip(_slot_frames("slots", record_frames, "bases"), record_frames):
+        peer.send(Message("DETECTIONS", {**payload, "bits": pack_bits(bits[start : start + len(chunk)])}))
+        start += len(chunk)
     if keep is None:
-        keep = [{"keep": pack_bits([1] * len(chunk))} for chunk in _chunked(records)]
+        keep = [{"keep": pack_bits([1] * len(chunk))} for chunk in record_frames]
     for payload in keep:
         peer.send(Message("SIFT_KEEP", payload))
     for kind, payload in frames:
@@ -715,9 +747,10 @@ def _run_bob_against(*frames, records=tuple(range(8)), keep=None, sample_fractio
 
 def _bob_receives_records(chunks):
     """Bob's whole endpoint against a scripted Alice whose records have the
-    slots of `chunks`, then an honest rest of the conversation."""
+    slots of `chunks`, one frame each, then an honest rest of the
+    conversation."""
     request = ("SAMPLE_REQUEST", _slot_frames("positions", [[0]])[0])
-    _run_bob_against(request, ("SUMMARY", _HONEST_SUMMARY), records=tuple(sum(chunks, [])))
+    _run_bob_against(request, ("SUMMARY", _HONEST_SUMMARY), record_frames=chunks)
 
 
 def _bob_receives_sample_request(chunks):
@@ -762,23 +795,24 @@ class TestListFraming:
         link, peer = memory_pair()
         tap = _Tap(link)
         session_mod._send_list(tap, "DETECTIONS", "slots", slots, bases=bits)
-        session_mod._send_list(tap, "SAMPLE_BITS", bits=bits)
         link.close()
         sizes = [3] * (n // 3) + [n % 3]
-        detections = [m.payload for m in tap.sent if m.type == "DETECTIONS"]
-        sample_bits = [m.payload for m in tap.sent if m.type == "SAMPLE_BITS"]
         # a frame's entry count is its number of varint bytes below 0x80
-        assert [np.count_nonzero(np.frombuffer(base64.b64decode(p["slots"]), np.uint8) < 0x80)
-                for p in detections] == sizes
-        assert [len(base64.b64decode(p["bits"])) for p in sample_bits] == [-(-size // 8) for size in sizes]
-        got_slots, got_bases = session_mod._recv_slots(peer, "DETECTIONS", "slots", 100, "bases")
-        got_bits = session_mod._recv_bits(peer, "SAMPLE_BITS", "bits", n)
-        _assert_same(got_slots, slots)
-        _assert_same(got_bases, bits)
-        _assert_same(got_bits, bits)
+        assert [np.count_nonzero(np.frombuffer(base64.b64decode(m.payload["slots"]), np.uint8) < 0x80)
+                for m in tap.sent] == sizes
+        frames = list(session_mod._recv_slots(peer, "DETECTIONS", "slots", 100))
+        assert [payload for payload, _ in frames] == [m.payload for m in tap.sent]
+        _assert_same(np.concatenate([got for _, got in frames]), slots)
+        # each frame answered by one of exactly its share of the bits
+        for payload, _ in frames:
+            peer.send(Message("SAMPLE_BITS", {"bits": payload["bases"]}))
+        peer.close()
+        _assert_same(session_mod._recv_bits(link, "SAMPLE_BITS", "bits", n), bits)
+        assert [len(base64.b64decode(payload["bases"])) for payload, _ in frames] == [-(-k // 8) for k in sizes]
         # the receivers took every frame and no more
-        with pytest.raises(tp.TransportClosed):
-            peer.recv()
+        for receiver in (peer, link):
+            with pytest.raises(tp.TransportClosed):
+                receiver.recv()
 
     def test_session_stays_under_the_frame_cap_whatever_its_error_test(self, monkeypatch, frame_sizes):
         # every sifted bit disclosed: about 9 800 sample bits, which as one
@@ -845,6 +879,25 @@ class TestHostileSlotLists:
         # same bound
         with pytest.raises(ProtocolError, match=f"{key} rises to {bound}, not below {bound}"):
             receive([[0, 1, 2], [bound]])
+
+    @RECEIVERS
+    def test_full_frame_then_an_empty_one_is_accepted(self, receive, key, bound):
+        receive([[0, 1, 2], []])
+
+    @pytest.mark.parametrize(
+        "receive, kind",
+        [
+            (_alice_receives_declaration, "DETECTIONS"),
+            (_bob_receives_records, "DETECTIONS"),
+            (_bob_receives_sample_request, "SAMPLE_REQUEST"),
+        ],
+        ids=["declaration", "records", "sample-request"],
+    )
+    def test_frame_of_more_than_slot_chunk_entries_is_a_protocol_error(self, receive, kind):
+        # every frame before the last holds exactly SLOT_CHUNK entries, so
+        # an oversize frame is refused, not taken for a full one
+        with pytest.raises(ProtocolError, match=f"^{kind} frame holds 4 entries, more than 3$"):
+            receive([[0, 1, 2, 3], [4]])
 
     @pytest.mark.parametrize(
         "receive", [_alice_receives_declaration, _bob_receives_sample_request]
