@@ -31,13 +31,16 @@ from .session import (
     run_bob_endpoint,
     run_session,
 )
-from .transport import StreamTransport, TransportError
+from .transport import StreamTransport, TransportError, TransportTimeout
 
 # Sweep points perturb the base seeds by this stride so every point is an
 # independent (but still reproducible) experiment.
 SEED_STRIDE = 1000003
 # Most analyzer angles one fringe scan evaluates.
 MAX_FRINGE_POINTS = 10_000
+# Longest wait, in seconds, for the peer to connect or send. It spans the
+# peer's run of the quantum side: about 4.5 s for 6000 s at the default rate.
+DEFAULT_TIMEOUT_S = 600.0
 
 
 def _fmt(value) -> str:
@@ -334,27 +337,41 @@ def _parse_hostport(text: str) -> tuple[str, int]:
 def cmd_serve_alice(args) -> int:
     cfg = build_config(args)
     host, port = _parse_hostport(args.listen)
-    with socket.create_server((host, port), backlog=1) as server:
-        bound = server.getsockname()
-        sys.stderr.write(f"listening on {bound[0]}:{bound[1]}\n")
-        sys.stderr.flush()
-        conn, _addr = server.accept()
-    return _run_endpoint(run_alice_endpoint, cfg, conn)
+
+    def accept() -> socket.socket:
+        with socket.create_server((host, port), backlog=1) as server:
+            server.settimeout(args.timeout)
+            bound = server.getsockname()
+            sys.stderr.write(f"listening on {bound[0]}:{bound[1]}\n")
+            sys.stderr.flush()
+            return server.accept()[0]
+
+    return _run_endpoint(run_alice_endpoint, cfg, accept, args)
 
 
 def cmd_connect_bob(args) -> int:
     cfg = build_config(args)
     host, port = _parse_hostport(args.connect)
-    return _run_endpoint(run_bob_endpoint, cfg, socket.create_connection((host, port)))
+    return _run_endpoint(run_bob_endpoint, cfg, lambda: socket.create_connection((host, port), args.timeout), args)
 
 
-def _run_endpoint(run, cfg: SessionConfig, sock: socket.socket) -> int:
-    """Run one endpoint over a connected socket and print its summary."""
-    link = StreamTransport(sock)
+def _run_endpoint(run, cfg: SessionConfig, connect, args) -> int:
+    """Run one endpoint over the socket that `connect` opens and print its
+    summary. --timeout bounds the wait for the peer to connect and for
+    each of its frames."""
+    require_finite(args, "timeout")
+    if args.timeout <= 0:
+        raise ConfigError(f"--timeout must be positive, got {args.timeout:g}")
     try:
-        result = run(cfg, link)
-    finally:
-        link.close()
+        sock = connect()
+        sock.settimeout(args.timeout)
+        link = StreamTransport(sock)
+        try:
+            result = run(cfg, link)
+        finally:
+            link.close()
+    except (TimeoutError, TransportTimeout) as exc:
+        raise TransportTimeout(f"the peer was silent for --timeout {args.timeout:g} s") from exc
     _print_json(result.summary.to_dict())
     return 0
 
@@ -404,6 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_bob)
     p_bob.add_argument("--connect", default="127.0.0.1:9155", metavar="HOST:PORT")
     p_bob.set_defaults(func=cmd_connect_bob)
+    for p in (p_alice, p_bob):
+        p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S, metavar="S", help="longest wait for the peer")
 
     return parser
 

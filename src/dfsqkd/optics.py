@@ -206,7 +206,7 @@ def detect_batch(
     the outcome indexing above); the index is valid only where the
     coincidence mask is true.
     """
-    outcomes = np.asarray(true_outcomes, dtype=np.int64)
+    outcomes = np.asarray(true_outcomes)
     n = len(outcomes)
     eff = rng.random((n, 2)) < params.efficiency
     fired = rng.random((n, 4)) < params.dark_count_prob  # dark counts first

@@ -40,31 +40,28 @@ sessions:
   channel draws nothing on any model. Nothing else reads the channel
   stream, so skipping its draws moves no other draw.
 
-Networked mode simulates the quantum side on Alice's process and streams
-Bob's measurement records to him as DETECTIONS that also carry his
-"bits"; everything after that is identical in both modes. Every list of
-the conversation goes by one rule (_frames): frames of exactly SLOT_CHUNK
-entries, then one shorter frame, possibly empty, that ends it. A slot
-list (that stream, Bob's declaration, SAMPLE_REQUEST) travels as base-64
-gap varints (transport.pack_slots), each frame's first gap counted from
-the previous frame's last entry, so a decoded list always increases
-strictly. Its receiver takes it one frame at a time (_recv_slots), which
-refuses an entry at or past the bound the receiver passes and a frame of
-more than SLOT_CHUNK entries, and never holds the whole list:
+Each endpoint runs the quantum side itself, from the config and seeds
+that HELLO shows both hold (in-process, both share one run), and reads
+only its own part of it, so Bob's process needs the engine's memory as
+Alice's does. The conversation is the paper's: Bob declares his
+coincidences and bases (DETECTIONS), Alice says which to keep, and a
+sample of the key is disclosed. Every list goes by one rule (_frames):
+frames of exactly SLOT_CHUNK entries, then one shorter, possibly empty,
+that ends it. A slot list (the declaration, SAMPLE_REQUEST) travels as
+base-64 gap varints (transport.pack_slots), each frame's first gap
+counted from the previous frame's last entry, so a decoded list always
+increases strictly. Its receiver takes it one frame at a time
+(_recv_slots), refusing an entry at or past its bound and a frame of
+more than SLOT_CHUNK entries, and never holds the whole list: Alice
+looks up each declaration frame as it arrives and keeps only its keep
+bits and its share of her key; Bob answers each SAMPLE_REQUEST frame
+with its share of his key, and refuses a request of any length but the
+agreed sample size.
 
-* Bob checks each record frame as it arrives and keeps only its bits.
-  He declares every coincidence, so his declaration is his record
-  frames as he received them, less the bits (_recv_records);
-* Alice looks up each declaration frame as it arrives and keeps only
-  its packed keep bits and its share of her key;
-* Bob answers each SAMPLE_REQUEST frame with its share of his key, and
-  refuses a request of any other length than the agreed sample size.
-
-The bits that answer a list, Alice's keep bit per declared slot in Bob's
-order and Bob's SAMPLE_BITS per position, go frame for frame with it,
-once the whole list has come, so neither side sends while the other is
-still sending, and their receiver knows how many frames and bits to
-expect. Bob keeps each record frame's bits by its keep frame.
+The bits that answer a list (Alice's keep bit per declared slot, Bob's
+SAMPLE_BITS per position) go frame for frame with it once the whole
+list has come, so neither side sends while the other is still sending,
+and their receiver knows how many frames and bits to expect.
 """
 
 from __future__ import annotations
@@ -101,7 +98,7 @@ from .transport import Message, Transport, expect, memory_pair, pack_bits, pack_
 
 # Version of the conversation's wire format and of the draw order, checked
 # in HELLO.
-WIRE_VERSION = 8
+WIRE_VERSION = 9
 # Entries of a full frame of a list.
 SLOT_CHUNK = 100_000
 # Most geometric gaps per draw of the source stream.
@@ -239,13 +236,13 @@ class SessionSummary:
 
 @dataclass
 class SimulationResult:
-    """What each endpoint reads of the quantum side. Alice's arrays
-    (pair_slots, x, y) run over pair slots, the slots with at least one
+    """What each endpoint reads of the quantum side. Alice's part:
+    pair_slots, x and y run over pair slots, the slots with at least one
     generated pair; alice_rng is her live stream, to continue drawing
-    from for the error test. Bob's records (slots, z, bob_bits) run over
-    coincidences only, and multi_pair_fraction is the share of those that
-    held more than one pair. Multi-pair flags, channel angles and
-    detector indices stay inside simulate_quantum.
+    from for the error test; multi_pair_fraction is the share of the
+    coincidences that held more than one pair. Bob's part, his records
+    (slots, z, bob_bits), runs over coincidences only. Multi-pair flags,
+    channel angles and detector indices stay inside simulate_quantum.
     """
 
     pair_slots: np.ndarray
@@ -334,9 +331,9 @@ def _bits(rng: np.random.Generator, k: int) -> np.ndarray:
 def _outcomes(
     cfg: SessionConfig, s: np.ndarray, u: np.ndarray, pair_slots: np.ndarray, rng_channel: np.random.Generator
 ) -> np.ndarray:
-    """Each pair slot's measurement outcome, decided by its uniform u on
-    the protocol's Born kernel: the index of the detector pair for dfs2,
-    0 or 2 (photon 1's port, photon 2 on D3) for bb84.
+    """Each pair slot's measurement outcome (uint8), decided by its
+    uniform u on the protocol's Born kernel: the index of the detector
+    pair for dfs2, 0 or 2 (photon 1's port, photon 2 on D3) for bb84.
 
     The kernel sums the fitted harmonic series in the channel angle of
     each pair slot's symbol s = 4x + 2y + z. When every pair slot sees the
@@ -359,7 +356,7 @@ def _outcomes(
         theta = float(cfg.channel.theta) if static else 0.0
         return _decide(cfg, kernel(np.arange(8), np.full(8, theta), cfg.visibility), u, s)
     theta = cfg.channel.sample_batch(pair_slots, rng_channel)
-    outcome = np.empty(len(u), dtype=np.int64)
+    outcome = np.empty(len(u), dtype=np.uint8)
     for i in range(0, len(u), BORN_BLOCK):
         b = slice(i, i + BORN_BLOCK)
         outcome[b] = _decide(cfg, kernel(s[b], theta[b], cfg.visibility), u[b])
@@ -372,9 +369,9 @@ def _decide(cfg: SessionConfig, probs: np.ndarray, u: np.ndarray, rows=slice(Non
     p0 + p1 and p0 + p1 + p2 that lie below u: the floats and the order
     of a cumsum along each row."""
     if cfg.protocol == "bb84":
-        return 2 * (u >= probs[rows]).astype(np.int64)
+        return 2 * (u >= probs[rows]).view(np.uint8)
     running = probs[:, 0]
-    outcome = (running[rows] < u).astype(np.int64)
+    outcome = (running[rows] < u).view(np.uint8)
     for j in (1, 2):
         running = running + probs[:, j]
         outcome += running[rows] < u
@@ -561,13 +558,16 @@ def _indices_in(known: np.ndarray, slots: np.ndarray, complaint: str) -> np.ndar
     return idx
 
 
-def alice_sift_exchange(link: Transport, pair_slots: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def alice_sift_exchange(
+    link: Transport, pair_slots: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, int]:
     """Alice's half of sifting: look up each frame of Bob's declaration
     (slots and bases) as it arrives, and once it has ended answer it frame
     for frame with a keep bit per declared slot, set where his basis
-    matches hers. Returns her sifted key."""
+    matches hers. Returns her sifted key and the number of slots Bob
+    declared."""
     bound = int(pair_slots[-1]) + 1 if len(pair_slots) else 0
-    answers, key = [], []
+    answers, key, n_declared = [], [], 0
     for payload, slots in _recv_slots(link, "DETECTIONS", "slots", bound):
         bases = unpack_bits(payload.get("bases"), len(slots))
         idx = _indices_in(pair_slots, slots, "peer declared a detection in a slot without pairs")
@@ -576,47 +576,34 @@ def alice_sift_exchange(link: Transport, pair_slots: np.ndarray, x: np.ndarray, 
         # About half the bits are set, where numpy selects several times
         # faster by index than by boolean mask.
         key.append(y[idx[np.flatnonzero(keep)]])
+        n_declared += len(slots)
     for packed in answers:
         link.send(Message("SIFT_KEEP", {"keep": packed}))
-    return np.concatenate(key)
+    return np.concatenate(key), n_declared
 
 
-def _recv_records(link: Transport, n_slots: int) -> tuple[list[dict], list[np.ndarray]]:
-    """Bob's records as Alice streams them, checked frame by frame: the
-    slots (_recv_slots) and the lengths of their bases and bits. Returns
-    each frame's declaration, its slots and bases as they came, and each
-    frame's bits."""
-    declaration, bits = [], []
-    for payload, slots in _recv_slots(link, "DETECTIONS", "slots", n_slots):
-        unpack_bits(payload.get("bases"), len(slots))
-        bits.append(unpack_bits(payload.get("bits"), len(slots)))
-        declaration.append({"slots": payload["slots"], "bases": payload["bases"]})
-    return declaration, bits
-
-
-def bob_sift_exchange(link: Transport, declaration: list[dict], bits: list[np.ndarray]) -> np.ndarray:
+def bob_sift_exchange(link: Transport, slots: np.ndarray, z: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Bob's half of sifting: declare every coincidence with its basis,
-    one frame per record frame (_recv_records), then keep each frame's
-    bits where Alice's SIFT_KEEP frame for it sets the keep bit, and
-    return his sifted key."""
-    for payload in declaration:
-        link.send(Message("DETECTIONS", payload))
+    then keep each declaration frame's bits where Alice's SIFT_KEEP frame
+    for it sets the keep bit, and return his sifted key."""
+    _send_list(link, "DETECTIONS", "slots", slots, bases=z)
     kept = []
-    for frame in bits:
+    for start in _frames(len(slots)):
+        frame = bits[start : start + SLOT_CHUNK]
         keep = unpack_bits(expect(link, "SIFT_KEEP").payload.get("keep"), len(frame))
         kept.append(frame[np.flatnonzero(keep)])  # by index, as in alice_sift_exchange
     return np.concatenate(kept)
 
 
-def run_alice_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
-    """Alice's whole session: simulate the quantum side, stream Bob's
-    records to him, then run sifting and the error test."""
+def run_alice_endpoint(cfg: SessionConfig, link: Transport, sim: Optional[SimulationResult] = None) -> EndpointResult:
+    """Alice's whole session: simulate the quantum side, unless given its
+    result `sim`, then sift Bob's declaration and run the error test. She
+    reads only her own part of the simulation."""
     _hello_exchange(cfg, link)
+    if sim is None:
+        sim = simulate_quantum(cfg)
 
-    sim = simulate_quantum(cfg)
-    _send_list(link, "DETECTIONS", "slots", sim.slots, bases=sim.z, bits=sim.bob_bits)
-
-    alice_key = alice_sift_exchange(link, sim.pair_slots, sim.x, sim.y)
+    alice_key, n_coincidences = alice_sift_exchange(link, sim.pair_slots, sim.x, sim.y)
     n_sifted = len(alice_key)
 
     positions = sample_positions(n_sifted, cfg.sample_fraction, sim.alice_rng)
@@ -625,20 +612,22 @@ def run_alice_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
     n_errors = int(np.count_nonzero(alice_key[positions] != bob_sample))
     report = qber_report(len(positions), n_errors)
 
-    summary = finalize(cfg, len(sim.slots), n_sifted, report, sim.multi_pair_fraction)
+    summary = finalize(cfg, n_coincidences, n_sifted, report, sim.multi_pair_fraction)
     link.send(Message("SUMMARY", {"n_errors": n_errors, "multi_pair_fraction": sim.multi_pair_fraction}))
     expect(link, "BYE")
     return EndpointResult(summary, alice_key)
 
 
-def run_bob_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
-    """Bob's whole session: receive measurement records, declare them,
-    sift, answer an error test of the agreed size frame for frame, and
-    build the summary from his own counts and Alice's SUMMARY."""
+def run_bob_endpoint(cfg: SessionConfig, link: Transport, sim: Optional[SimulationResult] = None) -> EndpointResult:
+    """Bob's whole session: simulate the quantum side, unless given its
+    result `sim`, declare his coincidences, sift, answer an error test of
+    the agreed size frame for frame, and build the summary from his own
+    counts and Alice's SUMMARY. He reads only his records: slots, z and
+    bob_bits."""
     _hello_exchange(cfg, link)
-
-    declaration, bits = _recv_records(link, cfg.n_slots)
-    bob_key = bob_sift_exchange(link, declaration, bits)
+    if sim is None:
+        sim = simulate_quantum(cfg)
+    bob_key = bob_sift_exchange(link, sim.slots, sim.z, sim.bob_bits)
 
     answers, n_compared = [], 0
     for _, positions in _recv_slots(link, "SAMPLE_REQUEST", "positions", len(bob_key)):
@@ -651,7 +640,7 @@ def run_bob_endpoint(cfg: SessionConfig, link: Transport) -> EndpointResult:
 
     n_errors, multi_fraction = _summary_fields(expect(link, "SUMMARY").payload, n_compared)
     report = qber_report(n_compared, n_errors)
-    summary = finalize(cfg, sum(map(len, bits)), len(bob_key), report, multi_fraction)
+    summary = finalize(cfg, len(sim.slots), len(bob_key), report, multi_fraction)
     link.send(Message("BYE", {}))
     return EndpointResult(summary, bob_key)
 
@@ -684,17 +673,19 @@ def _summary_fields(payload: dict, n_compared: int) -> tuple[int, float]:
 def run_session_detailed(
     cfg: SessionConfig, link: Optional[tuple[Transport, Transport]] = None
 ) -> tuple[EndpointResult, EndpointResult]:
-    """Run both endpoints over a transport pair (in-process by default)."""
+    """Run both endpoints over a transport pair (in-process by default),
+    on one run of the quantum side that each reads its own part of."""
     if link is None:
         link = memory_pair()
     alice_link, bob_link = link
+    sim = simulate_quantum(cfg)
 
     bob_result: list[EndpointResult] = []
     bob_error: list[BaseException] = []
 
     def bob_main():
         try:
-            bob_result.append(run_bob_endpoint(cfg, bob_link))
+            bob_result.append(run_bob_endpoint(cfg, bob_link, sim))
         except BaseException as exc:  # noqa: BLE001 - surfaced below
             bob_error.append(exc)
             bob_link.close()  # unblock Alice instead of deadlocking her recv
@@ -704,7 +695,7 @@ def run_session_detailed(
     alice = None
     alice_error: Optional[BaseException] = None
     try:
-        alice = run_alice_endpoint(cfg, alice_link)
+        alice = run_alice_endpoint(cfg, alice_link, sim)
     except BaseException as exc:  # noqa: BLE001 - re-raised below
         alice_error = exc
     finally:

@@ -44,6 +44,10 @@ class TransportClosed(TransportError):
     """The peer closed the channel."""
 
 
+class TransportTimeout(TransportError):
+    """The peer sent or took nothing within the socket's timeout."""
+
+
 class FrameError(TransportError):
     """Malformed, oversized, or truncated frame."""
 
@@ -215,7 +219,8 @@ class StreamTransport(Transport):
         try:
             self._sock.sendall(encode_frame(message))
         except OSError as exc:
-            raise TransportClosed(f"send failed: {exc}") from exc
+            failure = TransportTimeout if isinstance(exc, TimeoutError) else TransportClosed
+            raise failure(f"send failed: {exc}") from exc
 
     def _read_exact(self, n: int) -> bytes:
         chunks = []
@@ -224,7 +229,8 @@ class StreamTransport(Transport):
             try:
                 chunk = self._sock.recv(remaining)
             except OSError as exc:
-                raise TransportClosed(f"recv failed: {exc}") from exc
+                failure = TransportTimeout if isinstance(exc, TimeoutError) else TransportClosed
+                raise failure(f"recv failed: {exc}") from exc
             if not chunk:
                 raise TransportClosed("peer closed the connection")
             chunks.append(chunk)

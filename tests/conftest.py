@@ -19,22 +19,21 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 @pytest.fixture
 def sift_halves():
     """Run the two halves of the sifting conversation against each other
-    in-process: Alice holds (pair_slots, x, y) and streams Bob his records
-    (slots, z, bits), which he checks and declares. Returns (alice key,
-    bob key). An exception on Bob's thread closes his link, so that Alice
-    is not left waiting, and is raised here, unless all Bob saw was the
-    close that Alice's own failure caused."""
+    in-process: Alice holds (pair_slots, x, y), and Bob holds his records
+    (slots, z, bits), which he declares. Returns (alice key, bob key). An
+    exception on Bob's thread closes his link, so that Alice is not left
+    waiting, and is raised here, unless all Bob saw was the close that
+    Alice's own failure caused."""
 
     def run(pair_slots, x, y, slots, z, bits):
         a_link, b_link = memory_pair()
-        session._send_list(
-            a_link, "DETECTIONS", "slots", np.asarray(slots, dtype=np.int64), bases=np.asarray(z), bits=np.asarray(bits)
-        )
         out, bob_error = {}, []
 
         def bob():
             try:
-                out["bob"] = session.bob_sift_exchange(b_link, *session._recv_records(b_link, 2**63 - 1))
+                out["bob"] = session.bob_sift_exchange(
+                    b_link, np.asarray(slots, dtype=np.int64), np.asarray(z), np.asarray(bits)
+                )
             except BaseException as exc:  # noqa: BLE001 - raised below
                 bob_error.append(exc)
                 b_link.close()
@@ -43,7 +42,7 @@ def sift_halves():
         t.start()
         alice_error = None
         try:
-            out["alice"] = session.alice_sift_exchange(a_link, np.asarray(pair_slots), np.asarray(x), np.asarray(y))
+            out["alice"], _ = session.alice_sift_exchange(a_link, np.asarray(pair_slots), np.asarray(x), np.asarray(y))
         except BaseException as exc:  # noqa: BLE001 - raised below
             alice_error = exc
         finally:

@@ -30,7 +30,7 @@ from dfsqkd.protocol import (
 )
 from dfsqkd.qstate import PSI_MINUS, apply_collective, overlap2
 from dfsqkd.session import Seeds, SessionConfig, exact_session_summary, run_session
-from dfsqkd.transport import Message, decode_frame, encode_frame, pack_bits
+from dfsqkd.transport import Message, decode_frame, encode_frame, pack_bits, pack_slots
 
 SWEEP_THETAS_DEG = [0, 10, 20, 30, 45]
 VISIBILITY = 0.88
@@ -197,20 +197,14 @@ def _random_message(rng: np.random.Generator) -> Message:
         rng.integers(0, 7)
     ]
     if kind == "DETECTIONS":
+        # Bob's declaration: his slots and bases
         n = int(rng.integers(0, 60))
-        slots = np.sort(rng.choice(10**6, size=n, replace=False)).tolist()
-        return Message(
-            kind,
-            {
-                "slots": [int(s) for s in slots],
-                "bases": pack_bits(rng.integers(0, 2, n)),
-                "bits": pack_bits(rng.integers(0, 2, n)),
-            },
-        )
+        slots = np.sort(rng.choice(10**6, size=n, replace=False))
+        return Message(kind, {"slots": pack_slots(slots), "bases": pack_bits(rng.integers(0, 2, n))})
     if kind == "SIFT_KEEP":
-        return Message(kind, {"keep": [int(v) for v in np.sort(rng.choice(10**6, 20, replace=False))]})
+        return Message(kind, {"keep": pack_bits(rng.integers(0, 2, int(rng.integers(0, 64))))})
     if kind == "SAMPLE_REQUEST":
-        return Message(kind, {"positions": [int(v) for v in rng.integers(0, 10**6, 15)]})
+        return Message(kind, {"positions": pack_slots(np.sort(rng.choice(10**6, 15, replace=False)))})
     if kind == "SAMPLE_BITS":
         return Message(kind, {"bits": pack_bits(rng.integers(0, 2, int(rng.integers(0, 64))))})
     if kind == "SUMMARY":

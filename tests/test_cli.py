@@ -6,6 +6,7 @@ import json
 import socket
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dfsqkd.cli import CHANNEL_FLAGS, MAX_FRINGE_POINTS, SESSION_FLAGS, build_co
 from dfsqkd.optics import ChannelSampler
 from dfsqkd.protocol import predicted_qber
 from dfsqkd.session import WIRE_VERSION, SessionConfig, run_bob_endpoint
-from dfsqkd.transport import Message, StreamTransport, expect
+from dfsqkd.transport import Message, StreamTransport, expect, pack_bits, validate_detections_payload
 
 FAST = ["--duration", "0.5"]
 
@@ -528,9 +529,10 @@ class TestNetworkedMode:
                 hello = {"config": SessionConfig(duration_s=0.5).to_dict(), "wire_version": WIRE_VERSION}
                 alice.send(Message("HELLO", hello))
                 expect(alice, "HELLO")
-                alice.send(Message("DETECTIONS", {"slots": "", "bases": "", "bits": ""}))
-                expect(alice, "DETECTIONS")
-                alice.send(Message("SIFT_KEEP", {"keep": ""}))
+                # Bob's declaration of his own coincidences, one short
+                # frame; she keeps none of them
+                declared = validate_detections_payload(expect(alice, "DETECTIONS").payload)
+                alice.send(Message("SIFT_KEEP", {"keep": pack_bits(np.zeros(len(declared)))}))
                 alice.send(Message("SAMPLE_REQUEST", {"positions": ""}))
                 expect(alice, "SAMPLE_BITS")
                 alice.send(Message("SUMMARY", {"n_slots": 50_000}))
@@ -552,6 +554,36 @@ class TestNetworkedMode:
         code, _, err = run_main(capsys, [*argv, *FAST])
         assert code == 2
         assert f"port must be in 0..65535, got {argv[-1]!r}" in err
+
+    def test_silent_peer_exits_3_naming_the_timeout(self):
+        # a listener that accepts and then sends nothing: Bob waits for its
+        # HELLO no longer than his --timeout
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            server.settimeout(120)
+            argv = ["connect-bob", "--timeout", "0.5", "--connect", f"127.0.0.1:{server.getsockname()[1]}", *FAST]
+            start = time.monotonic()
+            bob = _spawn(argv)
+            conn, _ = server.accept()
+            with conn:
+                _, err = bob.communicate(timeout=20)
+            elapsed = time.monotonic() - start
+        assert bob.returncode == 3
+        assert err == "session failed: the peer was silent for --timeout 0.5 s\n"
+        assert elapsed < 10
+
+    def test_no_peer_exits_3_naming_the_timeout(self, capsys):
+        # the listener's accept waits no longer than --timeout either
+        code, _, err = run_main(capsys, ["serve-alice", "--timeout", "0.2", "--listen", "127.0.0.1:0", *FAST])
+        assert code == 3
+        assert err.endswith("session failed: the peer was silent for --timeout 0.2 s\n")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["serve-alice", "connect-bob"])
+    def test_timeout_that_is_not_a_positive_number_exits_2(self, capsys, command, value):
+        # refused before any socket opens
+        code, _, err = run_main(capsys, [command, "--timeout", value, *FAST])
+        assert code == 2
+        assert "timeout must be" in err
 
     def test_peer_disconnect_exits_3_with_diagnostic(self):
         port = _free_port()

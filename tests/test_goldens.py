@@ -12,7 +12,7 @@ the static and random-walk dfs2 runs print the same bytes; the walk's
 own draws are pinned separately through the channel's angles at the
 engine's pair slots. The default config's dict form and the HELLO frame
 that carries it are pinned too, and so is every frame each endpoint sends
-in three whole sessions, in order.
+in three whole sessions, in order, and Bob's declaration frames apart.
 """
 
 import hashlib
@@ -76,29 +76,39 @@ DEFAULT_CONFIG_DICT = {
     "sample_fraction": 0.1,
     "seeds": {"alice": 1, "bob": 2, "channel": 3, "source": 4},
 }
-DEFAULT_HELLO_SHA256 = "ddd6375ffb2bbdccfe24ffcd087b1a1e06fdd3c00371bfd94eafcd930d5940d7"
+DEFAULT_HELLO_SHA256 = "570e6354881b4d2181e7b296979c994b7741a31df56d4ac41519da8aa07ee734"
 
 # `run` flags, then the SHA-256 of every frame Alice sends and of every
 # frame Bob sends, each in order with its length prefix.
 GOLDEN_FRAMES = {
     "dfs2-static-200s": (
         ["--duration", "200"],
-        "df584d4b517ace54646247073724f6daa8380b096abf072f209121648a0b0c95",
-        "61c0f0b097ca0c79dbe41981c81e2c9a578d4a1f0e15714323fca33c2b8a5a00",
+        "4c5bfe04b340ccaee174f4d9e390e0874b1aeedb0361a278fa97377dff141f0f",
+        "a0b51fd7986f196838e699ed7b486f52f4cf30bbef5b52e66bb51ae5f09ee990",
     ),
     "bb84-uniform-lossy-60s": (
         [
             "--duration", "60", "--protocol", "bb84", "--channel", "per-slot-uniform", "--channel-lo", "-30",
             "--channel-hi", "30", "--efficiency", "0.8", "--dark", "1e-4",
         ],
-        "0a53c8b2c6c91ef8fae2f813da714ec9f95e6dfd49ae174c6a78ce70f1810e29",
-        "f0ff5e339e71e2664c6a84ccd4991b5279c04fddc1717fbd48adcbba04e51bac",
+        "3e4bc96cb0b802d5834bb0ce049aa485697cb9181b2e706d9e65d5c066b21607",
+        "c411e69b3b13347fc59c642a8544d65253734dab55ee960e794c9c020c3a2a98",
     ),
     "dfs2-every-bit-sampled-60s": (
         ["--duration", "60", "--sample-fraction", "1"],
-        "5b684aac14ab6a608e18c93fc104dbc2ed610aa1a6be860ad45dc5f049fdff0f",
-        "84c7fc4fe0d0794efb9eeec8da7e9eddf508a71bac3967be493122a8d1530a2f",
+        "66daf3f219600dd07ef07d349016de46304e4a620d95337501f1111c08966fad",
+        "ec5790624b52b367027638fc14d6871ae50c0c911c8b57b2a5f6d85111a10abd",
     ),
+}
+
+
+# The SHA-256 of Bob's DETECTIONS frames, his declaration, in each case
+# above. Wire version 8 sent the same bytes; only Alice's record stream to
+# Bob, the other direction of DETECTIONS, has left the wire since.
+GOLDEN_DECLARATIONS = {
+    "dfs2-static-200s": "7300c2052849cf503734c7dcd9ea544daeca4171c4cc955bf926cba30503dd0e",
+    "bb84-uniform-lossy-60s": "05d80e27c4b67a358a9fd5c081509fe2d591ea442d8551951887ca0e2da4868a",
+    "dfs2-every-bit-sampled-60s": "1974212b681f5d592458730936df37cd626010b2e9c4f857b011da26c4e4df4f",
 }
 
 
@@ -133,13 +143,17 @@ def test_default_hello_frame_matches_golden():
 
 
 class _Hashing(Transport):
-    """A link that hashes each frame it sends."""
+    """A link that hashes each frame it sends, and its DETECTIONS frames
+    apart."""
 
     def __init__(self, inner: Transport):
-        self.inner, self.sent = inner, hashlib.sha256()
+        self.inner, self.sent, self.detections = inner, hashlib.sha256(), hashlib.sha256()
 
     def send(self, message):
-        self.sent.update(encode_frame(message))
+        frame = encode_frame(message)
+        self.sent.update(frame)
+        if message.type == "DETECTIONS":
+            self.detections.update(frame)
         self.inner.send(message)
 
     def recv(self):
@@ -149,9 +163,21 @@ class _Hashing(Transport):
         self.inner.close()
 
 
+def _hashed_session(case: str) -> tuple[_Hashing, _Hashing]:
+    alice, bob = map(_Hashing, memory_pair())
+    run_session_detailed(build_config(build_parser().parse_args(["run", *GOLDEN_FRAMES[case][0]])), link=(alice, bob))
+    return alice, bob
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_FRAMES))
 def test_frames_match_golden(case):
-    flags, alice_sha256, bob_sha256 = GOLDEN_FRAMES[case]
-    alice, bob = map(_Hashing, memory_pair())
-    run_session_detailed(build_config(build_parser().parse_args(["run", *flags])), link=(alice, bob))
+    _, alice_sha256, bob_sha256 = GOLDEN_FRAMES[case]
+    alice, bob = _hashed_session(case)
     assert (alice.sent.hexdigest(), bob.sent.hexdigest()) == (alice_sha256, bob_sha256)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DECLARATIONS))
+def test_bobs_declaration_is_unchanged_and_alice_sends_no_detections(case):
+    alice, bob = _hashed_session(case)
+    assert bob.detections.hexdigest() == GOLDEN_DECLARATIONS[case]
+    assert alice.detections.hexdigest() == hashlib.sha256().hexdigest()

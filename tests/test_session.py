@@ -5,6 +5,7 @@ import math
 import re
 import socket
 import sys
+import threading
 import time
 import tracemalloc
 from unittest import mock
@@ -219,11 +220,11 @@ DETECTORS = {"ideal": DetectorParams(), "lossy": DetectorParams(efficiency=0.8, 
 
 
 def _reference_outcomes(protocol_name, probs, u):
-    """Outcomes decided on whole kernel rows: the count of a row's running
-    sums (np.cumsum) below u for dfs2, photon 1's port for bb84."""
+    """Outcomes (uint8) decided on whole kernel rows: the count of a row's
+    running sums (np.cumsum) below u for dfs2, photon 1's port for bb84."""
     if protocol_name == "dfs2":
-        return np.minimum((np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1), 3)
-    return 2 * (u >= probs).astype(np.int64)
+        return np.minimum((np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1), 3).astype(np.uint8)
+    return 2 * (u >= probs).astype(np.uint8)
 
 
 def _uniforms_with_ties(protocol_name, probs, rng):
@@ -412,8 +413,11 @@ class TestBoundedMemory:
         assert abs(len(sim.pair_slots) - expected) < 5 * math.sqrt(expected)
         assert elapsed < 5.0, f"{elapsed:.2f} s"
 
+    # Measured with numpy 2.4: at most 31.1 B per pair slot for the engine
+    # (dfs2; an int64 outcome per pair slot made it 38.1) and 41.9 B for
+    # the whole session. The bounds leave about 15% for other numpy versions.
     @pytest.mark.parametrize(
-        "run, bound", [(simulate_quantum, 112), (run_session_detailed, 136)], ids=["simulate", "session"]
+        "run, bound", [(simulate_quantum, 36), (run_session_detailed, 48)], ids=["simulate", "session"]
     )
     @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
     def test_peak_memory_per_pair_slot(self, protocol_name, run, bound):
@@ -603,6 +607,69 @@ class TestTransportSubstitution:
         assert sum(frame_sizes) / summary.n_sifted <= 10
 
 
+def _endpoints_on_threads(cfg, links, bob_sim=None):
+    """Alice's and Bob's endpoints, each on a thread of its own over its
+    link, as two processes run them: Alice simulates the quantum side
+    herself, and so does Bob unless given `bob_sim`. Returns both results;
+    a failure closes its endpoint's link and is raised, the first one
+    first."""
+    results, errors = {}, []
+
+    def run(name, endpoint, link, *sim):
+        try:
+            results[name] = endpoint(cfg, link, *sim)
+        except BaseException as exc:  # noqa: BLE001 - raised below
+            errors.append(exc)
+            link.close()
+
+    alice_link, bob_link = links
+    bob_args = (bob_sim,) if bob_sim is not None else ()
+    threads = [
+        threading.Thread(target=run, args=("alice", run_alice_endpoint, alice_link)),
+        threading.Thread(target=run, args=("bob", run_bob_endpoint, bob_link, *bob_args)),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for link in links:
+        link.close()
+    if errors:
+        raise errors[0]
+    return results["alice"], results["bob"]
+
+
+class TestEachEndpointSimulatesItsOwnSide:
+    """Over a socket pair, each endpoint runs the quantum side itself from
+    the shared config and seeds, as the CLI runs them, and reads only its
+    own part of it."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            small_cfg(protocol="bb84", duration_s=2.0, channel=CHANNELS["random_walk"], detectors=DETECTORS["lossy"]),
+            small_cfg(duration_s=2.0, channel=CHANNELS["uniform"]),
+        ],
+        ids=["bb84-walk-lossy", "dfs2-uniform"],
+    )
+    def test_endpoints_that_simulate_alone_equal_the_shared_run(self, monkeypatch, cfg):
+        # lists of several frames: about 7 800 pair slots in frames of 1000
+        monkeypatch.setattr(session_mod, "SLOT_CHUNK", 1000)
+        want_alice, want_bob = run_session_detailed(cfg)
+        got_alice, got_bob = _endpoints_on_threads(cfg, tuple(map(StreamTransport, socket.socketpair())))
+        assert want_alice.summary.n_coincidences > 3 * session_mod.SLOT_CHUNK
+        for got, want in ((got_alice, want_alice), (got_bob, want_bob)):
+            assert got.summary.to_dict() == want.summary.to_dict()
+            _assert_same(got.sifted_key, want.sifted_key)
+
+    def test_bob_reads_only_his_records(self):
+        cfg = small_cfg(protocol="bb84", channel=CHANNELS["random_walk"], detectors=DETECTORS["lossy"])
+        sim = simulate_quantum(cfg)
+        records = _BobsRecords(sim.slots, sim.z, sim.bob_bits)
+        alice, bob = _endpoints_on_threads(cfg, memory_pair(), bob_sim=records)
+        assert bob.summary.to_dict() == alice.summary.to_dict() == run_session(cfg).to_dict()
+
+
 class TestSiftExchange:
     """The two halves of the sifting conversation, driven directly."""
 
@@ -714,43 +781,41 @@ def _alice_receives_declaration(chunks):
 
 
 def _record_bits(n):
-    """The bits of a scripted Alice's n records to Bob: mixed, so that his
-    sifted key shows which records he kept."""
+    """The bits of Bob's n records in a scripted conversation: mixed, so
+    that his sifted key shows which records he kept."""
     return np.random.default_rng(n).integers(0, 2, n).astype(np.uint8)
 
 
-def _run_bob_against(*frames, records=tuple(range(8)), record_frames=None, keep=None, sample_fraction=0.1):
-    """Bob's whole endpoint against a scripted Alice who sends HELLO, then
-    records on the slots `records` (eight on slots 0-7 by default), with
-    the bits _record_bits gives, in frames of SLOT_CHUNK, or in the frames
-    `record_frames` if given, then the SIFT_KEEP payloads `keep` (by
-    default keep bits of all ones, one frame per frame of records), then
-    `frames`. Returns Bob's result."""
+class _BobsRecords:
+    """Stands in for a SimulationResult with Bob's part of it alone: his
+    records' slots, bases and bits. Reading any other field fails."""
+
+    def __init__(self, slots, z, bob_bits):
+        self.slots, self.z, self.bob_bits = slots, z, bob_bits
+
+    def __getattr__(self, name):
+        raise AssertionError(f"Bob's endpoint read SimulationResult.{name}")
+
+
+def _run_bob_against(*frames, records=tuple(range(8)), keep=None, sample_fraction=0.1):
+    """Bob's whole endpoint, holding records on the slots `records` (eight
+    on slots 0-7 by default) with the bits _record_bits gives, against a
+    scripted Alice who sends HELLO, then the SIFT_KEEP payloads `keep` (by
+    default keep bits of all ones, one frame per frame of his declaration),
+    then `frames`. Returns Bob's result."""
     cfg = small_cfg(sample_fraction=sample_fraction)
     link, peer = memory_pair()
     peer.send(Message("HELLO", {"config": cfg.to_dict(), "wire_version": session_mod.WIRE_VERSION}))
-    if record_frames is None:
-        record_frames = _chunked(records)
-    bits, start = _record_bits(sum(map(len, record_frames))), 0
-    for payload, chunk in zip(_slot_frames("slots", record_frames, "bases"), record_frames):
-        peer.send(Message("DETECTIONS", {**payload, "bits": pack_bits(bits[start : start + len(chunk)])}))
-        start += len(chunk)
     if keep is None:
-        keep = [{"keep": pack_bits([1] * len(chunk))} for chunk in record_frames]
+        keep = [{"keep": pack_bits([1] * len(chunk))} for chunk in _chunked(records)]
     for payload in keep:
         peer.send(Message("SIFT_KEEP", payload))
     for kind, payload in frames:
         peer.send(Message(kind, payload))
     peer.close()
-    return run_bob_endpoint(cfg, link)
-
-
-def _bob_receives_records(chunks):
-    """Bob's whole endpoint against a scripted Alice whose records have the
-    slots of `chunks`, one frame each, then an honest rest of the
-    conversation."""
-    request = ("SAMPLE_REQUEST", _slot_frames("positions", [[0]])[0])
-    _run_bob_against(request, ("SUMMARY", _HONEST_SUMMARY), record_frames=chunks)
+    n = len(records)
+    sim = _BobsRecords(np.array(records, dtype=np.int64), np.zeros(n, dtype=np.uint8), _record_bits(n))
+    return run_bob_endpoint(cfg, link, sim)
 
 
 def _bob_receives_sample_request(chunks):
@@ -858,15 +923,14 @@ class TestHostileSlotLists:
             receive(chunks)
 
     # Each receiver's bound: one past Alice's last pair slot (slots 0-7),
-    # the session's slot count, the length of Bob's sifted key (8 bits).
+    # the length of Bob's sifted key (8 bits).
     RECEIVERS = pytest.mark.parametrize(
         "receive, key, bound",
         [
             (_alice_receives_declaration, "'slots'", 8),
-            (_bob_receives_records, "'slots'", small_cfg().n_slots),
             (_bob_receives_sample_request, "'positions'", 8),
         ],
-        ids=["declaration", "records", "sample-request"],
+        ids=["declaration", "sample-request"],
     )
 
     @RECEIVERS
@@ -888,10 +952,9 @@ class TestHostileSlotLists:
         "receive, kind",
         [
             (_alice_receives_declaration, "DETECTIONS"),
-            (_bob_receives_records, "DETECTIONS"),
             (_bob_receives_sample_request, "SAMPLE_REQUEST"),
         ],
-        ids=["declaration", "records", "sample-request"],
+        ids=["declaration", "sample-request"],
     )
     def test_frame_of_more_than_slot_chunk_entries_is_a_protocol_error(self, receive, kind):
         # every frame before the last holds exactly SLOT_CHUNK entries, so
@@ -1093,7 +1156,8 @@ class _SummaryRewriter(tp.Transport):
 
 
 class TestCraftedConversations:
-    """Pin the conversation layer on hand-built records."""
+    """Pin the conversation layer on hand-built records, which both
+    endpoints read from the one simulation run in-process."""
 
     def _fake_sim(self, cfg, x, y, z, bob_bit):
         slots = np.array([4], dtype=np.int64)
@@ -1137,11 +1201,12 @@ class TestCraftedConversations:
             run_session_detailed(small_cfg(), (_SummaryRewriter(alice_link, n_errors=2), bob_link))
 
     def test_alice_failure_is_reported_over_bobs_closed_channel(self, monkeypatch):
-        # Bob only sees the transport close; the error to surface is Alice's
-        def boom(cfg):
+        # Alice fails after sifting, while Bob waits for her error test: he
+        # only sees the transport close; the error to surface is Alice's
+        def boom(*args):
             raise ValueError("boom")
 
-        monkeypatch.setattr(session_mod, "simulate_quantum", boom)
+        monkeypatch.setattr(session_mod, "sample_positions", boom)
         with pytest.raises(ValueError, match="boom"):
             run_session_detailed(small_cfg())
 

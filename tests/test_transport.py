@@ -17,6 +17,7 @@ from dfsqkd.transport import (
     ProtocolError,
     StreamTransport,
     TransportClosed,
+    TransportTimeout,
     decode_frame,
     encode_frame,
     expect,
@@ -160,7 +161,6 @@ def messages(draw):
             {
                 "slots": pack_slots(slots),
                 "bases": draw(_bit_field(len(slots))),
-                "bits": draw(_bit_field(len(slots))),
             },
         )
     if kind == "SIFT_KEEP":
@@ -210,7 +210,7 @@ class TestInMemoryTransport:
         a, b = memory_pair()
         slots = pack_slots(np.arange(10**5))
         bits = np.random.default_rng(0).integers(0, 2, 10**5)
-        msg = Message("DETECTIONS", {"slots": slots, "bases": pack_bits(bits), "bits": pack_bits(bits)})
+        msg = Message("DETECTIONS", {"slots": slots, "bases": pack_bits(bits)})
         a.send(msg)
         assert b.recv() == msg
 
@@ -240,6 +240,15 @@ class TestStreamTransport:
         right.sendall(struct.pack(">I", 100) + b"partial")
         right.close()
         with left, pytest.raises(TransportClosed):
+            StreamTransport(left).recv()
+
+    @pytest.mark.parametrize("partial", [b"", struct.pack(">I", 100) + b"partial"], ids=["nothing", "mid-frame"])
+    def test_silent_peer_is_a_timeout(self, partial):
+        # a TransportError of its own, not the OSError the socket raises
+        left, right = socket.socketpair()
+        right.sendall(partial)
+        left.settimeout(0.05)
+        with left, right, pytest.raises(TransportTimeout, match="recv failed: timed out"):
             StreamTransport(left).recv()
 
 
