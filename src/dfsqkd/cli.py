@@ -39,7 +39,8 @@ SEED_STRIDE = 1000003
 # Most analyzer angles one fringe scan evaluates.
 MAX_FRINGE_POINTS = 10_000
 # Longest wait, in seconds, for the peer to connect or send. It spans the
-# peer's run of the quantum side: about 4.5 s for 6000 s at the default rate.
+# peer's run of the quantum side: about 1 s for 6000 s at the default rate
+# (2.6 s for the whole `run --duration 6000`, on a 2-core x86-64 host).
 DEFAULT_TIMEOUT_S = 600.0
 
 

@@ -21,9 +21,13 @@ sessions:
   including the gap that passes the last slot (_draw_pair_slots); then
   one word per pair slot, the multi-pair uniform (whether its count,
   from the Poisson law truncated at zero, is 2 or more); then one word
-  per pair slot, the outcome uniform; then, only when the detectors are
-  not ideal (efficiency < 1 or dark_count_prob > 0), six words per pair
-  slot for the detector draws (2 efficiency + 4 dark uniforms). Ideal
+  per pair slot, the outcome uniform, drawn a block of BORN_BLOCK pair
+  slots at a time as each block is decided (_outcomes), which takes the
+  same words in the same order as one draw of them all (each uniform is
+  (w >> 11) 2^-53 of its word w, as Generator.random gives it); then,
+  only when the detectors are not ideal (efficiency < 1 or
+  dark_count_prob > 0), six words per pair slot for the detector draws
+  (2 efficiency + 4 dark uniforms). Ideal
   detectors draw nothing: every pair slot is a coincidence on the
   outcome's detector pair. Nothing draws from the source stream after
   them, so skipping them moves no other draw. Time and memory grow with
@@ -264,21 +268,27 @@ def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> tuple
     They are drawn in batches of at most GAP_BATCH, each sized to the gaps
     expected in the slots left plus a margin (_room), until a batch passes
     n_slots; the stream is then set back to just after the gap that passed
-    it, so the words drawn do not depend on the batch size. Each batch's
+    it, so the words drawn do not depend on the batch size. A batch's
+    arithmetic runs in place, on its raw words and one float buffer that
+    every batch reuses, by the same IEEE operations in the same order as
+    the formula; its running sums then overwrite its words. Each batch's
     slots are written into one array, sized the same way for the whole
     session and grown by the estimate for the slots left if the margin runs
     out. Each pair slot's count is Poisson(mu) given at least one pair; it
     is 1 with probability mu e^-mu / p, the first step of that law's CDF,
-    so one uniform at or above that step marks a multi-pair slot (the count
-    by inverse CDF on the same uniform is then 2 or more). The uniforms are
-    drawn and compared GAP_BATCH at a time, so no float array of them all
-    is held."""
+    so one uniform (_uniforms) at or above that step marks a multi-pair
+    slot (the count by inverse CDF on the same uniform is then 2 or more).
+    The uniforms are drawn and compared GAP_BATCH at a time into one
+    buffer, so no float array of them all is held."""
     if mu == 0.0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
     p = -math.expm1(-mu)
     log_q = math.log1p(-p)
     stream = rng.bit_generator
-    slots, k, last = np.empty(_room(n_slots + 1, p), dtype=np.int64), 0, -1
+    room = _room(n_slots + 1, p)
+    slots, k, last = np.empty(room, dtype=np.int64), 0, -1
+    # The first batch is the largest: the slots left only fall.
+    buf = np.empty(min(GAP_BATCH, room))
     while True:
         # A gap of `left` (below 2**63) or more ends the list. Capped at
         # 2**63 before the integer cast (at a subnormal p a quotient can pass
@@ -287,10 +297,20 @@ def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> tuple
         left = n_slots - last
         size = min(GAP_BATCH, _room(left, p))
         saved = stream.state
-        u = ((stream.random_raw(size) >> 11) + 1) * 2.0**-53
+        # In place, on the raw words and one float buffer: (w >> 11) + 1 is
+        # below 2**53, so its int64 view converts exactly.
+        run = stream.random_raw(size)
+        run >>= 11
+        run += 1
+        gaps = np.multiply(run.view(np.int64), 2.0**-53, out=buf[:size])
+        np.log(gaps, out=gaps)
         with np.errstate(over="ignore"):
-            gaps = np.floor(np.log(u) / log_q) + 1
-        run = np.cumsum(np.minimum(gaps, 2.0**63).astype(np.uint64), dtype=np.uint64)
+            gaps /= log_q
+        np.floor(gaps, out=gaps)
+        gaps += 1
+        np.minimum(gaps, 2.0**63, out=gaps)
+        np.copyto(run, gaps, casting="unsafe")
+        np.cumsum(run, out=run)
         ended = np.flatnonzero(run >= left)
         new = int(ended[0]) if len(ended) else size
         if k + new > len(slots):
@@ -307,9 +327,10 @@ def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> tuple
         last = int(slots[k - 1])
     multi_pair = np.empty(k, dtype=bool)
     single = mu * math.exp(-mu) / p
+    u = np.empty(min(GAP_BATCH, k))
     for start in range(0, k, GAP_BATCH):
         block = multi_pair[start : start + GAP_BATCH]
-        np.greater_equal(rng.random(len(block)), single, out=block)
+        np.greater_equal(_uniforms(stream, u[: len(block)]), single, out=block)
     return slots[:k], multi_pair
 
 
@@ -328,12 +349,28 @@ def _bits(rng: np.random.Generator, k: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), count=k, bitorder="little")
 
 
+def _uniforms(stream: np.random.BitGenerator, out: np.ndarray) -> np.ndarray:
+    """Fill the float64 array `out` with uniforms in [0, 1), one raw word w
+    each: (w >> 11) 2^-53, bit for bit what Generator.random(len(out))
+    gives from the same words. The caller reuses `out` from block to block,
+    since a new float array per block costs fresh pages."""
+    w = stream.random_raw(len(out))
+    w >>= 11
+    return np.multiply(w, 2.0**-53, out=out)
+
+
 def _outcomes(
-    cfg: SessionConfig, s: np.ndarray, u: np.ndarray, pair_slots: np.ndarray, rng_channel: np.random.Generator
+    cfg: SessionConfig,
+    x: np.ndarray,
+    y: np.ndarray,
+    z: np.ndarray,
+    pair_slots: np.ndarray,
+    rng_source: np.random.Generator,
+    rng_channel: np.random.Generator,
 ) -> np.ndarray:
     """Each pair slot's measurement outcome (uint8), decided by its
-    uniform u on the protocol's Born kernel: the index of the detector
-    pair for dfs2, 0 or 2 (photon 1's port, photon 2 on D3) for bb84.
+    uniform on the protocol's Born kernel: the index of the detector pair
+    for dfs2, 0 or 2 (photon 1's port, photon 2 on D3) for bb84.
 
     The kernel sums the fitted harmonic series in the channel angle of
     each pair slot's symbol s = 4x + 2y + z. When every pair slot sees the
@@ -342,24 +379,42 @@ def _outcomes(
     protocol whose fitted series has no angle terms (protocol.angle_free,
     which holds for dfs2) at angle 0. The channel then draws nothing.
     Otherwise the channel draws each pair slot's angle, and the kernel runs
-    over BORN_BLOCK rows at a time, each block's outcomes decided before
-    the next, which bounds the kernel's temporaries. Each row is computed
-    on its own, and an angle term that is exactly 0 adds exactly 0, so
-    every path gives the values of one call over every pair slot at its
-    sampled angle.
+    on each block's rows (below). Each row is computed on its own, and an
+    angle term that is exactly 0 adds exactly 0, so every path gives the
+    values of one call over every pair slot at its sampled angle.
+
+    Either way the pair slots go BORN_BLOCK at a time, each block decided
+    before the next: its symbols (intp, which numpy indexes by without a
+    conversion), its outcome uniforms from the source stream (_uniforms:
+    the same words, in the same order, as one draw of them all), and its
+    outcomes from the table's rows or from the kernel on its own rows. So
+    the only float array over every pair slot is the channel's angles, on
+    a channel that draws them.
     """
     # Looked up on the module at each call, so that a span recorder that
     # replaces these attributes (perfbench/spans.py) sees the calls.
     kernel = protocol.dfs2_probs_batch if cfg.protocol == "dfs2" else protocol.bb84_port1_batch
     static = isinstance(cfg.channel, StaticChannel)
+    table = theta = None
     if static or protocol.angle_free(cfg.protocol):
-        theta = float(cfg.channel.theta) if static else 0.0
-        return _decide(cfg, kernel(np.arange(8), np.full(8, theta), cfg.visibility), u, s)
-    theta = cfg.channel.sample_batch(pair_slots, rng_channel)
-    outcome = np.empty(len(u), dtype=np.uint8)
-    for i in range(0, len(u), BORN_BLOCK):
+        table = kernel(np.arange(8), np.full(8, float(cfg.channel.theta) if static else 0.0), cfg.visibility)
+    else:
+        theta = cfg.channel.sample_batch(pair_slots, rng_channel)
+    stream = rng_source.bit_generator
+    outcome = np.empty(len(pair_slots), dtype=np.uint8)
+    uniforms = np.empty(min(BORN_BLOCK, len(outcome)))
+    for i in range(0, len(outcome), BORN_BLOCK):
         b = slice(i, i + BORN_BLOCK)
-        outcome[b] = _decide(cfg, kernel(s[b], theta[b], cfg.visibility), u[b])
+        s = x[b].astype(np.intp)
+        s <<= 1
+        s += y[b]
+        s <<= 1
+        s += z[b]
+        u = _uniforms(stream, uniforms[: len(s)])
+        if table is not None:
+            outcome[b] = _decide(cfg, table, u, s)
+        else:
+            outcome[b] = _decide(cfg, kernel(s, theta[b], cfg.visibility), u)
     return outcome
 
 
@@ -395,7 +450,7 @@ def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
 
     # The index (det1 - 1) << 1 | (det2 - 3) of the detector pair that the
     # photons reach, and then of the pair that fired.
-    fired = _outcomes(cfg, 4 * x + 2 * y + z, rng_source.random(k), pair_slots, rng_channel)
+    fired = _outcomes(cfg, x, y, z, pair_slots, rng_source, rng_channel)
     if cfg.detectors.efficiency == 1.0 and cfg.detectors.dark_count_prob == 0.0:
         # Each photon fires its own detector and nothing else does, so
         # every pair slot is a coincidence.
@@ -537,19 +592,24 @@ def _indices_in(known: np.ndarray, slots: np.ndarray, complaint: str) -> np.ndar
     of them past its last entry; a slot that `known` lacks is a
     ProtocolError that names the first such slot.
 
-    A merge, SLOT_CHUNK slots at a time: a stable argsort of the part of
-    `known` that a chunk spans followed by the chunk merges the two sorted
-    runs in linear time and puts each slot just after its equal in
-    `known`, if any. The entries of `known` before a slot then give its
-    index."""
+    SLOT_CHUNK slots at a time. A chunk that equals the part of `known`
+    it spans, as each of Bob's declaration frames does under ideal
+    detectors, has the indices of that part. Any other chunk is merged: a
+    stable argsort of the part of `known` that it spans followed by the
+    chunk merges the two sorted runs in linear time and puts each slot
+    just after its equal in `known`, if any. The entries of `known` before
+    a slot then give its index."""
     idx = np.empty(len(slots), dtype=np.int64)
     for start in range(0, len(slots), SLOT_CHUNK):
         chunk = slots[start : start + SLOT_CHUNK]
+        found = idx[start : start + len(chunk)]
         lo = int(np.searchsorted(known, chunk[0]))
         span = known[lo : int(np.searchsorted(known, chunk[-1], side="right"))]
+        if len(span) == len(chunk) and np.array_equal(span, chunk):
+            found[:] = np.arange(lo, lo + len(chunk))
+            continue
         merged = np.argsort(np.concatenate((span, chunk)), kind="stable")
         # The slots' places in the merge, in order, less the slots before each.
-        found = idx[start : start + len(chunk)]
         np.subtract(np.flatnonzero(merged >= len(span)), np.arange(len(chunk)), out=found)
         found += lo - 1
         missing = np.flatnonzero(known[found] != chunk)

@@ -227,6 +227,11 @@ def _reference_outcomes(protocol_name, probs, u):
     return 2 * (u >= probs).astype(np.uint8)
 
 
+def _random_symbol_bits(rng, n):
+    """x, y and z bits (uint8) of n pair slots."""
+    return (rng.integers(0, 2, size=n).astype(np.uint8) for _ in range(3))
+
+
 def _uniforms_with_ties(protocol_name, probs, rng):
     """Uniforms for the kernel rows `probs`, every third one equal to one of
     its row's thresholds, where a strict and a loose compare part."""
@@ -413,11 +418,12 @@ class TestBoundedMemory:
         assert abs(len(sim.pair_slots) - expected) < 5 * math.sqrt(expected)
         assert elapsed < 5.0, f"{elapsed:.2f} s"
 
-    # Measured with numpy 2.4: at most 31.1 B per pair slot for the engine
-    # (dfs2; an int64 outcome per pair slot made it 38.1) and 41.9 B for
-    # the whole session. The bounds leave about 15% for other numpy versions.
+    # Measured with numpy 2.4: at most 21.8 B per pair slot for the engine
+    # (dfs2; whole-session outcome uniforms and gathers made it 31.1, and an
+    # int64 outcome per pair slot 38.1) and 30.1 B for the whole session.
+    # The bounds leave about 15% for other numpy versions.
     @pytest.mark.parametrize(
-        "run, bound", [(simulate_quantum, 36), (run_session_detailed, 48)], ids=["simulate", "session"]
+        "run, bound", [(simulate_quantum, 25), (run_session_detailed, 35)], ids=["simulate", "session"]
     )
     @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
     def test_peak_memory_per_pair_slot(self, protocol_name, run, bound):
@@ -435,29 +441,92 @@ class TestBoundedMemory:
     @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
     def test_static_table_equals_the_per_row_kernel(self, protocol_name):
         rng = np.random.default_rng(5)
-        s = rng.integers(0, 8, size=1000)
+        x, y, z = _random_symbol_bits(rng, 1000)
+        s = 4 * x.astype(np.intp) + 2 * y + z
         slots = np.arange(1000)
         for deg in (0.0, 7.5, 20.0, 45.0, 90.0, -33.0):
             cfg = small_cfg(protocol=protocol_name, channel=StaticChannel(np.radians(deg)))
             theta = np.full(1000, np.radians(deg))
             probs = KERNELS[protocol_name](s, theta, cfg.visibility)
+            # on the source stream's uniforms, drawn a block at a time
+            got = session_mod._outcomes(cfg, x, y, z, slots, np.random.default_rng(9), np.random.default_rng(0))
+            _assert_same(got, _reference_outcomes(protocol_name, probs, np.random.default_rng(9).random(1000)))
+            # and on uniforms tied to a threshold, the table's rows read by
+            # symbol, as _outcomes reads them
+            table = KERNELS[protocol_name](np.arange(8), np.full(8, np.radians(deg)), cfg.visibility)
             u = _uniforms_with_ties(protocol_name, probs, rng)
-            got = session_mod._outcomes(cfg, s, u, slots, np.random.default_rng(0))
-            _assert_same(got, _reference_outcomes(protocol_name, probs, u))
+            _assert_same(session_mod._decide(cfg, table, u, s), _reference_outcomes(protocol_name, probs, u))
 
     @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
     @pytest.mark.parametrize("block", [7, 4096])
     def test_kernel_blocks_equal_one_call(self, monkeypatch, protocol_name, block):
         rng = np.random.default_rng(6)
-        s = rng.integers(0, 8, size=10_000)
+        x, y, z = _random_symbol_bits(rng, 10_000)
+        s = 4 * x.astype(np.intp) + 2 * y + z
         slots = np.arange(10_000)
         cfg = small_cfg(protocol=protocol_name, channel=PerSlotUniformChannel(-np.pi, np.pi))
         theta = cfg.channel.sample_batch(slots, np.random.default_rng(7))
         probs = KERNELS[protocol_name](s, theta, cfg.visibility)
-        u = _uniforms_with_ties(protocol_name, probs, rng)
         monkeypatch.setattr(session_mod, "BORN_BLOCK", block)
-        got = session_mod._outcomes(cfg, s, u, slots, np.random.default_rng(7))
-        _assert_same(got, _reference_outcomes(protocol_name, probs, u))
+        got = session_mod._outcomes(cfg, x, y, z, slots, np.random.default_rng(9), np.random.default_rng(7))
+        _assert_same(got, _reference_outcomes(protocol_name, probs, np.random.default_rng(9).random(10_000)))
+        # each block's rows decided on their own, on uniforms tied to a threshold
+        u = _uniforms_with_ties(protocol_name, probs, rng)
+        blocks = [session_mod._decide(cfg, probs[i : i + block], u[i : i + block]) for i in range(0, 10_000, block)]
+        _assert_same(np.concatenate(blocks), _reference_outcomes(protocol_name, probs, u))
+
+    @pytest.mark.parametrize("block", [1, 7, 4096, None], ids=["1", "7", "4096", "default"])
+    @pytest.mark.parametrize("detectors", DETECTORS)
+    @pytest.mark.parametrize(
+        "protocol_name, channel", [("dfs2", "static"), ("bb84", "random_walk")], ids=["table", "per-row"]
+    )
+    def test_outcome_blocks_equal_one_draw(self, monkeypatch, protocol_name, channel, detectors, block):
+        # 2 s is about 7 900 pair slots, 20 s about 78 000: more than one
+        # block at each size
+        if block is not None:
+            monkeypatch.setattr(session_mod, "BORN_BLOCK", block)
+        cfg = small_cfg(
+            protocol=protocol_name,
+            channel=CHANNELS[channel],
+            detectors=DETECTORS[detectors],
+            duration_s=2.0 if block is not None else 20.0,
+        )
+        sources = []
+        draw_pair_slots = session_mod._draw_pair_slots
+
+        def keep_source(rng, mu, n_slots):
+            sources.append(rng)
+            return draw_pair_slots(rng, mu, n_slots)
+
+        monkeypatch.setattr(session_mod, "_draw_pair_slots", keep_source)
+        sim = simulate_quantum(cfg)
+        k = len(sim.pair_slots)
+        assert k > session_mod.BORN_BLOCK
+        # _reference_simulation draws the outcome uniforms as one random(k)
+        ref = _reference_simulation(cfg)
+        for name in SIMULATION_ARRAYS:
+            _assert_same(getattr(sim, name), getattr(ref, name))
+        assert sim.multi_pair_fraction == ref.multi_pair_fraction
+        # the source stream then stands where k + 1 gap words, k multi-pair
+        # uniforms, one draw of k outcome uniforms and, for lossy detectors,
+        # the six words per pair slot that follow them leave it
+        _, replay = _reference_pair_slots(cfg)
+        replay.random(k)
+        replay.random(k)
+        if detectors == "lossy":
+            replay.bit_generator.advance(6 * k)
+        assert sources[0].bit_generator.state == replay.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 65_536, 100_003])
+    def test_uniforms_are_generator_random_from_raw_words(self, n):
+        rng = np.random.default_rng(n + 3)
+        got = session_mod._uniforms(rng.bit_generator, np.empty(n))
+        replay = np.random.default_rng(n + 3)
+        want = replay.random(n)
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        # one word each, no more
+        assert rng.bit_generator.state == replay.bit_generator.state
 
     @pytest.mark.parametrize("channel", ["uniform", "random_walk"])
     @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
@@ -712,22 +781,35 @@ class TestSiftExchange:
         st.sampled_from([1, 2, 3, 7, 100_000]),
     )
     def test_indices_in_equals_searchsorted(self, known, data, chunk):
-        # across several SLOT_CHUNK boundaries, and a slot that `known` lacks
-        # (none past its last entry) named as the first one
+        # across several SLOT_CHUNK boundaries: any subset of `known`; a
+        # whole span of it, as Bob declares under ideal detectors; and that
+        # span with one slot dropped. Slots that `known` lacks (none past its
+        # last entry), added to the subset or to the span, or put in place of
+        # one of the span's own, are refused, the first one named.
         picked = data.draw(st.lists(st.booleans(), min_size=len(known), max_size=len(known)))
-        slots = [v for v, keep in zip(known, picked) if keep]
-        known, want = np.array(known, dtype=np.int64), np.array(slots, dtype=np.int64)
+        subset = [v for v, keep in zip(known, picked) if keep]
+        found, refused = [subset], []
+        if known:
+            lacked = data.draw(st.lists(st.integers(0, known[-1]), min_size=1, max_size=4))
+            lacked = sorted(set(lacked) - set(known))
+            if lacked:
+                refused.append((sorted(set(subset) | set(lacked)), lacked[0]))
+            i = data.draw(st.integers(0, len(known) - 1))
+            span = known[i : data.draw(st.integers(i + 1, len(known)))]
+            dropped = data.draw(st.integers(0, len(span) - 1))
+            shorter = span[:dropped] + span[dropped + 1 :]
+            found += [span, shorter]
+            extra = data.draw(st.integers(span[0], span[-1]))
+            if extra not in known:
+                refused += [(sorted([*span, extra]), extra), (sorted([*shorter, extra]), extra)]
+        known = np.array(known, dtype=np.int64)
         with mock.patch.object(session_mod, "SLOT_CHUNK", chunk):
-            _assert_same(session_mod._indices_in(known, want, "not here"), np.searchsorted(known, want))
-            if not len(known):
-                return
-            lacked = data.draw(st.lists(st.integers(0, int(known[-1])), min_size=1, max_size=4))
-            lacked = sorted(set(lacked) - set(known.tolist()))
-            if not lacked:
-                return
-            slots = np.array(sorted(set(slots) | set(lacked)), dtype=np.int64)
-            with pytest.raises(ProtocolError, match=f"^not here: slot {lacked[0]}$"):
-                session_mod._indices_in(known, slots, "not here")
+            for slots in found:
+                slots = np.array(slots, dtype=np.int64)
+                _assert_same(session_mod._indices_in(known, slots, "not here"), np.searchsorted(known, slots))
+            for slots, first in refused:
+                with pytest.raises(ProtocolError, match=f"^not here: slot {first}$"):
+                    session_mod._indices_in(known, np.array(slots, dtype=np.int64), "not here")
 
     def test_indices_in_holds_one_chunk_at_a_time(self):
         # 784 054 pair slots, Alice's at 200 s: beyond the returned indices
