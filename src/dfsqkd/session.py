@@ -8,9 +8,9 @@ detector layer decides coincidences. The classical conversation
 over a Transport pair, so the same code drives both the in-process mode
 and the two-process networked mode. It ends with Alice's SUMMARY, which
 carries only what Bob cannot count: her error count on the disclosed
-sample and the multi-pair fraction of the coincidences. Bob builds the
-rest of his summary from his own counts, through the same qber_report
-and finalize as Alice.
+sample and the multi-pair fraction of the slots he declared (for an
+honest Bob, his coincidences). Bob builds the rest of his summary from
+his own counts, through the same qber_report and finalize as Alice.
 
 All randomness comes from four seeded streams. The engine consumes them
 in a fixed, documented order, counted in raw 64-bit words of each
@@ -20,18 +20,18 @@ sessions:
 * source: one word per geometric gap between pair slots, up to and
   including the gap that passes the last slot (_draw_pair_slots); then
   one word per pair slot, the multi-pair uniform (whether its count,
-  from the Poisson law truncated at zero, is 2 or more); then one word
-  per pair slot, the outcome uniform, drawn a block of BORN_BLOCK pair
-  slots at a time as each block is decided (_outcomes), which takes the
-  same words in the same order as one draw of them all (each uniform is
-  (w >> 11) 2^-53 of its word w, as Generator.random gives it); then,
-  only when the detectors are not ideal (efficiency < 1 or
-  dark_count_prob > 0), six words per pair slot for the detector draws
-  (2 efficiency + 4 dark uniforms). Ideal
-  detectors draw nothing: every pair slot is a coincidence on the
-  outcome's detector pair. Nothing draws from the source stream after
-  them, so skipping them moves no other draw. Time and memory grow with
-  pair slots, not clock slots;
+  from the Poisson law truncated at zero, is 2 or more: _multi_pair);
+  then one word per pair slot, the outcome uniform, drawn a block of
+  BORN_BLOCK pair slots at a time as each block is decided (_outcomes),
+  which takes the same words in the same order as one draw of them all
+  (each uniform is (w >> 11) 2^-53 of its word w, as Generator.random
+  gives it); then, only when the detectors are not ideal (efficiency < 1
+  or dark_count_prob > 0), six words per pair slot for the detector
+  draws (2 efficiency + 4 dark uniforms). Ideal detectors draw nothing:
+  every pair slot is a coincidence on the outcome's detector pair.
+  Nothing draws from the source stream after them, so skipping them
+  moves no other draw. Time and memory grow with pair slots, not clock
+  slots;
 * alice: ceil(k/64) words of x bits, then ceil(k/64) words of y bits,
   for k pair slots (_bits); then the error-test sample positions, drawn
   by numpy's Generator.choice;
@@ -45,22 +45,39 @@ sessions:
   stream, so skipping its draws moves no other draw.
 
 Each endpoint runs the quantum side itself, from the config and seeds
-that HELLO shows both hold (in-process, both share one run), and reads
-only its own part of it, so Bob's process needs the engine's memory as
-Alice's does. The conversation is the paper's: Bob declares his
-coincidences and bases (DETECTIONS), Alice says which to keep, and a
-sample of the key is disclosed. Every list goes by one rule (_frames):
-frames of exactly SLOT_CHUNK entries, then one shorter, possibly empty,
-that ends it. A slot list (the declaration, SAMPLE_REQUEST) travels as
-base-64 gap varints (transport.pack_slots), each frame's first gap
-counted from the previous frame's last entry, so a decoded list always
-increases strictly. Its receiver takes it one frame at a time
-(_recv_slots), refusing an entry at or past its bound and a frame of
-more than SLOT_CHUNK entries, and never holds the whole list: Alice
-looks up each declaration frame as it arrives and keeps only its keep
-bits and its share of her key; Bob answers each SAMPLE_REQUEST frame
-with its share of his key, and refuses a request of any length but the
-agreed sample size.
+that HELLO shows both hold, and draws only what it reads
+(simulate_quantum's `reader`), by the order above:
+
+* Alice draws the gaps, the multi-pair uniforms, and x and y. She runs
+  no Born kernel and no detector layer, and counts the multi-pair flags
+  of the slots Bob declares as she looks them up;
+* Bob draws the gaps, then moves the source stream past the k
+  multi-pair words with bit_generator.advance(k) instead of drawing
+  them, then x, y and z, the channel's and the outcome uniforms and,
+  for lossy detectors, the detector words. Under ideal detectors his
+  declaration is every pair slot with its basis, known before any
+  outcome, so he sends it as soon as it is drawn and decides his
+  outcomes while Alice looks it up: his bits are not needed until
+  SIFT_KEEP arrives. With lossy detectors the declaration waits for
+  detect_batch.
+
+In-process, one run draws and decides both parts before either endpoint
+starts, and each reads its own part of it.
+
+The conversation is the paper's: Bob declares his coincidences and bases
+(DETECTIONS), Alice says which to keep, and a sample of the key is
+disclosed. Every list goes by one rule (_frames): frames of exactly
+SLOT_CHUNK entries, then one shorter, possibly empty, that ends it. A
+slot list (the declaration, SAMPLE_REQUEST) travels as base-64 gap
+varints (transport.pack_slots), each frame's first gap counted from the
+previous frame's last entry, so a decoded list always increases
+strictly. Its receiver takes it one frame at a time (_recv_slots),
+refusing an entry at or past its bound and a frame of more than
+SLOT_CHUNK entries, and never holds the whole list: Alice looks up each
+declaration frame as it arrives and keeps only its keep bits and its
+share of her key; Bob answers each SAMPLE_REQUEST frame with its share
+of his key, and refuses a request of any length but the agreed sample
+size.
 
 The bits that answer a list (Alice's keep bit per declared slot, Bob's
 SAMPLE_BITS per position) go frame for frame with it once the whole
@@ -238,32 +255,38 @@ class SessionSummary:
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class SimulationResult:
-    """What each endpoint reads of the quantum side. Alice's part:
-    pair_slots, x and y run over pair slots, the slots with at least one
-    generated pair; alice_rng is her live stream, to continue drawing
-    from for the error test; multi_pair_fraction is the share of the
-    coincidences that held more than one pair. Bob's part, his records
-    (slots, z, bob_bits), runs over coincidences only. Multi-pair flags,
-    channel angles and detector indices stay inside simulate_quantum.
-    """
+    """What the endpoints read of the quantum side; the `reader` given to
+    simulate_quantum sets whose part it holds. Alice's part: pair_slots,
+    x and y run over pair slots, the slots with at least one generated
+    pair; multi_pair says whether each pair slot held more than one pair;
+    alice_rng is her live stream, to continue drawing from for the error
+    test. Bob's part runs over his coincidences: his declaration (slots
+    and z), then bob_bits. A run for Bob alone under ideal detectors holds
+    his declaration before his outcomes are decided, and decides them on
+    the first read of bob_bits, so that he can send it first. Channel
+    angles and detector indices stay inside the engine; pair_slots is
+    there for every reader."""
 
-    pair_slots: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    alice_rng: np.random.Generator
-    slots: np.ndarray
-    z: np.ndarray
-    bob_bits: np.ndarray
-    multi_pair_fraction: float
+    def __init__(self, pair_slots, x=None, y=None, alice_rng=None, multi_pair=None, slots=None, z=None, bob_bits=None):
+        self.pair_slots, self.x, self.y = pair_slots, x, y
+        self.alice_rng, self.multi_pair = alice_rng, multi_pair
+        self.slots, self.z = slots, z
+        # His bits, or the function that decides them.
+        self._bob_bits = bob_bits
+
+    @property
+    def bob_bits(self) -> np.ndarray:
+        if callable(self._bob_bits):
+            self._bob_bits = self._bob_bits()
+        return self._bob_bits
 
 
-def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair slots, and whether each holds more than one pair, by the skip
-    method (Devroye, 1986), which has the joint law of one Poisson(mu)
-    count per clock slot. The gaps between pair slots are geometric with
-    p = 1 - e^-mu, each by inversion of one raw word w of the stream:
+def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> np.ndarray:
+    """Pair slots by the skip method (Devroye, 1986), which with
+    _multi_pair has the joint law of one Poisson(mu) count per clock slot.
+    The gaps between pair slots are geometric with p = 1 - e^-mu, each by
+    inversion of one raw word w of the stream:
     floor(log(u) / log(1 - p)) + 1 with u = ((w >> 11) + 1) 2^-53 in (0, 1].
     They are drawn in batches of at most GAP_BATCH, each sized to the gaps
     expected in the slots left plus a margin (_room), until a batch passes
@@ -274,14 +297,9 @@ def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> tuple
     the formula; its running sums then overwrite its words. Each batch's
     slots are written into one array, sized the same way for the whole
     session and grown by the estimate for the slots left if the margin runs
-    out. Each pair slot's count is Poisson(mu) given at least one pair; it
-    is 1 with probability mu e^-mu / p, the first step of that law's CDF,
-    so one uniform (_uniforms) at or above that step marks a multi-pair
-    slot (the count by inverse CDF on the same uniform is then 2 or more).
-    The uniforms are drawn and compared GAP_BATCH at a time into one
-    buffer, so no float array of them all is held."""
+    out."""
     if mu == 0.0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+        return np.empty(0, dtype=np.int64)
     p = -math.expm1(-mu)
     log_q = math.log1p(-p)
     stream = rng.bit_generator
@@ -325,13 +343,26 @@ def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> tuple
             stream.advance(new + 1)
             break
         last = int(slots[k - 1])
+    return slots[:k]
+
+
+def _multi_pair(rng: np.random.Generator, mu: float, k: int) -> np.ndarray:
+    """Whether each of k pair slots holds more than one pair. Its count is
+    Poisson(mu) given at least one pair; it is 1 with probability
+    mu e^-mu / p, p = 1 - e^-mu, the first step of that law's CDF, so one
+    uniform (_uniforms) at or above that step marks a multi-pair slot (the
+    count by inverse CDF on the same uniform is then 2 or more). The
+    uniforms are drawn and compared GAP_BATCH at a time into one buffer,
+    so no float array of them all is held."""
     multi_pair = np.empty(k, dtype=bool)
-    single = mu * math.exp(-mu) / p
+    if k == 0:
+        return multi_pair
+    single = mu * math.exp(-mu) / -math.expm1(-mu)
     u = np.empty(min(GAP_BATCH, k))
     for start in range(0, k, GAP_BATCH):
         block = multi_pair[start : start + GAP_BATCH]
-        np.greater_equal(_uniforms(stream, u[: len(block)]), single, out=block)
-    return slots[:k], multi_pair
+        np.greater_equal(_uniforms(rng.bit_generator, u[: len(block)]), single, out=block)
+    return multi_pair
 
 
 def _room(left: int, p: float) -> int:
@@ -433,47 +464,69 @@ def _decide(cfg: SessionConfig, probs: np.ndarray, u: np.ndarray, rows=slice(Non
     return outcome
 
 
-def simulate_quantum(cfg: SessionConfig) -> SimulationResult:
-    """Run the quantum side of a session (see module docstring for the
-    exact stream-consumption order)."""
-    rng_alice = np.random.default_rng(cfg.seeds.alice)
-    rng_bob = np.random.default_rng(cfg.seeds.bob)
-    rng_channel = np.random.default_rng(cfg.seeds.channel)
-    rng_source = np.random.default_rng(cfg.seeds.source)
-
-    pair_slots, multi_pair = _draw_pair_slots(rng_source, cfg.mean_pairs_per_slot, cfg.n_slots)
-    k = len(pair_slots)
-
-    x = _bits(rng_alice, k)
-    y = _bits(rng_alice, k)
-    z = _bits(rng_bob, k)
-
+def _bob_records(
+    cfg: SessionConfig,
+    pair_slots: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    z: np.ndarray,
+    rng_source: np.random.Generator,
+    rng_channel: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bob's records, the slots, bases and bits of his coincidences: each
+    pair slot's outcome (_outcomes), then, unless the detectors are ideal,
+    the detector layer's draws and its coincidence mask."""
     # The index (det1 - 1) << 1 | (det2 - 3) of the detector pair that the
     # photons reach, and then of the pair that fired.
     fired = _outcomes(cfg, x, y, z, pair_slots, rng_source, rng_channel)
-    if cfg.detectors.efficiency == 1.0 and cfg.detectors.dark_count_prob == 0.0:
-        # Each photon fires its own detector and nothing else does, so
-        # every pair slot is a coincidence.
-        slots = pair_slots
-    else:
+    slots = pair_slots
+    if not _ideal(cfg.detectors):
         coinc, fired = detect_batch(fired, cfg.detectors, rng_source)
         # numpy gathers by index several times faster than it selects by a
         # mask this dense, so the mask is turned into indices once.
         coinc = np.flatnonzero(coinc)
-        slots, z, fired, multi_pair = (a[coinc] for a in (pair_slots, z, fired, multi_pair))
+        slots, z, fired = (a[coinc] for a in (pair_slots, z, fired))
     bob_bits = OUTCOME_BIT[fired] if cfg.protocol == "dfs2" else BB84_PORT_BIT[z, fired >> 1]
-    n_coinc = len(slots)
+    return slots, z, bob_bits
 
-    return SimulationResult(
-        pair_slots=pair_slots,
-        x=x,
-        y=y,
-        alice_rng=rng_alice,
-        slots=slots,
-        z=z,
-        bob_bits=bob_bits,
-        multi_pair_fraction=int(np.count_nonzero(multi_pair)) / n_coinc if n_coinc else 0.0,
-    )
+
+def _ideal(detectors: DetectorParams) -> bool:
+    """Each photon fires its own detector and nothing else does, so every
+    pair slot is a coincidence and the detector layer draws nothing."""
+    return detectors.efficiency == 1.0 and detectors.dark_count_prob == 0.0
+
+
+def simulate_quantum(cfg: SessionConfig, reader: Optional[str] = None) -> SimulationResult:
+    """Run the quantum side of a session for `reader`: "alice" or "bob"
+    draws only what that endpoint reads, and None, for an in-process
+    session, draws and decides both parts at once. See the module
+    docstring for the exact stream-consumption order."""
+    mu = cfg.mean_pairs_per_slot
+    rng_source = np.random.default_rng(cfg.seeds.source)
+    rng_alice = np.random.default_rng(cfg.seeds.alice)
+    pair_slots = _draw_pair_slots(rng_source, mu, cfg.n_slots)
+    k = len(pair_slots)
+    x = _bits(rng_alice, k)
+    y = _bits(rng_alice, k)
+    multi_pair = None
+    if reader == "bob":
+        # He reads no multi-pair flag, so he skips their words.
+        rng_source.bit_generator.advance(k)
+    else:
+        multi_pair = _multi_pair(rng_source, mu, k)
+    if reader == "alice":
+        return SimulationResult(pair_slots, x, y, rng_alice, multi_pair)
+    z = _bits(np.random.default_rng(cfg.seeds.bob), k)
+    rng_channel = np.random.default_rng(cfg.seeds.channel)
+    if reader == "bob" and _ideal(cfg.detectors):
+        # His declaration, every pair slot with its basis, is known before
+        # any outcome is; his bits are decided when first read.
+        slots, bits = pair_slots, lambda: _bob_records(cfg, pair_slots, x, y, z, rng_source, rng_channel)[2]
+    else:
+        slots, z, bits = _bob_records(cfg, pair_slots, x, y, z, rng_source, rng_channel)
+    if reader == "bob":
+        return SimulationResult(pair_slots, slots=slots, z=z, bob_bits=bits)
+    return SimulationResult(pair_slots, x, y, rng_alice, multi_pair, slots, z, bits)
 
 
 def finalize(
@@ -587,27 +640,27 @@ def _recv_bits(link: Transport, kind: str, key: str, n: int) -> np.ndarray:
     return bits
 
 
-def _indices_in(known: np.ndarray, slots: np.ndarray, complaint: str) -> np.ndarray:
-    """Index of each of the sorted slots in the sorted array `known`, none
-    of them past its last entry; a slot that `known` lacks is a
-    ProtocolError that names the first such slot.
+def _indices_in(known: np.ndarray, slots: np.ndarray, complaint: str) -> slice | np.ndarray:
+    """Where the sorted slots are in the sorted array `known`, none of them
+    past its last entry; a slot that `known` lacks is a ProtocolError that
+    names the first such slot.
 
-    SLOT_CHUNK slots at a time. A chunk that equals the part of `known`
-    it spans, as each of Bob's declaration frames does under ideal
-    detectors, has the indices of that part. Any other chunk is merged: a
-    stable argsort of the part of `known` that it spans followed by the
-    chunk merges the two sorted runs in linear time and puts each slot
+    When the slots equal a span of `known`, as each of Bob's declaration
+    frames does under ideal detectors, that span's slice. Otherwise the
+    index of each slot, found SLOT_CHUNK slots at a time by a merge: a
+    stable argsort of the part of `known` that a chunk spans followed by
+    the chunk merges the two sorted runs in linear time and puts each slot
     just after its equal in `known`, if any. The entries of `known` before
     a slot then give its index."""
+    lo = int(np.searchsorted(known, slots[0])) if len(slots) else 0
+    if np.array_equal(known[lo : lo + len(slots)], slots):
+        return slice(lo, lo + len(slots))
     idx = np.empty(len(slots), dtype=np.int64)
     for start in range(0, len(slots), SLOT_CHUNK):
         chunk = slots[start : start + SLOT_CHUNK]
         found = idx[start : start + len(chunk)]
         lo = int(np.searchsorted(known, chunk[0]))
         span = known[lo : int(np.searchsorted(known, chunk[-1], side="right"))]
-        if len(span) == len(chunk) and np.array_equal(span, chunk):
-            found[:] = np.arange(lo, lo + len(chunk))
-            continue
         merged = np.argsort(np.concatenate((span, chunk)), kind="stable")
         # The slots' places in the merge, in order, less the slots before each.
         np.subtract(np.flatnonzero(merged >= len(span)), np.arange(len(chunk)), out=found)
@@ -619,36 +672,42 @@ def _indices_in(known: np.ndarray, slots: np.ndarray, complaint: str) -> np.ndar
 
 
 def alice_sift_exchange(
-    link: Transport, pair_slots: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, int]:
+    link: Transport, pair_slots: np.ndarray, x: np.ndarray, y: np.ndarray, multi_pair: np.ndarray
+) -> tuple[np.ndarray, int, int]:
     """Alice's half of sifting: look up each frame of Bob's declaration
     (slots and bases) as it arrives, and once it has ended answer it frame
     for frame with a keep bit per declared slot, set where his basis
-    matches hers. Returns her sifted key and the number of slots Bob
-    declared."""
+    matches hers. Returns her sifted key, the number of slots Bob declared
+    and how many of them held more than one pair."""
     bound = int(pair_slots[-1]) + 1 if len(pair_slots) else 0
-    answers, key, n_declared = [], [], 0
+    answers, key, n_declared, n_multi = [], [], 0, 0
     for payload, slots in _recv_slots(link, "DETECTIONS", "slots", bound):
         bases = unpack_bits(payload.get("bases"), len(slots))
-        idx = _indices_in(pair_slots, slots, "peer declared a detection in a slot without pairs")
-        keep = x[idx] == bases
+        at = _indices_in(pair_slots, slots, "peer declared a detection in a slot without pairs")
+        keep = x[at] == bases
         answers.append(pack_bits(keep))
         # About half the bits are set, where numpy selects several times
         # faster by index than by boolean mask.
-        key.append(y[idx[np.flatnonzero(keep)]])
+        key.append(y[at][np.flatnonzero(keep)])
+        n_multi += int(np.count_nonzero(multi_pair[at]))
         n_declared += len(slots)
     for packed in answers:
         link.send(Message("SIFT_KEEP", {"keep": packed}))
-    return np.concatenate(key), n_declared
+    return np.concatenate(key), n_declared, n_multi
 
 
-def bob_sift_exchange(link: Transport, slots: np.ndarray, z: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Bob's half of sifting: declare every coincidence with its basis,
-    then keep each declaration frame's bits where Alice's SIFT_KEEP frame
-    for it sets the keep bit, and return his sifted key."""
-    _send_list(link, "DETECTIONS", "slots", slots, bases=z)
+def bob_sift_exchange(link: Transport, records: SimulationResult) -> np.ndarray:
+    """Bob's half of sifting: declare every coincidence with its basis
+    (records.slots, records.z), then keep each declaration frame's bits
+    (records.bob_bits, read only once the declaration has gone) where
+    Alice's SIFT_KEEP frame for it sets the keep bit, and return his
+    sifted key."""
+    _send_list(link, "DETECTIONS", "slots", records.slots, bases=records.z)
+    # A run of Bob's alone under ideal detectors decides his outcomes here,
+    # while Alice looks up his declaration.
+    bits = records.bob_bits
     kept = []
-    for start in _frames(len(slots)):
+    for start in _frames(len(bits)):
         frame = bits[start : start + SLOT_CHUNK]
         keep = unpack_bits(expect(link, "SIFT_KEEP").payload.get("keep"), len(frame))
         kept.append(frame[np.flatnonzero(keep)])  # by index, as in alice_sift_exchange
@@ -656,14 +715,15 @@ def bob_sift_exchange(link: Transport, slots: np.ndarray, z: np.ndarray, bits: n
 
 
 def run_alice_endpoint(cfg: SessionConfig, link: Transport, sim: Optional[SimulationResult] = None) -> EndpointResult:
-    """Alice's whole session: simulate the quantum side, unless given its
-    result `sim`, then sift Bob's declaration and run the error test. She
-    reads only her own part of the simulation."""
+    """Alice's whole session: simulate her part of the quantum side,
+    unless given its result `sim`, then sift Bob's declaration and run the
+    error test. Her multi-pair fraction counts the slots he declared."""
     _hello_exchange(cfg, link)
     if sim is None:
-        sim = simulate_quantum(cfg)
+        sim = simulate_quantum(cfg, "alice")
 
-    alice_key, n_coincidences = alice_sift_exchange(link, sim.pair_slots, sim.x, sim.y)
+    alice_key, n_coincidences, n_multi = alice_sift_exchange(link, sim.pair_slots, sim.x, sim.y, sim.multi_pair)
+    multi_pair_fraction = n_multi / n_coincidences if n_coincidences else 0.0
     n_sifted = len(alice_key)
 
     positions = sample_positions(n_sifted, cfg.sample_fraction, sim.alice_rng)
@@ -672,22 +732,22 @@ def run_alice_endpoint(cfg: SessionConfig, link: Transport, sim: Optional[Simula
     n_errors = int(np.count_nonzero(alice_key[positions] != bob_sample))
     report = qber_report(len(positions), n_errors)
 
-    summary = finalize(cfg, n_coincidences, n_sifted, report, sim.multi_pair_fraction)
-    link.send(Message("SUMMARY", {"n_errors": n_errors, "multi_pair_fraction": sim.multi_pair_fraction}))
+    summary = finalize(cfg, n_coincidences, n_sifted, report, multi_pair_fraction)
+    link.send(Message("SUMMARY", {"n_errors": n_errors, "multi_pair_fraction": multi_pair_fraction}))
     expect(link, "BYE")
     return EndpointResult(summary, alice_key)
 
 
 def run_bob_endpoint(cfg: SessionConfig, link: Transport, sim: Optional[SimulationResult] = None) -> EndpointResult:
-    """Bob's whole session: simulate the quantum side, unless given its
-    result `sim`, declare his coincidences, sift, answer an error test of
-    the agreed size frame for frame, and build the summary from his own
-    counts and Alice's SUMMARY. He reads only his records: slots, z and
-    bob_bits."""
+    """Bob's whole session: simulate his part of the quantum side, unless
+    given its result `sim`, declare his coincidences, sift, answer an
+    error test of the agreed size frame for frame, and build the summary
+    from his own counts and Alice's SUMMARY. He reads only his records:
+    slots, z and bob_bits."""
     _hello_exchange(cfg, link)
     if sim is None:
-        sim = simulate_quantum(cfg)
-    bob_key = bob_sift_exchange(link, sim.slots, sim.z, sim.bob_bits)
+        sim = simulate_quantum(cfg, "bob")
+    bob_key = bob_sift_exchange(link, sim)
 
     answers, n_compared = [], 0
     for _, positions in _recv_slots(link, "SAMPLE_REQUEST", "positions", len(bob_key)):

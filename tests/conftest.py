@@ -3,6 +3,7 @@
 import os
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,9 +32,8 @@ def sift_halves():
 
         def bob():
             try:
-                out["bob"] = session.bob_sift_exchange(
-                    b_link, np.asarray(slots, dtype=np.int64), np.asarray(z), np.asarray(bits)
-                )
+                records = SimpleNamespace(slots=np.asarray(slots, dtype=np.int64), z=np.asarray(z), bob_bits=np.asarray(bits))
+                out["bob"] = session.bob_sift_exchange(b_link, records)
             except BaseException as exc:  # noqa: BLE001 - raised below
                 bob_error.append(exc)
                 b_link.close()
@@ -42,7 +42,9 @@ def sift_halves():
         t.start()
         alice_error = None
         try:
-            out["alice"], _ = session.alice_sift_exchange(a_link, np.asarray(pair_slots), np.asarray(x), np.asarray(y))
+            out["alice"], _, _ = session.alice_sift_exchange(
+                a_link, np.asarray(pair_slots), np.asarray(x), np.asarray(y), np.zeros(len(pair_slots), dtype=bool)
+            )
         except BaseException as exc:  # noqa: BLE001 - raised below
             alice_error = exc
         finally:

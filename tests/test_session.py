@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -135,7 +136,7 @@ class TestPoissonPairs:
 
     @pytest.mark.parametrize("mu, n_slots, bins", SOURCE_LAWS)
     def test_gaps_are_geometric(self, mu, n_slots, bins):
-        slots, _multi_pair = session_mod._draw_pair_slots(np.random.default_rng(21), mu, n_slots)
+        slots = session_mod._draw_pair_slots(np.random.default_rng(21), mu, n_slots)
         assert len(slots) > 10**6
         gaps = np.diff(slots, prepend=-1)
         p = -math.expm1(-mu)
@@ -147,7 +148,7 @@ class TestPoissonPairs:
     def test_inversion_gaps_follow_the_geometric_law(self, p):
         # about 1e6 gaps each: mean 1/p, variance (1 - p)/p^2, P(gap = 1) = p
         mu = -math.log1p(-p)
-        slots, _multi_pair = session_mod._draw_pair_slots(np.random.default_rng(23), mu, int(1e6 / p))
+        slots = session_mod._draw_pair_slots(np.random.default_rng(23), mu, int(1e6 / p))
         gaps = np.diff(slots, prepend=-1).astype(float)
         n, var = len(gaps), (1 - p) / p**2
         # the sample variance's variance is (mu4 - var^2) / n, and the
@@ -161,7 +162,8 @@ class TestPoissonPairs:
 
     @pytest.mark.parametrize("mu, n_slots", [law[:2] for law in SOURCE_LAWS])
     def test_multi_pair_flags_are_bernoulli(self, mu, n_slots):
-        _slots, multi_pair = session_mod._draw_pair_slots(np.random.default_rng(22), mu, n_slots)
+        rng = np.random.default_rng(22)
+        multi_pair = session_mod._multi_pair(rng, mu, len(session_mod._draw_pair_slots(rng, mu, n_slots)))
         assert multi_pair.dtype == bool and len(multi_pair) > 10**6
         # P(count = 1 | count >= 1); every other count is a multi-pair slot
         single = mu * math.exp(-mu) / -math.expm1(-mu)
@@ -183,7 +185,7 @@ class TestEngine:
         assert 0 < n < k
         assert np.isin(sim.slots, sim.pair_slots).all() and np.all(np.diff(sim.slots) > 0)
         assert set(sim.bob_bits) <= {0, 1}
-        assert 0.0 <= sim.multi_pair_fraction <= 1.0
+        assert sim.multi_pair.dtype == bool and len(sim.multi_pair) == k
 
     def test_zero_pair_rate_produces_nothing(self):
         sim = simulate_quantum(small_cfg(pair_rate_hz=0.0))
@@ -292,7 +294,8 @@ def _reference_simulation(cfg):
     pair counts by inverse CDF, the channel's angle at every pair slot,
     one kernel call over every pair slot, outcomes decided on whole rows,
     the detector layer's draws even for ideal detectors, and its mask
-    applied to Bob's records afterwards."""
+    applied to Bob's records afterwards; and the share of the
+    coincidences that held more than one pair, over that mask."""
     seeds = cfg.seeds
     rng_alice, rng_bob, rng_channel = (np.random.default_rng(seed) for seed in (seeds.alice, seeds.bob, seeds.channel))
     pair_slots, rng_source = _reference_pair_slots(cfg)
@@ -310,11 +313,12 @@ def _reference_simulation(cfg):
     else:
         bob_bits = protocol.BB84_PORT_BIT[z, fired >> 1]
     n_coinc = np.count_nonzero(coinc)
-    return SimulationResult(
+    return SimpleNamespace(
         pair_slots=pair_slots,
         x=x,
         y=y,
         alice_rng=rng_alice,
+        multi_pair=n_pairs >= 2,
         slots=pair_slots[coinc],
         z=z[coinc],
         bob_bits=bob_bits[coinc],
@@ -322,7 +326,7 @@ def _reference_simulation(cfg):
     )
 
 
-SIMULATION_ARRAYS = ("pair_slots", "x", "y", "slots", "z", "bob_bits")
+SIMULATION_ARRAYS = ("pair_slots", "x", "y", "multi_pair", "slots", "z", "bob_bits")
 
 
 def _assert_same(got, want):
@@ -363,7 +367,6 @@ class TestBoundedMemory:
         got = simulate_quantum(cfg)
         for name in SIMULATION_ARRAYS:
             _assert_same(getattr(got, name), getattr(want, name))
-        assert got.multi_pair_fraction == want.multi_pair_fraction
         assert got.alice_rng.bit_generator.state == want.alice_rng.bit_generator.state
         # the source stream goes on from the same place
         got_next = np.random.default_rng(cfg.seeds.source)
@@ -379,8 +382,7 @@ class TestBoundedMemory:
         monkeypatch.setattr(session_mod, "_room", lambda left, p: room)
         got_next = np.random.default_rng(24)
         got = session_mod._draw_pair_slots(got_next, mu, n)
-        for got_array, want_array in zip(got, want):
-            _assert_same(got_array, want_array)
+        _assert_same(got, want)
         np.testing.assert_array_equal(got_next.bit_generator.random_raw(16), want_next.bit_generator.random_raw(16))
 
     def test_pair_slot_draws_hold_little_beyond_their_result(self):
@@ -390,7 +392,9 @@ class TestBoundedMemory:
         # and a float per pair slot took 14 MiB more
         tracemalloc.start()
         try:
-            slots, multi_pair = session_mod._draw_pair_slots(np.random.default_rng(4), 0.04, 20_000_000)
+            rng = np.random.default_rng(4)
+            slots = session_mod._draw_pair_slots(rng, 0.04, 20_000_000)
+            multi_pair = session_mod._multi_pair(rng, 0.04, len(slots))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -420,10 +424,11 @@ class TestBoundedMemory:
 
     # Measured with numpy 2.4: at most 21.8 B per pair slot for the engine
     # (dfs2; whole-session outcome uniforms and gathers made it 31.1, and an
-    # int64 outcome per pair slot 38.1) and 30.1 B for the whole session.
-    # The bounds leave about 15% for other numpy versions.
+    # int64 outcome per pair slot 38.1) and 25.1 B for the whole session
+    # (30.1 while Alice gathered each declaration frame by index). The
+    # bounds leave about 15% for other numpy versions.
     @pytest.mark.parametrize(
-        "run, bound", [(simulate_quantum, 25), (run_session_detailed, 35)], ids=["simulate", "session"]
+        "run, bound", [(simulate_quantum, 25), (run_session_detailed, 29)], ids=["simulate", "session"]
     )
     @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
     def test_peak_memory_per_pair_slot(self, protocol_name, run, bound):
@@ -506,7 +511,6 @@ class TestBoundedMemory:
         ref = _reference_simulation(cfg)
         for name in SIMULATION_ARRAYS:
             _assert_same(getattr(sim, name), getattr(ref, name))
-        assert sim.multi_pair_fraction == ref.multi_pair_fraction
         # the source stream then stands where k + 1 gap words, k multi-pair
         # uniforms, one draw of k outcome uniforms and, for lossy detectors,
         # the six words per pair slot that follow them leave it
@@ -557,8 +561,6 @@ class TestBoundedMemory:
         ref = _reference_simulation(cfg)
         for name in SIMULATION_ARRAYS:
             _assert_same(getattr(sim, name), getattr(ref, name))
-        assert type(sim.multi_pair_fraction) is float
-        assert sim.multi_pair_fraction == ref.multi_pair_fraction
         # Alice's stream is left where the one-shot draws leave it: x and y
         # took ceil(k / 64) words each
         assert sim.alice_rng.bit_generator.state == ref.alice_rng.bit_generator.state
@@ -694,8 +696,8 @@ def _endpoints_on_threads(cfg, links, bob_sim=None):
     alice_link, bob_link = links
     bob_args = (bob_sim,) if bob_sim is not None else ()
     threads = [
-        threading.Thread(target=run, args=("alice", run_alice_endpoint, alice_link)),
-        threading.Thread(target=run, args=("bob", run_bob_endpoint, bob_link, *bob_args)),
+        threading.Thread(target=run, name="alice", args=("alice", run_alice_endpoint, alice_link)),
+        threading.Thread(target=run, name="bob", args=("bob", run_bob_endpoint, bob_link, *bob_args)),
     ]
     for t in threads:
         t.start()
@@ -730,6 +732,108 @@ class TestEachEndpointSimulatesItsOwnSide:
         for got, want in ((got_alice, want_alice), (got_bob, want_bob)):
             assert got.summary.to_dict() == want.summary.to_dict()
             _assert_same(got.sifted_key, want.sifted_key)
+
+    @pytest.mark.parametrize("detectors", DETECTORS)
+    @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
+    def test_alice_runs_no_born_kernel_and_no_detector_layer(self, monkeypatch, protocol_name, detectors):
+        # She reads no outcome and no detector draw; Bob decides both.
+        cfg = small_cfg(protocol=protocol_name, channel=CHANNELS["random_walk"], detectors=DETECTORS[detectors])
+        want = run_session(cfg)
+        calls = []
+        for owner, name in ((protocol, "dfs2_probs_batch"), (protocol, "bb84_port1_batch"), (session_mod, "detect_batch")):
+
+            def traced(*args, _original=getattr(owner, name), _name=name):
+                calls.append((threading.current_thread().name, _name))
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, traced)
+        alice, bob = _endpoints_on_threads(cfg, tuple(map(StreamTransport, socket.socketpair())))
+        assert alice.summary.to_dict() == bob.summary.to_dict() == want.to_dict()
+        kernel = KERNELS[protocol_name].__name__
+        assert {who for who, _ in calls} == {"bob"}
+        assert {name for _, name in calls} == {kernel, *(["detect_batch"] if detectors == "lossy" else [])}
+
+    @pytest.mark.parametrize("detectors", DETECTORS)
+    def test_bob_declares_before_deciding_under_ideal_detectors(self, monkeypatch, detectors):
+        # His declaration does not depend on his outcomes unless the
+        # detector layer thins it, so it goes first and they follow.
+        # about 1 950 pair slots: lists of two frames, outcomes in 4 blocks
+        monkeypatch.setattr(session_mod, "SLOT_CHUNK", 1000)
+        monkeypatch.setattr(session_mod, "BORN_BLOCK", 500)
+        events = []
+        decide = session_mod._decide
+
+        def logged_decide(*args):
+            events.append("decide")
+            return decide(*args)
+
+        monkeypatch.setattr(session_mod, "_decide", logged_decide)
+        cfg = small_cfg(detectors=DETECTORS[detectors])
+        alice_link, bob_link = memory_pair()
+        _endpoints_on_threads(cfg, (alice_link, _Logged(bob_link, events)))
+        declared = events.index("DETECTIONS")
+        # more than one frame of each
+        assert events.count("DETECTIONS") > 1 and events.count("decide") > 1
+        if detectors == "ideal":
+            assert declared < events.index("decide")
+        else:
+            assert events.index("decide") < declared
+
+    @pytest.mark.parametrize("detectors", DETECTORS)
+    @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
+    def test_multi_pair_fraction_counts_bobs_coincidences(self, protocol_name, detectors):
+        # Alice counts the flags of the slots Bob declares, which lossy
+        # detectors thin: the share over the engine's coincidence mask.
+        cfg = small_cfg(
+            protocol=protocol_name, duration_s=5.0, channel=CHANNELS["uniform"], detectors=DETECTORS[detectors]
+        )
+        want = _reference_simulation(cfg).multi_pair_fraction
+        alice, bob = _endpoints_on_threads(cfg, tuple(map(StreamTransport, socket.socketpair())))
+        in_process = run_session(cfg)
+        k = len(simulate_quantum(cfg, "alice").pair_slots)
+        assert alice.summary.n_coincidences == k if detectors == "ideal" else 0 < alice.summary.n_coincidences < k
+        for got in (alice.summary, bob.summary, in_process):
+            assert type(got.multi_pair_fraction) is float
+            assert got.multi_pair_fraction == want
+
+    @pytest.mark.parametrize("detectors", DETECTORS)
+    def test_each_reader_draws_only_what_it_reads(self, monkeypatch, detectors):
+        # bb84 on a random walk, so that Bob draws every stream
+        cfg = small_cfg(protocol="bb84", duration_s=2.0, channel=CHANNELS["random_walk"], detectors=DETECTORS[detectors])
+        sources = []
+        draw_pair_slots = session_mod._draw_pair_slots
+
+        def keep_source(rng, mu, n_slots):
+            sources.append(rng)
+            return draw_pair_slots(rng, mu, n_slots)
+
+        monkeypatch.setattr(session_mod, "_draw_pair_slots", keep_source)
+        alice, bob = simulate_quantum(cfg, "alice"), simulate_quantum(cfg, "bob")
+        ref = _reference_simulation(cfg)
+        k = len(ref.pair_slots)
+        # Alice's source stream stops after the k + 1 gap words and the k
+        # multi-pair words; she holds her part and none of Bob's
+        _, replay = _reference_pair_slots(cfg)
+        replay.bit_generator.advance(k)
+        assert sources[0].bit_generator.state == replay.bit_generator.state
+        for name in ("pair_slots", "x", "y", "multi_pair"):
+            _assert_same(getattr(alice, name), getattr(ref, name))
+        assert alice.alice_rng.bit_generator.state == ref.alice_rng.bit_generator.state
+        assert alice.slots is alice.z is alice.bob_bits is None
+        # Bob skips the multi-pair words; under ideal detectors his
+        # declaration is ready and his outcomes wait for the first read of
+        # his bits
+        if detectors == "ideal":
+            assert sources[1].bit_generator.state == replay.bit_generator.state
+        for name in ("pair_slots", "slots", "z", "bob_bits"):
+            _assert_same(getattr(bob, name), getattr(ref, name))
+        assert bob.x is bob.y is bob.multi_pair is bob.alice_rng is None
+        # then his source stream stands after the outcome words and, for
+        # lossy detectors, the detector words
+        replay.random(k)
+        if detectors == "lossy":
+            replay.bit_generator.advance(6 * k)
+        assert sources[1].bit_generator.state == replay.bit_generator.state
 
     def test_bob_reads_only_his_records(self):
         cfg = small_cfg(protocol="bb84", channel=CHANNELS["random_walk"], detectors=DETECTORS["lossy"])
@@ -785,7 +889,8 @@ class TestSiftExchange:
         # whole span of it, as Bob declares under ideal detectors; and that
         # span with one slot dropped. Slots that `known` lacks (none past its
         # last entry), added to the subset or to the span, or put in place of
-        # one of the span's own, are refused, the first one named.
+        # one of the span's own, are refused, the first one named. A span of
+        # `known`, and only a span, comes back as its slice.
         picked = data.draw(st.lists(st.booleans(), min_size=len(known), max_size=len(known)))
         subset = [v for v, keep in zip(known, picked) if keep]
         found, refused = [subset], []
@@ -806,24 +911,32 @@ class TestSiftExchange:
         with mock.patch.object(session_mod, "SLOT_CHUNK", chunk):
             for slots in found:
                 slots = np.array(slots, dtype=np.int64)
-                _assert_same(session_mod._indices_in(known, slots, "not here"), np.searchsorted(known, slots))
+                got, want = session_mod._indices_in(known, slots, "not here"), np.searchsorted(known, slots)
+                if len(want) == 0 or want[-1] - want[0] + 1 == len(want):
+                    assert isinstance(got, slice) and got.step is None
+                    got = np.arange(got.start, got.stop)
+                _assert_same(got, want)
             for slots, first in refused:
                 with pytest.raises(ProtocolError, match=f"^not here: slot {first}$"):
                     session_mod._indices_in(known, np.array(slots, dtype=np.int64), "not here")
 
     def test_indices_in_holds_one_chunk_at_a_time(self):
-        # 784 054 pair slots, Alice's at 200 s: beyond the returned indices
-        # the lookup holds a few arrays of one or two SLOT_CHUNKs, where a
-        # merge of the whole list at once would hold several of its length
+        # 784 054 pair slots, Alice's at 200 s, less one in the middle, so
+        # that the lookup merges: beyond the returned indices it holds a few
+        # arrays of one or two SLOT_CHUNKs, where a merge of the whole list
+        # at once would hold several of its length
         known = np.cumsum(np.random.default_rng(8).integers(1, 50, 784_054))
+        slots = np.delete(known, 400_000)
         tracemalloc.start()
         try:
-            idx = session_mod._indices_in(known, known, "not here")
+            idx = session_mod._indices_in(known, slots, "not here")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        np.testing.assert_array_equal(idx, np.arange(len(known)))
+        np.testing.assert_array_equal(idx, np.delete(np.arange(len(known)), 400_000))
         assert peak - idx.nbytes < 80 * session_mod.SLOT_CHUNK, f"{(peak - idx.nbytes) / 2**20:.1f} MiB"
+        # the whole of `known` is its one span
+        assert session_mod._indices_in(known, known, "not here") == slice(0, len(known))
 
 
 def _slot_frames(key, chunks, *bit_names):
@@ -859,7 +972,7 @@ def _alice_receives_declaration(chunks):
     for payload in _slot_frames("slots", chunks, "bases"):
         peer.send(Message("DETECTIONS", payload))
     peer.close()
-    alice_sift_exchange(link, np.arange(8), np.zeros(8, dtype=np.int64), np.zeros(8, dtype=np.int64))
+    alice_sift_exchange(link, np.arange(8), np.zeros(8, dtype=np.int64), np.zeros(8, dtype=np.int64), np.zeros(8, bool))
 
 
 def _record_bits(n):
@@ -1219,6 +1332,24 @@ class TestHostilePayloads:
             _alice_receives_sample_bits(payload)
 
 
+class _Logged(tp.Transport):
+    """A link that appends the type of every message sent through it to
+    `events`."""
+
+    def __init__(self, inner: tp.Transport, events: list):
+        self.inner, self.events = inner, events
+
+    def send(self, message):
+        self.events.append(message.type)
+        self.inner.send(message)
+
+    def recv(self):
+        return self.inner.recv()
+
+    def close(self):
+        self.inner.close()
+
+
 class _SummaryRewriter(tp.Transport):
     """A link that overwrites fields of every SUMMARY sent through it."""
 
@@ -1248,10 +1379,10 @@ class TestCraftedConversations:
             x=np.array([x], dtype=np.uint8),
             y=np.array([y], dtype=np.uint8),
             alice_rng=np.random.default_rng(1),
+            multi_pair=np.zeros(1, dtype=bool),
             slots=slots,
             z=np.array([z], dtype=np.uint8),
             bob_bits=np.array([bob_bit], dtype=np.uint8),
-            multi_pair_fraction=0.0,
         )
 
     def test_single_coincidence_matching_bases(self, monkeypatch):
