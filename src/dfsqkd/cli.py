@@ -359,13 +359,15 @@ def cmd_connect_bob(args) -> int:
 def _run_endpoint(run, cfg: SessionConfig, connect, args) -> int:
     """Run one endpoint over the socket that `connect` opens and print its
     summary. --timeout bounds the wait for the peer to connect and for
-    each of its frames."""
+    each of its frames. Nagle's algorithm is off, so that a small frame
+    goes at once instead of waiting for the peer's delayed ACK."""
     require_finite(args, "timeout")
     if args.timeout <= 0:
         raise ConfigError(f"--timeout must be positive, got {args.timeout:g}")
     try:
         sock = connect()
         sock.settimeout(args.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         link = StreamTransport(sock)
         try:
             result = run(cfg, link)

@@ -68,8 +68,8 @@ The conversation is the paper's: Bob declares his coincidences and bases
 (DETECTIONS), Alice says which to keep, and a sample of the key is
 disclosed. Every list goes by one rule (_frames): frames of exactly
 SLOT_CHUNK entries, then one shorter, possibly empty, that ends it. A
-slot list (the declaration, SAMPLE_REQUEST) travels as base-64 gap
-varints (transport.pack_slots), each frame's first gap counted from the
+slot list (the declaration, SAMPLE_REQUEST) travels as gap varints
+(transport.pack_slots), each frame's first gap counted from the
 previous frame's last entry, so a decoded list always increases
 strictly. Its receiver takes it one frame at a time (_recv_slots),
 refusing an entry at or past its bound and a frame of more than
@@ -119,7 +119,7 @@ from .transport import Message, Transport, expect, memory_pair, pack_bits, pack_
 
 # Version of the conversation's wire format and of the draw order, checked
 # in HELLO.
-WIRE_VERSION = 9
+WIRE_VERSION = 10
 # Entries of a full frame of a list.
 SLOT_CHUNK = 100_000
 # Most geometric gaps per draw of the source stream.
@@ -636,7 +636,7 @@ def _recv_bits(link: Transport, kind: str, key: str, n: int) -> np.ndarray:
     bits = np.empty(n, dtype=np.uint8)
     for start in _frames(n):
         frame = bits[start : start + SLOT_CHUNK]
-        frame[:] = unpack_bits(expect(link, kind).payload.get(key), len(frame))
+        frame[:] = unpack_bits(expect(link, kind).payload.get(key), len(frame), f"{kind} {key!r}")
     return bits
 
 
@@ -682,7 +682,7 @@ def alice_sift_exchange(
     bound = int(pair_slots[-1]) + 1 if len(pair_slots) else 0
     answers, key, n_declared, n_multi = [], [], 0, 0
     for payload, slots in _recv_slots(link, "DETECTIONS", "slots", bound):
-        bases = unpack_bits(payload.get("bases"), len(slots))
+        bases = unpack_bits(payload.get("bases"), len(slots), "DETECTIONS 'bases'")
         at = _indices_in(pair_slots, slots, "peer declared a detection in a slot without pairs")
         keep = x[at] == bases
         answers.append(pack_bits(keep))
@@ -709,7 +709,7 @@ def bob_sift_exchange(link: Transport, records: SimulationResult) -> np.ndarray:
     kept = []
     for start in _frames(len(bits)):
         frame = bits[start : start + SLOT_CHUNK]
-        keep = unpack_bits(expect(link, "SIFT_KEEP").payload.get("keep"), len(frame))
+        keep = unpack_bits(expect(link, "SIFT_KEEP").payload.get("keep"), len(frame), "SIFT_KEEP 'keep'")
         kept.append(frame[np.flatnonzero(keep)])  # by index, as in alice_sift_exchange
     return np.concatenate(kept)
 

@@ -1,11 +1,17 @@
 """Classical-channel transport for the sifting conversation.
 
-Wire format, bit-exact: a 4-byte big-endian unsigned length prefix
-followed by a UTF-8 JSON body ``{"type": "<TYPE>", "payload": {...}}``.
-Encoding is canonical (sorted keys, no whitespace): equal messages give
-equal bytes. Frames are capped at 16 MiB. Bit arrays travel base-64
-encoded, packed 8 bits per byte, most significant bit first; slot lists,
-as gap varints (pack_slots) decoded against the receiver's bound.
+Wire format, bit-exact: a 4-byte big-endian unsigned body length, then
+the body: a 4-byte big-endian unsigned count n, n bytes of binary
+fields, and a UTF-8 JSON header
+``{"blobs": {name: length, ...}, "payload": {...}, "type": "<TYPE>"}``.
+The binary fields are the payload's top-level ``bytes`` values, joined
+in sorted name order; ``blobs`` gives their lengths, and is left out
+when there are none, and ``payload`` holds every other field. The
+header is canonical (sorted keys, no whitespace), so equal messages give
+equal bytes, and it goes last, so every frame ends ``"type":"<TYPE>"}``.
+Bodies are capped at 16 MiB. Bit arrays travel as bytes, packed 8 bits
+per byte, most significant bit first; slot lists, as gap varints
+(pack_slots) decoded against the receiver's bound.
 
 Two interchangeable transports are provided: an in-process pair backed
 by queues, and a length-framed byte-stream transport for sockets. A
@@ -14,7 +20,6 @@ seeded session produces bit-identical results over either.
 
 from __future__ import annotations
 
-import base64
 import json
 import queue
 import socket
@@ -68,36 +73,32 @@ class Message:
             raise ProtocolError("payload must be a JSON object")
 
 
-def pack_bits(bits) -> str:
-    """Bit sequence -> base-64 string (np.packbits order: MSB first)."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    return base64.b64encode(np.packbits(arr).tobytes()).decode("ascii")
+def pack_bits(bits) -> bytes:
+    """Bit sequence -> bytes (np.packbits order: MSB first)."""
+    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
 
 
-def unpack_bits(data: str, n: int) -> np.ndarray:
-    raw = _b64_bytes(data, "bit array")
+def unpack_bits(data: bytes, n: int, what: str = "bit array") -> np.ndarray:
+    """The n bits packed in `data`, which must be exactly ceil(n/8) bytes;
+    anything else is a ProtocolError that names the field as `what`."""
+    if not isinstance(data, bytes):
+        raise ProtocolError(f"{what} must be bytes, got {data!r:.40}")
     size = -(-n // 8)
-    if len(raw) != size:
-        rule = "too short" if len(raw) < size else "too long"
-        raise ProtocolError(f"bit array {rule}: {len(raw)} bytes for {n} bits")
-    return np.unpackbits(raw)[:n]
+    if len(data) != size:
+        rule = "too short" if len(data) < size else "too long"
+        raise ProtocolError(f"{what} {rule}: {len(data)} bytes for {n} bits")
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:n]
 
 
-def _b64_bytes(data, what: str) -> np.ndarray:
-    try:
-        return np.frombuffer(base64.b64decode(data, validate=True), dtype=np.uint8)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"{what} is not base-64 text: {exc}") from exc
-
-
-def pack_slots(slots, prev: int = -1) -> str:
-    """Strictly increasing slots above `prev` -> base-64 gap varints.
+def pack_slots(slots, prev: int = -1) -> bytes:
+    """Strictly increasing slots above `prev` -> gap varints, as bytes.
 
     Each entry is sent as its gap `slot - prev - 1`, `prev` being the
     entry before it (for the first, the argument), written as an unsigned
     LEB128 varint: 7 bits per byte, low group first, the high bit set on
     every byte but the entry's last. A gap below 2**63 takes at most 9
-    bytes.
+    bytes. The bytes travel as they are, a binary field of their frame
+    (see encode_frame), and validate_detections_payload decodes them.
 
     Most gaps fit one byte, which is the gap itself; only the gaps of
     0x80 or more are split into groups, and their lower groups inserted
@@ -105,7 +106,7 @@ def pack_slots(slots, prev: int = -1) -> str:
     """
     slots = np.asarray(slots, dtype=np.int64)
     if not len(slots):
-        return ""
+        return b""
     gaps = np.empty(len(slots), dtype=np.int64)
     # The first gap in Python ints: from prev = -1 to 2**63 - 1 it is
     # 2**63 - 1, but the step to it is past int64.
@@ -123,18 +124,21 @@ def pack_slots(slots, prev: int = -1) -> str:
         lower = np.arange(8) < n_lower[:, None]
         # np.insert keeps the order of values inserted at one index.
         raw = np.insert(raw, np.repeat(long, n_lower), groups[:, :8][lower] | 0x80)
-    return base64.b64encode(raw.tobytes()).decode("ascii")
+    return raw.tobytes()
 
 
 def encode_frame(message: Message) -> bytes:
-    body = json.dumps(
-        {"type": message.type, "payload": message.payload},
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise FrameError(f"frame body of {len(body)} bytes exceeds the {MAX_FRAME_BYTES} cap")
-    return struct.pack(">I", len(body)) + body
+    payload = message.payload
+    blobs = {name: value for name, value in sorted(payload.items()) if isinstance(value, bytes)}
+    header = {"payload": {name: value for name, value in payload.items() if name not in blobs}, "type": message.type}
+    if blobs:
+        header["blobs"] = {name: len(value) for name, value in blobs.items()}
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    n = sum(map(len, blobs.values()))
+    length = 4 + n + len(text)
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(f"frame body of {length} bytes exceeds the {MAX_FRAME_BYTES} cap")
+    return b"".join((struct.pack(">II", length, n), *blobs.values(), text))
 
 
 def decode_frame(data: bytes) -> Message:
@@ -150,15 +154,38 @@ def decode_frame(data: bytes) -> Message:
 
 
 def _parse_body(body: bytes) -> Message:
+    """A frame body: its binary fields, then its JSON header, which says
+    how the binary bytes split into fields (see the module docstring)."""
+    if len(body) < 4:
+        raise FrameError(f"truncated frame body: {len(body)} bytes, no binary length")
+    (n,) = struct.unpack(">I", body[:4])
+    if 4 + n > len(body):
+        raise FrameError(f"binary fields of {n} bytes run past the {len(body)}-byte body")
     try:
-        obj = json.loads(body.decode("utf-8"))
+        obj = json.loads(body[4 + n :].decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad UTF-8, bad JSON and an integer past the
         # interpreter's digit limit; RecursionError, nesting too deep.
-        raise FrameError(f"malformed frame body: {exc}") from exc
+        raise FrameError(f"malformed frame header: {exc}") from exc
     if not isinstance(obj, dict) or "type" not in obj:
-        raise FrameError("frame body is not a message object")
-    return Message(type=obj["type"], payload=obj.get("payload", {}))
+        raise FrameError("frame header is not a message object")
+    blobs = obj.get("blobs", {})
+    if not isinstance(blobs, dict):
+        raise FrameError(f"frame header's blobs must be an object, got {blobs!r:.40}")
+    for name, size in blobs.items():
+        # type(), not isinstance(): a bool is an int too.
+        if type(size) is not int or size < 0:
+            raise FrameError(f"binary field {name!r} has length {size!r:.40}, not a non-negative integer")
+    if (total := sum(blobs.values())) != n:
+        raise FrameError(f"binary field lengths sum to {total}, not the body's {n} binary bytes")
+    message = Message(type=obj["type"], payload=obj.get("payload", {}))
+    start = 4
+    for name in sorted(blobs):
+        if name in message.payload:
+            raise FrameError(f"field {name!r} is both a binary and a JSON field")
+        message.payload[name] = body[start : start + blobs[name]]
+        start += blobs[name]
+    return message
 
 
 class Transport:
@@ -266,19 +293,19 @@ def validate_detections_payload(payload: dict, key: str = "slots", prev: int = -
     previous frame, -1 for the first).
 
     Gaps are non-negative, so a decoded list always increases strictly
-    from above `prev`. A field that is missing, not a string or not
-    base-64, a last byte that does not end a varint, a varint longer than
-    9 bytes and an entry at or past `bound` (the receiver's, at most the
-    int64 limit) are ProtocolErrors; entries rise, so only the last is compared.
+    from above `prev`. A field that is missing or not bytes, a last byte
+    that does not end a varint, a varint longer than 9 bytes and an entry
+    at or past `bound` (the receiver's, at most the int64 limit) are
+    ProtocolErrors; entries rise, so only the last is compared.
 
     An entry's last byte is its only byte below 0x80, so those bytes are
     the entries; only the entries with continuation bytes, found from
     those bytes alone, are rebuilt from several.
     """
-    text = payload.get(key)
-    if not isinstance(text, str):
-        raise ProtocolError(f"{key!r} must be a base-64 string of slot gaps, got {text!r:.40}")
-    raw = _b64_bytes(text, f"{key!r}")
+    data = payload.get(key)
+    if not isinstance(data, bytes):
+        raise ProtocolError(f"{key!r} must be bytes of slot gaps, got {data!r:.40}")
+    raw = np.frombuffer(data, dtype=np.uint8)
     cont = np.flatnonzero(raw >= 0x80)
     gaps = (raw[raw < 0x80] if len(cont) else raw).astype(np.int64)
     # Each entry is prev + the sum of (gap + 1) up to it, summed exactly.

@@ -6,6 +6,7 @@ import json
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -533,7 +534,7 @@ class TestNetworkedMode:
                 # frame; she keeps none of them
                 declared = validate_detections_payload(expect(alice, "DETECTIONS").payload)
                 alice.send(Message("SIFT_KEEP", {"keep": pack_bits(np.zeros(len(declared)))}))
-                alice.send(Message("SAMPLE_REQUEST", {"positions": ""}))
+                alice.send(Message("SAMPLE_REQUEST", {"positions": b""}))
                 expect(alice, "SAMPLE_BITS")
                 alice.send(Message("SUMMARY", {"n_slots": 50_000}))
                 _, err = bob.communicate(timeout=120)
@@ -554,6 +555,51 @@ class TestNetworkedMode:
         code, _, err = run_main(capsys, [*argv, *FAST])
         assert code == 2
         assert f"port must be in 0..65535, got {argv[-1]!r}" in err
+
+    @pytest.mark.parametrize("command", ["serve-alice", "connect-bob"])
+    def test_endpoint_socket_has_nagle_off(self, monkeypatch, capsys, command):
+        # the socket each endpoint hands to StreamTransport sends a small
+        # frame at once (TCP_NODELAY); here the peer then stays silent
+        nodelay = []
+
+        class Recording(StreamTransport):
+            def __init__(self, sock):
+                nodelay.append(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+                super().__init__(sock)
+
+        monkeypatch.setattr(cli, "StreamTransport", Recording)
+        done = threading.Event()
+        if command == "connect-bob":
+            peer = socket.create_server(("127.0.0.1", 0))
+            address, holder = f"127.0.0.1:{peer.getsockname()[1]}", None
+        else:
+            port = _free_port()
+            address, peer = f"127.0.0.1:{port}", None
+
+            def connect():
+                # until Alice listens, then silent until she has given up
+                while not done.is_set():
+                    try:
+                        with socket.create_connection(("127.0.0.1", port), timeout=5):
+                            done.wait(60)
+                            return
+                    except ConnectionRefusedError:
+                        time.sleep(0.01)
+
+            holder = threading.Thread(target=connect)
+            holder.start()
+        try:
+            flag = "--listen" if command == "serve-alice" else "--connect"
+            code, _, err = run_main(capsys, [command, "--timeout", "0.3", flag, address, *FAST])
+        finally:
+            done.set()
+            if holder is not None:
+                holder.join(timeout=10)
+            if peer is not None:
+                peer.close()
+        assert holder is None or not holder.is_alive()
+        assert code == 3, err
+        assert nodelay == [1]
 
     def test_silent_peer_exits_3_naming_the_timeout(self):
         # a listener that accepts and then sends nothing: Bob waits for its

@@ -76,39 +76,41 @@ DEFAULT_CONFIG_DICT = {
     "sample_fraction": 0.1,
     "seeds": {"alice": 1, "bob": 2, "channel": 3, "source": 4},
 }
-DEFAULT_HELLO_SHA256 = "570e6354881b4d2181e7b296979c994b7741a31df56d4ac41519da8aa07ee734"
+DEFAULT_HELLO_SHA256 = "0d38f6a72e9473c176fdf5d569863854cbd7cc620bb9e8ee20a30fc09c8a5f81"
 
 # `run` flags, then the SHA-256 of every frame Alice sends and of every
 # frame Bob sends, each in order with its length prefix.
 GOLDEN_FRAMES = {
     "dfs2-static-200s": (
         ["--duration", "200"],
-        "4c5bfe04b340ccaee174f4d9e390e0874b1aeedb0361a278fa97377dff141f0f",
-        "a0b51fd7986f196838e699ed7b486f52f4cf30bbef5b52e66bb51ae5f09ee990",
+        "411371ad8b0bda3170bdd5a45ab01e98446ce6d212726f64dd5682680b05771b",
+        "89f9f3b14b3aa8750e5cfb91757559045c81c34ffd337d80eb2bd73c4143207d",
     ),
     "bb84-uniform-lossy-60s": (
         [
             "--duration", "60", "--protocol", "bb84", "--channel", "per-slot-uniform", "--channel-lo", "-30",
             "--channel-hi", "30", "--efficiency", "0.8", "--dark", "1e-4",
         ],
-        "3e4bc96cb0b802d5834bb0ce049aa485697cb9181b2e706d9e65d5c066b21607",
-        "c411e69b3b13347fc59c642a8544d65253734dab55ee960e794c9c020c3a2a98",
+        "d564e9f62ddc373da4b7183d75528e2b5c3ae2039fbc85b3946bfa13f6e99aef",
+        "a4a59175d550d16ba7a33467f306fc7f14b68ee945f3fe40786ce4e99ba40535",
     ),
     "dfs2-every-bit-sampled-60s": (
         ["--duration", "60", "--sample-fraction", "1"],
-        "66daf3f219600dd07ef07d349016de46304e4a620d95337501f1111c08966fad",
-        "ec5790624b52b367027638fc14d6871ae50c0c911c8b57b2a5f6d85111a10abd",
+        "3c3874aad09194f644bdf3a980382657526e6d4b80bf22c0125c3d3cfb3efead",
+        "31a1ebc6ad5372784d7a1064204a7755775fa7fe66152fd3d558fb982d73f8de",
     ),
 }
 
 
 # The SHA-256 of Bob's DETECTIONS frames, his declaration, in each case
-# above. Wire version 8 sent the same bytes; only Alice's record stream to
-# Bob, the other direction of DETECTIONS, has left the wire since.
+# above. Wire version 10 sends the fields of version 9 as binary fields
+# beside a JSON header (transport.encode_frame), where version 9 sent them
+# as base-64 text; every decoded field is the same. Alice sends no
+# DETECTIONS since version 9.
 GOLDEN_DECLARATIONS = {
-    "dfs2-static-200s": "7300c2052849cf503734c7dcd9ea544daeca4171c4cc955bf926cba30503dd0e",
-    "bb84-uniform-lossy-60s": "05d80e27c4b67a358a9fd5c081509fe2d591ea442d8551951887ca0e2da4868a",
-    "dfs2-every-bit-sampled-60s": "1974212b681f5d592458730936df37cd626010b2e9c4f857b011da26c4e4df4f",
+    "dfs2-static-200s": "6e70a1de8d27b7e32ba5af7f1e99273f242ae409e6bf8248a7c2d89bfeefe243",
+    "bb84-uniform-lossy-60s": "f47d223643039e431ff4b0eeb902f3a152e9cf0dce8c5fc8fd0cb48068ea0ae2",
+    "dfs2-every-bit-sampled-60s": "e103b20ffcf528883798a87dd0097ab9b4c194f933bd0508d263cdd9fe6ab266",
 }
 
 

@@ -1026,10 +1026,6 @@ def _bob_receives_sample_request(chunks):
     _run_bob_against(*frames, sample_fraction=min(max(n, 1), 8) / 8)
 
 
-def _b64(raw: bytes) -> str:
-    return base64.b64encode(raw).decode("ascii")
-
-
 class _Tap(tp.Transport):
     """A link that keeps every message sent through it."""
 
@@ -1058,8 +1054,7 @@ class TestListFraming:
         link.close()
         sizes = [3] * (n // 3) + [n % 3]
         # a frame's entry count is its number of varint bytes below 0x80
-        assert [np.count_nonzero(np.frombuffer(base64.b64decode(m.payload["slots"]), np.uint8) < 0x80)
-                for m in tap.sent] == sizes
+        assert [np.count_nonzero(np.frombuffer(m.payload["slots"], np.uint8) < 0x80) for m in tap.sent] == sizes
         frames = list(session_mod._recv_slots(peer, "DETECTIONS", "slots", 100))
         assert [payload for payload, _ in frames] == [m.payload for m in tap.sent]
         _assert_same(np.concatenate([got for _, got in frames]), slots)
@@ -1068,7 +1063,7 @@ class TestListFraming:
             peer.send(Message("SAMPLE_BITS", {"bits": payload["bases"]}))
         peer.close()
         _assert_same(session_mod._recv_bits(link, "SAMPLE_BITS", "bits", n), bits)
-        assert [len(base64.b64decode(payload["bases"])) for payload, _ in frames] == [-(-k // 8) for k in sizes]
+        assert [len(payload["bases"]) for payload, _ in frames] == [-(-k // 8) for k in sizes]
         # the receivers took every frame and no more
         for receiver in (peer, link):
             with pytest.raises(tp.TransportClosed):
@@ -1102,20 +1097,28 @@ class TestHostileSlotLists:
     @pytest.mark.parametrize(
         "chunks, match",
         [
-            ([None], "must be a base-64 string of slot gaps, got None"),
-            ([[1, 3, 5], 7], "must be a base-64 string of slot gaps, got 7"),
-            (["@@@@"], "is not base-64 text"),
-            ([_b64(b"\x00\x80")], "ends inside a varint at 1"),
-            ([_b64(b"\x80" * 9 + b"\x00")], "varint longer than 9 bytes at 0"),
+            ([None], "must be bytes of slot gaps, got None"),
+            ([[1, 3, 5], 7], "must be bytes of slot gaps, got 7"),
+            (["@@@@"], "must be bytes of slot gaps, got '@@@@'"),
+            ([b"\x00\x80"], "ends inside a varint at 1"),
+            ([b"\x80" * 9 + b"\x00"], "varint longer than 9 bytes at 0"),
             # a 9-byte varint of 2**63 - 1 after the entry 5: past int64
             # and past the bound, 8, of both receivers
-            ([[3, 4, 5], _b64(b"\xff" * 8 + b"\x7f")], f"rises to {2**63 + 5}, not below 8"),
+            ([[3, 4, 5], b"\xff" * 8 + b"\x7f"], f"rises to {2**63 + 5}, not below 8"),
+            # the gap varints of [0, 1, 2] as base-64 text, as wire version
+            # 9 sent them
+            ([base64.b64encode(b"\x00\x00\x00").decode()], "must be bytes of slot gaps, got 'AAAA'"),
         ],
-        ids=["missing", "non-string", "non-base-64", "unterminated", "10-byte-varint", "past-int64-after-prev"],
+        ids=["missing", "non-string", "non-base-64", "unterminated", "10-byte-varint", "past-int64-after-prev",
+             "wire-9-string"],
     )
     def test_malformed_list_is_a_protocol_error(self, receive, chunks, match):
-        with pytest.raises(ProtocolError, match=match):
+        # the field is named: 'slots' in the declaration, 'positions' in
+        # SAMPLE_REQUEST
+        key = "'slots'" if receive is _alice_receives_declaration else "'positions'"
+        with pytest.raises(ProtocolError, match=match) as refused:
             receive(chunks)
+        assert key in str(refused.value)
 
     # Each receiver's bound: one past Alice's last pair slot (slots 0-7),
     # the length of Bob's sifted key (8 bits).
@@ -1157,6 +1160,16 @@ class TestHostileSlotLists:
         with pytest.raises(ProtocolError, match=f"^{kind} frame holds 4 entries, more than 3$"):
             receive([[0, 1, 2, 3], [4]])
 
+    def test_bases_as_text_are_a_protocol_error(self):
+        # two slots' bases as base-64 text, as wire version 9 sent them
+        link, peer = memory_pair()
+        bases = base64.b64encode(pack_bits([0, 0])).decode()
+        peer.send(Message("DETECTIONS", {"slots": pack_slots([0, 1]), "bases": bases}))
+        peer.close()
+        zeros = np.zeros(8, dtype=np.uint8)
+        with pytest.raises(ProtocolError, match="^DETECTIONS 'bases' must be bytes, got 'AA=='$"):
+            alice_sift_exchange(link, np.arange(8), zeros, zeros, np.zeros(8, bool))
+
     @pytest.mark.parametrize(
         "receive", [_alice_receives_declaration, _bob_receives_sample_request]
     )
@@ -1197,22 +1210,25 @@ class TestHostileKeep:
     def test_empty_declaration_takes_one_empty_frame(self):
         sample_request = _slot_frames("positions", [[]])[0]
         bob = _run_bob_against(
-            ("SAMPLE_REQUEST", sample_request), ("SUMMARY", _HONEST_SUMMARY), records=(), keep=[{"keep": ""}]
+            ("SAMPLE_REQUEST", sample_request), ("SUMMARY", _HONEST_SUMMARY), records=(), keep=[{"keep": b""}]
         )
         assert len(bob.sifted_key) == bob.summary.n_sifted == 0
 
     @pytest.mark.parametrize(
         "records, keep, match",
         [
-            (range(8), [{"keep": pack_bits([1] * 16)}], "bit array too long: 2 bytes for 8 bits"),
-            (range(9), [{"keep": pack_bits([1] * 8)}], "bit array too short: 1 bytes for 9 bits"),
-            (range(8), [{}], "bit array is not base-64 text"),
-            (range(8), [{"keep": 5}], "bit array is not base-64 text"),
-            (range(8), [{"keep": "@@@@"}], "bit array is not base-64 text"),
+            (range(8), [{"keep": pack_bits([1] * 16)}], "SIFT_KEEP 'keep' too long: 2 bytes for 8 bits"),
+            (range(9), [{"keep": pack_bits([1] * 8)}], "SIFT_KEEP 'keep' too short: 1 bytes for 9 bits"),
+            (range(8), [{}], "SIFT_KEEP 'keep' must be bytes, got None"),
+            (range(8), [{"keep": 5}], "SIFT_KEEP 'keep' must be bytes, got 5"),
+            (range(8), [{"keep": "@@@@"}], "SIFT_KEEP 'keep' must be bytes, got '@@@@'"),
             # the kept slots as gap varints, as wire version 5 sent them
             (range(8), [{"keep": pack_slots(list(range(8))), "final": True}], "too long: 8 bytes for 8 bits"),
+            # eight keep bits as base-64 text, as wire version 9 sent them
+            (range(8), [{"keep": base64.b64encode(pack_bits([1] * 8)).decode()}],
+             "SIFT_KEEP 'keep' must be bytes, got '/w=='"),
         ],
-        ids=["too-many-bits", "too-few-bits", "missing", "non-string", "non-base-64", "old-slot-list"],
+        ids=["too-many-bits", "too-few-bits", "missing", "non-string", "non-base-64", "old-slot-list", "wire-9-string"],
     )
     def test_malformed_keep_bits_are_a_protocol_error(self, records, keep, match):
         with pytest.raises(ProtocolError, match=match):
@@ -1291,7 +1307,7 @@ class TestHostilePayloads:
                 ("SAMPLE_REQUEST", sample_request),
                 ("SUMMARY", edit(_HONEST_SUMMARY)),
                 records=(),
-                keep=[{"keep": ""}],
+                keep=[{"keep": b""}],
             )
 
     def test_honest_summary_is_accepted(self):
@@ -1320,12 +1336,14 @@ class TestHostilePayloads:
     @pytest.mark.parametrize(
         "payload, match",
         [
-            ({}, "bit array is not base-64 text"),
-            ({"bits": 5}, "bit array is not base-64 text"),
-            ({"bits": "@@@@"}, "bit array is not base-64 text"),
-            ({"bits": pack_bits([0])}, "bit array too long: 1 bytes for 0 bits"),
+            ({}, "SAMPLE_BITS 'bits' must be bytes, got None"),
+            ({"bits": 5}, "SAMPLE_BITS 'bits' must be bytes, got 5"),
+            ({"bits": "@@@@"}, "SAMPLE_BITS 'bits' must be bytes, got '@@@@'"),
+            ({"bits": pack_bits([0])}, "SAMPLE_BITS 'bits' too long: 1 bytes for 0 bits"),
+            # no bits as base-64 text, as wire version 9 sent them
+            ({"bits": ""}, "SAMPLE_BITS 'bits' must be bytes, got ''"),
         ],
-        ids=["missing", "non-string", "non-base-64", "too-long"],
+        ids=["missing", "non-string", "non-base-64", "too-long", "wire-9-string"],
     )
     def test_malformed_sample_bits_are_a_protocol_error(self, payload, match):
         with pytest.raises(ProtocolError, match=match):

@@ -1,6 +1,8 @@
 """Framing, canonical encoding, and transport behavior."""
 
 import base64
+import json
+import re
 import socket
 import struct
 import threading
@@ -29,9 +31,21 @@ from dfsqkd.transport import (
 )
 
 
+def _body(n: int, blobs: bytes, header) -> bytes:
+    """A frame body: the binary count n, the binary bytes and a header,
+    given as bytes or as an object to write as JSON."""
+    if not isinstance(header, bytes):
+        header = json.dumps(header).encode()
+    return struct.pack(">I", n) + blobs + header
+
+
+_BIT = {"payload": {}, "type": "SAMPLE_BITS"}
+
+
 class TestFrameCodec:
     def test_hello_frame_bytes_are_fixed(self):
-        body = b'{"payload":{},"type":"HELLO"}'
+        # no binary fields: a zero count, then the JSON header
+        body = b'\x00\x00\x00\x00{"payload":{},"type":"HELLO"}'
         expected = struct.pack(">I", len(body)) + body
         assert encode_frame(Message("HELLO", {})) == expected
 
@@ -74,13 +88,44 @@ class TestFrameCodec:
     @pytest.mark.parametrize(
         "body, error, match",
         [
-            (b"{nope", FrameError, "malformed"),
-            (b"[" * 200_000 + b"]" * 200_000, FrameError, "malformed"),  # nested past the recursion limit
-            (b'{"payload":{"n":' + b"9" * 5000 + b'},"type":"BYE"}', FrameError, "malformed"),  # past the digit limit
-            (b"[1]", FrameError, "not a message object"),
-            (b'{"payload":[1],"type":"BYE"}', ProtocolError, "payload must be a JSON object"),
+            (_body(0, b"", b"{nope"), FrameError, "malformed"),
+            # nested past the recursion limit
+            (_body(0, b"", b"[" * 200_000 + b"]" * 200_000), FrameError, "malformed"),
+            # past the digit limit
+            (_body(0, b"", b'{"payload":{"n":' + b"9" * 5000 + b'},"type":"BYE"}'), FrameError, "malformed"),
+            (_body(0, b"", b"[1]"), FrameError, "not a message object"),
+            (_body(0, b"", b'{"payload":[1],"type":"BYE"}'), ProtocolError, "payload must be a JSON object"),
+            # the binary fields' layout: each a FrameError
+            (b"", FrameError, "truncated frame body: 0 bytes"),
+            (b"\x00\x00\x00", FrameError, "truncated frame body: 3 bytes"),
+            # the count runs past the body, by one byte and by far
+            (_body(3, b"ab", b""), FrameError, "binary fields of 3 bytes run past the 6-byte body"),
+            (_body(2**32 - 1, b"", b'{"type":"BYE"}'), FrameError, f"binary fields of {2**32 - 1} bytes run past"),
+            # lengths that do not add up to the count
+            (_body(2, b"ab", {**_BIT, "blobs": {"bits": 1}}), FrameError, "lengths sum to 1, not the body's 2 binary"),
+            (_body(2, b"ab", {**_BIT, "blobs": {"bits": 1, "x": 2}}), FrameError, "lengths sum to 3, not the body's 2"),
+            (_body(2, b"ab", _BIT), FrameError, "lengths sum to 0, not the body's 2"),
+            (_body(0, b"", {**_BIT, "blobs": {"bits": 1}}), FrameError, "lengths sum to 1, not the body's 0"),
+            # lengths that are not non-negative integers
+            (_body(1, b"a", {**_BIT, "blobs": {"bits": -1, "x": 2}}), FrameError, "'bits' has length -1, not a non"),
+            (_body(1, b"a", {**_BIT, "blobs": {"bits": True}}), FrameError, "'bits' has length True, not a non"),
+            (_body(1, b"a", {**_BIT, "blobs": {"bits": 1.0}}), FrameError, "'bits' has length 1.0, not a non"),
+            (_body(1, b"a", {**_BIT, "blobs": {"bits": "1"}}), FrameError, "'bits' has length '1', not a non"),
+            (_body(1, b"a", {**_BIT, "blobs": {"bits": None}}), FrameError, "'bits' has length None, not a non"),
+            # blobs that is not an object
+            (_body(1, b"a", {**_BIT, "blobs": [1]}), FrameError, r"blobs must be an object, got \[1\]"),
+            (_body(1, b"a", {**_BIT, "blobs": 1}), FrameError, "blobs must be an object, got 1"),
+            # a name that is both a binary and a JSON field
+            (_body(1, b"a", {"blobs": {"bits": 1}, "payload": {"bits": 5}, "type": "SAMPLE_BITS"}),
+             FrameError, "field 'bits' is both a binary and a JSON field"),
+            # the header behind the binary bytes is not a message object
+            (_body(1, b"{", b'"type":"BYE"}'), FrameError, "malformed frame header"),
+            (_body(0, b"", b"\xff"), FrameError, "malformed frame header"),
         ],
-        ids=["json", "deep", "long-int", "not-an-object", "payload-not-an-object"],
+        ids=["json", "deep", "long-int", "not-an-object", "payload-not-an-object", "empty", "short-count",
+             "overrun-by-one", "overrun-by-far", "short-sum", "long-sum", "no-blobs", "no-bytes", "negative", "bool",
+             "float", "string", "null", "blobs-a-list", "blobs-a-number", "both-kinds", "header-split",
+             "header-not-utf8"],
     )
     def test_malformed_body(self, body, error, match):
         frame = struct.pack(">I", len(body)) + body
@@ -97,7 +142,7 @@ class TestFrameCodec:
             assert not sender.is_alive()
 
     def test_unknown_type(self):
-        body = b'{"payload":{},"type":"EVIL"}'
+        body = b'\x00\x00\x00\x00{"payload":{},"type":"EVIL"}'
         with pytest.raises(ProtocolError, match="unknown message type"):
             decode_frame(struct.pack(">I", len(body)) + body)
 
@@ -128,10 +173,15 @@ class TestBitPacking:
         with pytest.raises(ProtocolError, match=match):
             unpack_bits(pack_bits(bits), n)
 
-    @pytest.mark.parametrize("data", [None, 5, "not base-64!", "é"])
+    @pytest.mark.parametrize(
+        "data",
+        # the last, one set bit as base-64 text, as wire version 9 sent it
+        [None, 5, "not base-64!", "é", bytearray(b"\x80"), memoryview(b"\x80"), [128], base64.b64encode(b"\x80").decode()],
+    )
     def test_non_base64_payload_rejected(self, data):
-        with pytest.raises(ProtocolError, match="not base-64"):
-            unpack_bits(data, 1)
+        # a bit array is bytes: text and other types are refused, named
+        with pytest.raises(ProtocolError, match=f"^SAMPLE_BITS 'bits' must be bytes, got {re.escape(repr(data))}$"):
+            unpack_bits(data, 1, "SAMPLE_BITS 'bits'")
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +191,8 @@ class TestBitPacking:
 _finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 _scalars = st.one_of(st.integers(-(2**40), 2**40), _finite_floats, st.booleans(), st.text(max_size=12), st.none())
 _flat_dict = st.dictionaries(st.text(min_size=1, max_size=8), _scalars, max_size=6)
+# Top-level fields of either kind: JSON values and binary ones.
+_mixed_dict = st.dictionaries(st.text(min_size=1, max_size=8), st.one_of(_scalars, st.binary(max_size=40)), max_size=8)
 
 
 @st.composite
@@ -151,34 +203,37 @@ def _bit_field(draw, length):
 
 @st.composite
 def messages(draw):
+    """A message of each type with its own fields, beside any mix of other
+    JSON and binary fields."""
     kind = draw(st.sampled_from(["HELLO", "DETECTIONS", "SIFT_KEEP", "SAMPLE_REQUEST", "SAMPLE_BITS", "SUMMARY", "BYE"]))
+    payload = draw(_mixed_dict)
     if kind == "HELLO":
-        return Message(kind, {"config": draw(_flat_dict)})
-    if kind == "DETECTIONS":
+        payload["config"] = draw(_flat_dict)
+    elif kind == "DETECTIONS":
         slots = sorted(draw(st.sets(st.integers(0, 10**9), max_size=50)))
-        return Message(
-            kind,
-            {
-                "slots": pack_slots(slots),
-                "bases": draw(_bit_field(len(slots))),
-            },
-        )
-    if kind == "SIFT_KEEP":
-        return Message(kind, {"keep": pack_slots(sorted(draw(st.sets(st.integers(0, 10**9), max_size=50))))})
-    if kind == "SAMPLE_REQUEST":
-        return Message(kind, {"positions": pack_slots(sorted(draw(st.sets(st.integers(0, 10**6), max_size=50))))})
-    if kind == "SAMPLE_BITS":
-        n = draw(st.integers(0, 64))
-        return Message(kind, {"bits": draw(_bit_field(n))})
-    if kind == "SUMMARY":
-        return Message(kind, draw(_flat_dict))
-    return Message(kind, {})
+        payload.update(slots=pack_slots(slots), bases=draw(_bit_field(len(slots))))
+    elif kind == "SIFT_KEEP":
+        payload["keep"] = pack_slots(sorted(draw(st.sets(st.integers(0, 10**9), max_size=50))))
+    elif kind == "SAMPLE_REQUEST":
+        payload["positions"] = pack_slots(sorted(draw(st.sets(st.integers(0, 10**6), max_size=50))))
+    elif kind == "SAMPLE_BITS":
+        payload["bits"] = draw(_bit_field(draw(st.integers(0, 64))))
+    elif kind == "SUMMARY":
+        payload.update(draw(_flat_dict))
+    return Message(kind, payload)
 
 
 @settings(max_examples=1000, deadline=None)
 @given(messages())
 def test_frame_round_trip_property(msg):
-    assert decode_frame(encode_frame(msg)) == msg
+    frame = encode_frame(msg)
+    decoded = decode_frame(frame)
+    assert decoded == msg
+    # the binary fields come back as bytes, and the JSON header goes last
+    assert all(type(decoded.payload[name]) is bytes for name, value in msg.payload.items() if isinstance(value, bytes))
+    assert frame.endswith(f'"type":"{msg.type}"}}'.encode())
+    binary = sum(len(v) for v in msg.payload.values() if isinstance(v, bytes))
+    assert struct.unpack(">II", frame[:8]) == (len(frame) - 4, binary)
 
 
 # ---------------------------------------------------------------------------
@@ -252,19 +307,15 @@ class TestStreamTransport:
             StreamTransport(left).recv()
 
 
-def _varints(*gaps) -> str:
-    """Base-64 LEB128 varints of the given gaps, written one byte at a time."""
+def _varints(*gaps) -> bytes:
+    """LEB128 varints of the given gaps, written one byte at a time."""
     out = bytearray()
     for gap in gaps:
         while gap >= 0x80:
             out.append(gap & 0x7F | 0x80)
             gap >>= 7
         out.append(gap)
-    return base64.b64encode(bytes(out)).decode("ascii")
-
-
-def _b64(raw: bytes) -> str:
-    return base64.b64encode(raw).decode("ascii")
+    return bytes(out)
 
 
 class TestDetectionsValidation:
@@ -284,8 +335,8 @@ class TestDetectionsValidation:
 
     def test_gap_bytes_are_leb128(self):
         # gaps 0, 127 and 128 take one, one and two bytes; 2**63 - 1 takes nine
-        assert base64.b64decode(pack_slots([0, 128, 257])) == b"\x00\x7f\x80\x01"
-        assert base64.b64decode(pack_slots([2**63 - 1])) == b"\xff" * 8 + b"\x7f"
+        assert pack_slots([0, 128, 257]) == b"\x00\x7f\x80\x01"
+        assert pack_slots([2**63 - 1]) == b"\xff" * 8 + b"\x7f"
 
     @pytest.mark.parametrize(
         "slots, key, prev",
@@ -304,22 +355,26 @@ class TestDetectionsValidation:
     @pytest.mark.parametrize(
         "payload, prev, match",
         [
-            ({}, -1, "'slots' must be a base-64 string of slot gaps, got None"),
-            ({"slots": [1, 2, 5]}, -1, r"must be a base-64 string of slot gaps, got \[1, 2, 5\]"),
-            ({"slots": 7}, -1, "must be a base-64 string of slot gaps, got 7"),
-            ({"slots": "AA="}, -1, "'slots' is not base-64 text"),
-            ({"slots": "@@@@"}, -1, "'slots' is not base-64 text"),
-            ({"slots": "é"}, -1, "'slots' is not base-64 text"),
-            ({"slots": _b64(b"\x00\x80")}, -1, "ends inside a varint at 1"),
-            ({"slots": _b64(b"\xff" * 3)}, -1, "ends inside a varint at 0"),
-            ({"slots": _b64(b"\x00" + b"\x80" * 9 + b"\x00")}, -1, "varint longer than 9 bytes at 1"),
-            ({"slots": _b64(b"\x80" * 12)}, -1, "ends inside a varint at 0"),
+            ({}, -1, "'slots' must be bytes of slot gaps, got None"),
+            ({"slots": [1, 2, 5]}, -1, r"'slots' must be bytes of slot gaps, got \[1, 2, 5\]"),
+            ({"slots": 7}, -1, "'slots' must be bytes of slot gaps, got 7"),
+            # text, base-64 or not, as wire version 9 sent it
+            ({"slots": "AA="}, -1, "'slots' must be bytes of slot gaps, got 'AA='"),
+            ({"slots": "@@@@"}, -1, "'slots' must be bytes of slot gaps, got '@@@@'"),
+            ({"slots": "é"}, -1, "'slots' must be bytes of slot gaps, got 'é'"),
+            ({"slots": b"\x00\x80"}, -1, "ends inside a varint at 1"),
+            ({"slots": b"\xff" * 3}, -1, "ends inside a varint at 0"),
+            ({"slots": b"\x00" + b"\x80" * 9 + b"\x00"}, -1, "varint longer than 9 bytes at 1"),
+            ({"slots": b"\x80" * 12}, -1, "ends inside a varint at 0"),
             # past the default bound, 2**63
             ({"slots": _varints(0, 0)}, 2**63 - 2, f"'slots' rises to {2**63}, not below {2**63}"),
             ({"slots": _varints(0)}, 2**63 - 1, f"rises to {2**63}, not below"),
             ({"slots": _varints(2**63 - 1)}, 5, f"rises to {2**63 + 5}, not below"),
             # the sum of these gaps is past uint64
             ({"slots": _varints(2**63 - 1, 2**63 - 1)}, -1, f"rises to {2**64 - 1}, not below"),
+            # the gap varints of [0, 1, 2] as wire version 9 sent them
+            ({"slots": base64.b64encode(b"\x00\x00\x00").decode()}, -1, "must be bytes of slot gaps, got 'AAAA'"),
+            ({"slots": bytearray(b"\x00")}, -1, r"'slots' must be bytes of slot gaps, got bytearray\(b'\\x00'\)"),
         ],
     )
     def test_malformed_frame_names_what_is_wrong(self, payload, prev, match):
@@ -354,16 +409,18 @@ def test_slot_lists_round_trip_in_any_chunks(slots, cuts):
 
 @settings(max_examples=500, deadline=None)
 @given(
-    st.one_of(st.text(max_size=40), st.binary(max_size=40).map(_b64)),
+    st.one_of(st.binary(max_size=40), st.text(max_size=40)),
     st.one_of(st.just(-1), st.integers(-1, 2**63 - 1)),
 )
-@example(_b64((b"\xff" * 8 + b"\x7f") * 2), -1)  # the uint64 sum of steps wraps to 0
-@example(_b64(b"\x7f"), 2**63 - 129)
-def test_any_text_decodes_to_an_increasing_list_or_is_refused(text, prev):
+@example((b"\xff" * 8 + b"\x7f") * 2, -1)  # the uint64 sum of steps wraps to 0
+@example(b"\x7f", 2**63 - 129)
+def test_any_text_decodes_to_an_increasing_list_or_is_refused(data, prev):
+    # any bytes; text is always refused
     try:
-        slots = validate_detections_payload({"slots": text}, "slots", prev)
+        slots = validate_detections_payload({"slots": data}, "slots", prev)
     except ProtocolError:
         return
+    assert isinstance(data, bytes)
     assert slots.dtype == np.int64
     assert np.all(np.diff(slots, prepend=prev) > 0)
 
@@ -432,7 +489,7 @@ def _reference_decode(raw: bytes, prev: int):
 def test_a_list_is_refused_exactly_when_its_last_entry_reaches_the_bound(case, prev, offset):
     slots, _ = case
     text = pack_slots(np.array(slots, dtype=np.int64))
-    want = _reference_decode(base64.b64decode(text), prev)
+    want = _reference_decode(text, prev)
     # a bound near the last entry, above prev and at most the int64 limit
     bound = min(max((want[-1] if want else prev) + 1 + offset, prev + 1), 2**63)
     try:
@@ -452,7 +509,7 @@ def test_a_list_is_refused_exactly_when_its_last_entry_reaches_the_bound(case, p
 )
 def test_damaged_long_lists_decode_to_increasing_slots_or_are_refused(case, seed, damage, prev):
     slots, _ = case
-    raw = bytearray(base64.b64decode(pack_slots(np.array(slots, dtype=np.int64))))
+    raw = bytearray(pack_slots(np.array(slots, dtype=np.int64)))
     rng = np.random.default_rng(seed)
     if damage in ("flip", "both") and raw:
         for i in rng.integers(0, len(raw), int(rng.integers(1, 8))):
@@ -465,7 +522,7 @@ def test_damaged_long_lists_decode_to_increasing_slots_or_are_refused(case, seed
         raw[i:i] = b"\xff" * int(rng.integers(7, 11))
     want = _reference_decode(bytes(raw), prev)
     try:
-        got = validate_detections_payload({"slots": _b64(bytes(raw))}, "slots", prev)
+        got = validate_detections_payload({"slots": bytes(raw)}, "slots", prev)
     except ProtocolError:
         assert want is None
         return
