@@ -362,8 +362,9 @@ def _run_endpoint(run, cfg: SessionConfig, connect, args) -> int:
     each of its frames. Nagle's algorithm is off, so that a small frame
     goes at once instead of waiting for the peer's delayed ACK."""
     require_finite(args, "timeout")
-    if args.timeout <= 0:
-        raise ConfigError(f"--timeout must be positive, got {args.timeout:g}")
+    # The socket layer holds a timeout as a signed 64-bit count of nanoseconds.
+    if not 0 < args.timeout * 1e9 < 2**63:
+        raise ConfigError(f"--timeout must be positive and below {2**63 / 1e9:.6g} s, got {args.timeout:g}")
     try:
         sock = connect()
         sock.settimeout(args.timeout)

@@ -122,9 +122,10 @@ from .transport import Message, Transport, expect, memory_pair, pack_bits, pack_
 WIRE_VERSION = 10
 # Entries of a full frame of a list.
 SLOT_CHUNK = 100_000
-# Most geometric gaps per draw of the source stream.
+# Most geometric gaps per draw of the source stream, and multi-pair
+# uniforms per block (_multi_pair).
 GAP_BATCH = 1 << 16
-# Pair slots per Born-kernel call on a channel whose angle varies.
+# Pair slots per block of outcome decisions (_outcomes), on every channel.
 BORN_BLOCK = 1 << 16
 
 
@@ -641,33 +642,29 @@ def _recv_bits(link: Transport, kind: str, key: str, n: int) -> np.ndarray:
 
 
 def _indices_in(known: np.ndarray, slots: np.ndarray, complaint: str) -> slice | np.ndarray:
-    """Where the sorted slots are in the sorted array `known`, none of them
+    """Where the sorted slots of one frame, at most SLOT_CHUNK of them as
+    _recv_slots takes them, are in the sorted array `known`, none of them
     past its last entry; a slot that `known` lacks is a ProtocolError that
     names the first such slot.
 
     When the slots equal a span of `known`, as each of Bob's declaration
     frames does under ideal detectors, that span's slice. Otherwise the
-    index of each slot, found SLOT_CHUNK slots at a time by a merge: a
-    stable argsort of the part of `known` that a chunk spans followed by
-    the chunk merges the two sorted runs in linear time and puts each slot
-    just after its equal in `known`, if any. The entries of `known` before
-    a slot then give its index."""
+    index of each slot by a merge: a stable argsort of the part of `known`
+    that the frame spans followed by the frame merges the two sorted runs
+    in linear time and puts each slot just after its equal in `known`, if
+    any. The entries of `known` before a slot then give its index. So the
+    lookup holds a few arrays of the frame's length, none of `known`'s."""
     lo = int(np.searchsorted(known, slots[0])) if len(slots) else 0
     if np.array_equal(known[lo : lo + len(slots)], slots):
         return slice(lo, lo + len(slots))
-    idx = np.empty(len(slots), dtype=np.int64)
-    for start in range(0, len(slots), SLOT_CHUNK):
-        chunk = slots[start : start + SLOT_CHUNK]
-        found = idx[start : start + len(chunk)]
-        lo = int(np.searchsorted(known, chunk[0]))
-        span = known[lo : int(np.searchsorted(known, chunk[-1], side="right"))]
-        merged = np.argsort(np.concatenate((span, chunk)), kind="stable")
-        # The slots' places in the merge, in order, less the slots before each.
-        np.subtract(np.flatnonzero(merged >= len(span)), np.arange(len(chunk)), out=found)
-        found += lo - 1
-        missing = np.flatnonzero(known[found] != chunk)
-        if len(missing):
-            raise tp.ProtocolError(f"{complaint}: slot {chunk[missing[0]]}")
+    span = known[lo : int(np.searchsorted(known, slots[-1], side="right"))]
+    merged = np.argsort(np.concatenate((span, slots)), kind="stable")
+    # The slots' places in the merge, in order, less the slots before each.
+    idx = np.flatnonzero(merged >= len(span)) - np.arange(len(slots))
+    idx += lo - 1
+    missing = np.flatnonzero(known[idx] != slots)
+    if len(missing):
+        raise tp.ProtocolError(f"{complaint}: slot {slots[missing[0]]}")
     return idx
 
 
@@ -790,46 +787,56 @@ def _summary_fields(payload: dict, n_compared: int) -> tuple[int, float]:
 # --------------------------------------------------------------------------
 
 
-def run_session_detailed(
-    cfg: SessionConfig, link: Optional[tuple[Transport, Transport]] = None
-) -> tuple[EndpointResult, EndpointResult]:
-    """Run both endpoints over a transport pair (in-process by default),
-    on one run of the quantum side that each reads its own part of."""
-    if link is None:
-        link = memory_pair()
+def _run_pair(alice, bob, link: tuple[Transport, Transport]) -> tuple:
+    """Run alice(link[0]) on this thread and bob(link[1]) on a thread named
+    bob-endpoint, and return both results. Bob's link closes when he
+    fails and Alice's when she is done, so that neither side is left
+    waiting; his thread is always joined. Bob's failure is usually the root
+    cause (Alice then only sees the link drop), so it is raised first,
+    unless all he saw was the TransportClosed that Alice's own failure
+    caused."""
     alice_link, bob_link = link
-    sim = simulate_quantum(cfg)
-
-    bob_result: list[EndpointResult] = []
+    bob_result: list = []
     bob_error: list[BaseException] = []
 
     def bob_main():
         try:
-            bob_result.append(run_bob_endpoint(cfg, bob_link, sim))
-        except BaseException as exc:  # noqa: BLE001 - surfaced below
+            bob_result.append(bob(bob_link))
+        except BaseException as exc:  # noqa: BLE001 - raised below
             bob_error.append(exc)
-            bob_link.close()  # unblock Alice instead of deadlocking her recv
+            bob_link.close()
 
     thread = threading.Thread(target=bob_main, name="bob-endpoint")
     thread.start()
-    alice = None
     alice_error: Optional[BaseException] = None
     try:
-        alice = run_alice_endpoint(cfg, alice_link, sim)
-    except BaseException as exc:  # noqa: BLE001 - re-raised below
+        alice_result = alice(alice_link)
+    except BaseException as exc:  # noqa: BLE001 - raised below
         alice_error = exc
     finally:
         alice_link.close()
         thread.join()
         bob_link.close()
-    # Bob's failure is usually the root cause (Alice then just sees the
-    # channel drop), so report it first -- unless all Bob saw was the
-    # channel drop that Alice's own failure caused.
     if bob_error and not (alice_error is not None and isinstance(bob_error[0], tp.TransportClosed)):
         raise bob_error[0]
     if alice_error is not None:
         raise alice_error
-    bob = bob_result[0]
+    return alice_result, bob_result[0]
+
+
+def run_session_detailed(
+    cfg: SessionConfig, link: Optional[tuple[Transport, Transport]] = None
+) -> tuple[EndpointResult, EndpointResult]:
+    """Run both endpoints over a transport pair (in-process by default),
+    on one run of the quantum side that each reads its own part of: Alice
+    on this thread and Bob on his own (_run_pair). The endpoint functions
+    and memory_pair are looked up on the module at each call."""
+    sim = simulate_quantum(cfg)
+    alice, bob = _run_pair(
+        lambda end: run_alice_endpoint(cfg, end, sim),
+        lambda end: run_bob_endpoint(cfg, end, sim),
+        link or memory_pair(),
+    )
     if alice.summary.to_dict() != bob.summary.to_dict():
         raise RuntimeError("session summaries disagree between endpoints")
     return alice, bob

@@ -623,7 +623,7 @@ class TestNetworkedMode:
         assert code == 3
         assert err.endswith("session failed: the peer was silent for --timeout 0.2 s\n")
 
-    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e10"])
     @pytest.mark.parametrize("command", ["serve-alice", "connect-bob"])
     def test_timeout_that_is_not_a_positive_number_exits_2(self, capsys, command, value):
         # refused before any socket opens

@@ -9,7 +9,6 @@ import threading
 import time
 import tracemalloc
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -679,35 +678,13 @@ class TestTransportSubstitution:
 
 
 def _endpoints_on_threads(cfg, links, bob_sim=None):
-    """Alice's and Bob's endpoints, each on a thread of its own over its
-    link, as two processes run them: Alice simulates the quantum side
-    herself, and so does Bob unless given `bob_sim`. Returns both results;
-    a failure closes its endpoint's link and is raised, the first one
-    first."""
-    results, errors = {}, []
-
-    def run(name, endpoint, link, *sim):
-        try:
-            results[name] = endpoint(cfg, link, *sim)
-        except BaseException as exc:  # noqa: BLE001 - raised below
-            errors.append(exc)
-            link.close()
-
-    alice_link, bob_link = links
-    bob_args = (bob_sim,) if bob_sim is not None else ()
-    threads = [
-        threading.Thread(target=run, name="alice", args=("alice", run_alice_endpoint, alice_link)),
-        threading.Thread(target=run, name="bob", args=("bob", run_bob_endpoint, bob_link, *bob_args)),
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for link in links:
-        link.close()
-    if errors:
-        raise errors[0]
-    return results["alice"], results["bob"]
+    """Alice's and Bob's endpoints over `links`, as two processes run them,
+    Bob on a thread of his own (session._run_pair): Alice simulates the
+    quantum side herself, and so does Bob unless given `bob_sim`. Returns
+    both results."""
+    return session_mod._run_pair(
+        lambda link: run_alice_endpoint(cfg, link), lambda link: run_bob_endpoint(cfg, link, bob_sim), links
+    )
 
 
 class TestEachEndpointSimulatesItsOwnSide:
@@ -750,7 +727,7 @@ class TestEachEndpointSimulatesItsOwnSide:
         alice, bob = _endpoints_on_threads(cfg, tuple(map(StreamTransport, socket.socketpair())))
         assert alice.summary.to_dict() == bob.summary.to_dict() == want.to_dict()
         kernel = KERNELS[protocol_name].__name__
-        assert {who for who, _ in calls} == {"bob"}
+        assert {who for who, _ in calls} == {"bob-endpoint"}
         assert {name for _, name in calls} == {kernel, *(["detect_batch"] if detectors == "lossy" else [])}
 
     @pytest.mark.parametrize("detectors", DETECTORS)
@@ -882,15 +859,14 @@ class TestSiftExchange:
     @given(
         st.lists(st.integers(0, 2**63 - 1), unique=True, max_size=40).map(sorted),
         st.data(),
-        st.sampled_from([1, 2, 3, 7, 100_000]),
     )
-    def test_indices_in_equals_searchsorted(self, known, data, chunk):
-        # across several SLOT_CHUNK boundaries: any subset of `known`; a
-        # whole span of it, as Bob declares under ideal detectors; and that
-        # span with one slot dropped. Slots that `known` lacks (none past its
-        # last entry), added to the subset or to the span, or put in place of
-        # one of the span's own, are refused, the first one named. A span of
-        # `known`, and only a span, comes back as its slice.
+    def test_indices_in_equals_searchsorted(self, known, data):
+        # any subset of `known`; a whole span of it, as Bob declares under
+        # ideal detectors; and that span with one slot dropped. Slots that
+        # `known` lacks (none past its last entry), added to the subset or to
+        # the span, or put in place of one of the span's own, are refused,
+        # the first one named. A span of `known`, and only a span, comes back
+        # as its slice.
         picked = data.draw(st.lists(st.booleans(), min_size=len(known), max_size=len(known)))
         subset = [v for v, keep in zip(known, picked) if keep]
         found, refused = [subset], []
@@ -908,33 +884,34 @@ class TestSiftExchange:
             if extra not in known:
                 refused += [(sorted([*span, extra]), extra), (sorted([*shorter, extra]), extra)]
         known = np.array(known, dtype=np.int64)
-        with mock.patch.object(session_mod, "SLOT_CHUNK", chunk):
-            for slots in found:
-                slots = np.array(slots, dtype=np.int64)
-                got, want = session_mod._indices_in(known, slots, "not here"), np.searchsorted(known, slots)
-                if len(want) == 0 or want[-1] - want[0] + 1 == len(want):
-                    assert isinstance(got, slice) and got.step is None
-                    got = np.arange(got.start, got.stop)
-                _assert_same(got, want)
-            for slots, first in refused:
-                with pytest.raises(ProtocolError, match=f"^not here: slot {first}$"):
-                    session_mod._indices_in(known, np.array(slots, dtype=np.int64), "not here")
+        for slots in found:
+            slots = np.array(slots, dtype=np.int64)
+            got, want = session_mod._indices_in(known, slots, "not here"), np.searchsorted(known, slots)
+            if len(want) == 0 or want[-1] - want[0] + 1 == len(want):
+                assert isinstance(got, slice) and got.step is None
+                got = np.arange(got.start, got.stop)
+            _assert_same(got, want)
+        for slots, first in refused:
+            with pytest.raises(ProtocolError, match=f"^not here: slot {first}$"):
+                session_mod._indices_in(known, np.array(slots, dtype=np.int64), "not here")
 
     def test_indices_in_holds_one_chunk_at_a_time(self):
-        # 784 054 pair slots, Alice's at 200 s, less one in the middle, so
-        # that the lookup merges: beyond the returned indices it holds a few
-        # arrays of one or two SLOT_CHUNKs, where a merge of the whole list
-        # at once would hold several of its length
+        # one full frame among 784 054 pair slots, Alice's at 200 s: the
+        # SLOT_CHUNK slots from the 400 000th on, less one in the middle, so
+        # that the lookup merges. Beyond the returned indices it holds a few
+        # arrays of one or two frames' length, none of the pair slots'
         known = np.cumsum(np.random.default_rng(8).integers(1, 50, 784_054))
-        slots = np.delete(known, 400_000)
+        n = session_mod.SLOT_CHUNK
+        span = np.arange(400_000, 400_001 + n)
+        slots = np.delete(known[span], n // 2)
         tracemalloc.start()
         try:
             idx = session_mod._indices_in(known, slots, "not here")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        np.testing.assert_array_equal(idx, np.delete(np.arange(len(known)), 400_000))
-        assert peak - idx.nbytes < 80 * session_mod.SLOT_CHUNK, f"{(peak - idx.nbytes) / 2**20:.1f} MiB"
+        np.testing.assert_array_equal(idx, np.delete(span, n // 2))
+        assert peak - idx.nbytes < 80 * n, f"{(peak - idx.nbytes) / 2**20:.1f} MiB"
         # the whole of `known` is its one span
         assert session_mod._indices_in(known, known, "not here") == slice(0, len(known))
 
@@ -944,8 +921,7 @@ def _slot_frames(key, chunks, *bit_names):
     all-zero bit array per name in bit_names. A chunk that is a list of
     slots is packed, continuing from the previous chunk; any other value
     goes under `key` as it is, and None leaves `key` out. The helpers
-    below queue the frames and close the peer, so a receiver that accepts
-    them meets a closed channel rather than waiting forever."""
+    below send them from a scripted peer (_scripted)."""
     frames = []
     prev = -1
     for chunk in chunks:
@@ -967,11 +943,23 @@ def _chunked(entries):
     return [entries[i : i + chunk] for i in range(0, len(entries) + 1, chunk)]
 
 
-def _alice_receives_declaration(chunks):
+def _scripted(*messages):
+    """A link whose peer has sent `messages`, (type, payload) pairs, and
+    closed, so that a receiver that accepts them all meets a closed
+    channel rather than waiting forever."""
     link, peer = memory_pair()
-    for payload in _slot_frames("slots", chunks, "bases"):
-        peer.send(Message("DETECTIONS", payload))
+    for kind, payload in messages:
+        peer.send(Message(kind, payload))
     peer.close()
+    return link
+
+
+def _hello(cfg):
+    return "HELLO", {"config": cfg.to_dict(), "wire_version": session_mod.WIRE_VERSION}
+
+
+def _alice_receives_declaration(chunks):
+    link = _scripted(*(("DETECTIONS", payload) for payload in _slot_frames("slots", chunks, "bases")))
     alice_sift_exchange(link, np.arange(8), np.zeros(8, dtype=np.int64), np.zeros(8, dtype=np.int64), np.zeros(8, bool))
 
 
@@ -999,15 +987,9 @@ def _run_bob_against(*frames, records=tuple(range(8)), keep=None, sample_fractio
     default keep bits of all ones, one frame per frame of his declaration),
     then `frames`. Returns Bob's result."""
     cfg = small_cfg(sample_fraction=sample_fraction)
-    link, peer = memory_pair()
-    peer.send(Message("HELLO", {"config": cfg.to_dict(), "wire_version": session_mod.WIRE_VERSION}))
     if keep is None:
         keep = [{"keep": pack_bits([1] * len(chunk))} for chunk in _chunked(records)]
-    for payload in keep:
-        peer.send(Message("SIFT_KEEP", payload))
-    for kind, payload in frames:
-        peer.send(Message(kind, payload))
-    peer.close()
+    link = _scripted(_hello(cfg), *(("SIFT_KEEP", payload) for payload in keep), *frames)
     n = len(records)
     sim = _BobsRecords(np.array(records, dtype=np.int64), np.zeros(n, dtype=np.uint8), _record_bits(n))
     return run_bob_endpoint(cfg, link, sim)
@@ -1027,14 +1009,13 @@ def _bob_receives_sample_request(chunks):
 
 
 class _Tap(tp.Transport):
-    """A link that keeps every message sent through it."""
+    """A link that keeps every message sent on it as a (type, payload) pair."""
 
-    def __init__(self, inner: tp.Transport):
-        self.inner, self.sent = inner, []
+    def __init__(self):
+        self.sent = []
 
     def send(self, message):
-        self.sent.append(message)
-        self.inner.send(message)
+        self.sent.append((message.type, message.payload))
 
 
 class TestListFraming:
@@ -1048,24 +1029,21 @@ class TestListFraming:
         rng = np.random.default_rng(n)
         slots = np.sort(rng.choice(100, size=n, replace=False)).astype(np.int64)
         bits = rng.integers(0, 2, size=n).astype(np.uint8)
-        link, peer = memory_pair()
-        tap = _Tap(link)
+        tap = _Tap()
         session_mod._send_list(tap, "DETECTIONS", "slots", slots, bases=bits)
-        link.close()
         sizes = [3] * (n // 3) + [n % 3]
         # a frame's entry count is its number of varint bytes below 0x80
-        assert [np.count_nonzero(np.frombuffer(m.payload["slots"], np.uint8) < 0x80) for m in tap.sent] == sizes
-        frames = list(session_mod._recv_slots(peer, "DETECTIONS", "slots", 100))
-        assert [payload for payload, _ in frames] == [m.payload for m in tap.sent]
+        assert [np.count_nonzero(np.frombuffer(p["slots"], np.uint8) < 0x80) for _, p in tap.sent] == sizes
+        declaration = _scripted(*tap.sent)
+        frames = list(session_mod._recv_slots(declaration, "DETECTIONS", "slots", 100))
+        assert [payload for payload, _ in frames] == [p for _, p in tap.sent]
         _assert_same(np.concatenate([got for _, got in frames]), slots)
         # each frame answered by one of exactly its share of the bits
-        for payload, _ in frames:
-            peer.send(Message("SAMPLE_BITS", {"bits": payload["bases"]}))
-        peer.close()
-        _assert_same(session_mod._recv_bits(link, "SAMPLE_BITS", "bits", n), bits)
+        answer = _scripted(*(("SAMPLE_BITS", {"bits": payload["bases"]}) for payload, _ in frames))
+        _assert_same(session_mod._recv_bits(answer, "SAMPLE_BITS", "bits", n), bits)
         assert [len(payload["bases"]) for payload, _ in frames] == [-(-k // 8) for k in sizes]
         # the receivers took every frame and no more
-        for receiver in (peer, link):
+        for receiver in (declaration, answer):
             with pytest.raises(tp.TransportClosed):
                 receiver.recv()
 
@@ -1162,10 +1140,8 @@ class TestHostileSlotLists:
 
     def test_bases_as_text_are_a_protocol_error(self):
         # two slots' bases as base-64 text, as wire version 9 sent them
-        link, peer = memory_pair()
         bases = base64.b64encode(pack_bits([0, 0])).decode()
-        peer.send(Message("DETECTIONS", {"slots": pack_slots([0, 1]), "bases": bases}))
-        peer.close()
+        link = _scripted(("DETECTIONS", {"slots": pack_slots([0, 1]), "bases": bases}))
         zeros = np.zeros(8, dtype=np.uint8)
         with pytest.raises(ProtocolError, match="^DETECTIONS 'bases' must be bytes, got 'AA=='$"):
             alice_sift_exchange(link, np.arange(8), zeros, zeros, np.zeros(8, bool))
@@ -1266,13 +1242,8 @@ def _alice_receives_sample_bits(payload):
     """Alice's whole endpoint against a scripted Bob who declares no
     detections and then answers the (empty) error test with `payload`."""
     cfg = small_cfg()
-    link, peer = memory_pair()
-    peer.send(Message("HELLO", {"config": cfg.to_dict(), "wire_version": session_mod.WIRE_VERSION}))
-    for frame in _slot_frames("slots", [[]], "bases"):
-        peer.send(Message("DETECTIONS", frame))
-    peer.send(Message("SAMPLE_BITS", payload))
-    peer.close()
-    run_alice_endpoint(cfg, link)
+    (declaration,) = _slot_frames("slots", [[]], "bases")
+    run_alice_endpoint(cfg, _scripted(_hello(cfg), ("DETECTIONS", declaration), ("SAMPLE_BITS", payload)))
 
 
 class TestHostilePayloads:
@@ -1440,6 +1411,19 @@ class TestCraftedConversations:
         monkeypatch.setattr(session_mod, "sample_positions", boom)
         with pytest.raises(ValueError, match="boom"):
             run_session_detailed(small_cfg())
+
+    def test_bobs_failure_is_raised_when_both_sides_fail(self):
+        # neither failure is the other's close, so Bob's goes first, and his
+        # thread has ended
+        def fails(error):
+            def endpoint(link):
+                raise error
+
+            return endpoint
+
+        with pytest.raises(KeyError, match="bob"):
+            session_mod._run_pair(fails(ValueError("alice")), fails(KeyError("bob")), memory_pair())
+        assert "bob-endpoint" not in {t.name for t in threading.enumerate()}
 
 
 class TestExactSummary:
