@@ -46,23 +46,28 @@ sessions:
 
 Each endpoint runs the quantum side itself, from the config and seeds
 that HELLO shows both hold, and draws only what it reads
-(simulate_quantum's `reader`), by the order above:
+(simulate_quantum's `reader`), by the order above. Both start from the
+prefix that they draw alike (_draw_prefix): the pair slots, then x and
+y. Each then sets its own source and alice streams where that prefix
+leaves them by word count, with bit_generator.advance, not by drawing
+again: the source stream k + 1 words on for the gaps (none when the
+pair rate is 0), and the alice stream 2 ceil(k/64) words on.
 
-* Alice draws the gaps, the multi-pair uniforms, and x and y. She runs
-  no Born kernel and no detector layer, and counts the multi-pair flags
-  of the slots Bob declares as she looks them up;
-* Bob draws the gaps, then moves the source stream past the k
-  multi-pair words with bit_generator.advance(k) instead of drawing
-  them, then x, y and z, the channel's and the outcome uniforms and,
-  for lossy detectors, the detector words. Under ideal detectors his
-  declaration is every pair slot with its basis, known before any
-  outcome, so he sends it as soon as it is drawn and decides his
-  outcomes while Alice looks it up: his bits are not needed until
-  SIFT_KEEP arrives. With lossy detectors the declaration waits for
-  detect_batch.
+* Alice draws the multi-pair uniforms, and later her error-test sample.
+  She runs no Born kernel and no detector layer, and counts the
+  multi-pair flags of the slots Bob declares as she looks them up;
+* Bob moves the source stream k words further, past the multi-pair
+  words, instead of drawing them, then draws z, the channel's and the
+  outcome uniforms and, for lossy detectors, the detector words. Under
+  ideal detectors his declaration is every pair slot with its basis,
+  known before any outcome, so he sends it as soon as it is drawn and
+  decides his outcomes while Alice looks it up: his bits are not needed
+  until SIFT_KEEP arrives. With lossy detectors the declaration waits
+  for detect_batch.
 
-In-process, one run draws and decides both parts before either endpoint
-starts, and each reads its own part of it.
+Over TCP each endpoint draws the prefix itself. In-process,
+run_session_detailed draws it once and hands it to both endpoints,
+which then run as over TCP, each on its own thread.
 
 The conversation is the paper's: Bob declares his coincidences and bases
 (DETECTIONS), Alice says which to keep, and a sample of the key is
@@ -126,7 +131,8 @@ SLOT_CHUNK = 100_000
 # uniforms per block (_multi_pair).
 GAP_BATCH = 1 << 16
 # Pair slots per block of outcome decisions (_outcomes), on every channel.
-BORN_BLOCK = 1 << 16
+# In-process, Bob's blocks overlap Alice's lookups in one heap.
+BORN_BLOCK = 1 << 14
 
 
 class HandshakeMismatch(RuntimeError):
@@ -257,17 +263,17 @@ class SessionSummary:
 
 
 class SimulationResult:
-    """What the endpoints read of the quantum side; the `reader` given to
+    """What one endpoint reads of the quantum side; the `reader` given to
     simulate_quantum sets whose part it holds. Alice's part: pair_slots,
     x and y run over pair slots, the slots with at least one generated
     pair; multi_pair says whether each pair slot held more than one pair;
     alice_rng is her live stream, to continue drawing from for the error
     test. Bob's part runs over his coincidences: his declaration (slots
-    and z), then bob_bits. A run for Bob alone under ideal detectors holds
-    his declaration before his outcomes are decided, and decides them on
-    the first read of bob_bits, so that he can send it first. Channel
-    angles and detector indices stay inside the engine; pair_slots is
-    there for every reader."""
+    and z), then bob_bits. Under ideal detectors it holds his declaration
+    before his outcomes are decided, and decides them on the first read
+    of bob_bits, so that he can send it first. Channel angles and
+    detector indices stay inside the engine; pair_slots is there for
+    either reader."""
 
     def __init__(self, pair_slots, x=None, y=None, alice_rng=None, multi_pair=None, slots=None, z=None, bob_bits=None):
         self.pair_slots, self.x, self.y = pair_slots, x, y
@@ -497,37 +503,56 @@ def _ideal(detectors: DetectorParams) -> bool:
     return detectors.efficiency == 1.0 and detectors.dark_count_prob == 0.0
 
 
-def simulate_quantum(cfg: SessionConfig, reader: Optional[str] = None) -> SimulationResult:
-    """Run the quantum side of a session for `reader`: "alice" or "bob"
-    draws only what that endpoint reads, and None, for an in-process
-    session, draws and decides both parts at once. See the module
+# What both endpoints draw alike: pair slots, x and y (_draw_prefix).
+Prefix = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _stream(seed: int, words: int = 0) -> np.random.Generator:
+    """The stream of `seed`, moved on by `words` raw words as if it had
+    drawn them."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(words)
+    return rng
+
+
+def _draw_prefix(cfg: SessionConfig) -> Prefix:
+    """What both endpoints draw alike: the pair slots, from the source
+    stream, then x and y, from the alice stream."""
+    pair_slots = _draw_pair_slots(_stream(cfg.seeds.source), cfg.mean_pairs_per_slot, cfg.n_slots)
+    rng_alice = _stream(cfg.seeds.alice)
+    return pair_slots, _bits(rng_alice, len(pair_slots)), _bits(rng_alice, len(pair_slots))
+
+
+def simulate_quantum(cfg: SessionConfig, reader: str, prefix: Optional[Prefix] = None) -> SimulationResult:
+    """Run the quantum side of a session for `reader`, "alice" or "bob",
+    drawing only what that endpoint reads, on `prefix` (_draw_prefix's
+    pair slots, x and y), drawn here unless given. The source and alice
+    streams go on from where the prefix leaves them. See the module
     docstring for the exact stream-consumption order."""
-    mu = cfg.mean_pairs_per_slot
-    rng_source = np.random.default_rng(cfg.seeds.source)
-    rng_alice = np.random.default_rng(cfg.seeds.alice)
-    pair_slots = _draw_pair_slots(rng_source, mu, cfg.n_slots)
-    k = len(pair_slots)
-    x = _bits(rng_alice, k)
-    y = _bits(rng_alice, k)
-    multi_pair = None
-    if reader == "bob":
-        # He reads no multi-pair flag, so he skips their words.
-        rng_source.bit_generator.advance(k)
-    else:
-        multi_pair = _multi_pair(rng_source, mu, k)
+    if reader not in ("alice", "bob"):
+        raise ValueError(f"reader must be 'alice' or 'bob', got {reader!r}")
+    pair_slots, x, y = _draw_prefix(cfg) if prefix is None else prefix
+    mu, k = cfg.mean_pairs_per_slot, len(pair_slots)
+    # One word per gap and one for the gap past the last slot, unless
+    # there are no pairs to draw.
+    gap_words = k + 1 if mu else 0
     if reader == "alice":
-        return SimulationResult(pair_slots, x, y, rng_alice, multi_pair)
-    z = _bits(np.random.default_rng(cfg.seeds.bob), k)
-    rng_channel = np.random.default_rng(cfg.seeds.channel)
-    if reader == "bob" and _ideal(cfg.detectors):
+        multi_pair = _multi_pair(_stream(cfg.seeds.source, gap_words), mu, k)
+        return SimulationResult(pair_slots, x, y, _stream(cfg.seeds.alice, 2 * -(-k // 64)), multi_pair)
+    # He reads no multi-pair flag, so he skips their words.
+    rng_source = _stream(cfg.seeds.source, gap_words + k)
+    z = _bits(_stream(cfg.seeds.bob), k)
+    rng_channel = _stream(cfg.seeds.channel)
+
+    def records():
+        return _bob_records(cfg, pair_slots, x, y, z, rng_source, rng_channel)
+
+    if _ideal(cfg.detectors):
         # His declaration, every pair slot with its basis, is known before
         # any outcome is; his bits are decided when first read.
-        slots, bits = pair_slots, lambda: _bob_records(cfg, pair_slots, x, y, z, rng_source, rng_channel)[2]
-    else:
-        slots, z, bits = _bob_records(cfg, pair_slots, x, y, z, rng_source, rng_channel)
-    if reader == "bob":
-        return SimulationResult(pair_slots, slots=slots, z=z, bob_bits=bits)
-    return SimulationResult(pair_slots, x, y, rng_alice, multi_pair, slots, z, bits)
+        return SimulationResult(pair_slots, slots=pair_slots, z=z, bob_bits=lambda: records()[2])
+    slots, z, bits = records()
+    return SimulationResult(pair_slots, slots=slots, z=z, bob_bits=bits)
 
 
 def finalize(
@@ -700,8 +725,8 @@ def bob_sift_exchange(link: Transport, records: SimulationResult) -> np.ndarray:
     Alice's SIFT_KEEP frame for it sets the keep bit, and return his
     sifted key."""
     _send_list(link, "DETECTIONS", "slots", records.slots, bases=records.z)
-    # A run of Bob's alone under ideal detectors decides his outcomes here,
-    # while Alice looks up his declaration.
+    # Under ideal detectors his outcomes are decided here, while Alice
+    # looks up his declaration.
     bits = records.bob_bits
     kept = []
     for start in _frames(len(bits)):
@@ -711,13 +736,13 @@ def bob_sift_exchange(link: Transport, records: SimulationResult) -> np.ndarray:
     return np.concatenate(kept)
 
 
-def run_alice_endpoint(cfg: SessionConfig, link: Transport, sim: Optional[SimulationResult] = None) -> EndpointResult:
-    """Alice's whole session: simulate her part of the quantum side,
-    unless given its result `sim`, then sift Bob's declaration and run the
-    error test. Her multi-pair fraction counts the slots he declared."""
+def run_alice_endpoint(cfg: SessionConfig, link: Transport, prefix: Optional[Prefix] = None) -> EndpointResult:
+    """Alice's whole session: simulate her part of the quantum side (on
+    `prefix`, if given: see simulate_quantum), then sift Bob's declaration
+    and run the error test. Her multi-pair fraction counts the slots he
+    declared."""
     _hello_exchange(cfg, link)
-    if sim is None:
-        sim = simulate_quantum(cfg, "alice")
+    sim = simulate_quantum(cfg, "alice", prefix)
 
     alice_key, n_coincidences, n_multi = alice_sift_exchange(link, sim.pair_slots, sim.x, sim.y, sim.multi_pair)
     multi_pair_fraction = n_multi / n_coincidences if n_coincidences else 0.0
@@ -735,15 +760,14 @@ def run_alice_endpoint(cfg: SessionConfig, link: Transport, sim: Optional[Simula
     return EndpointResult(summary, alice_key)
 
 
-def run_bob_endpoint(cfg: SessionConfig, link: Transport, sim: Optional[SimulationResult] = None) -> EndpointResult:
-    """Bob's whole session: simulate his part of the quantum side, unless
-    given its result `sim`, declare his coincidences, sift, answer an
-    error test of the agreed size frame for frame, and build the summary
-    from his own counts and Alice's SUMMARY. He reads only his records:
-    slots, z and bob_bits."""
+def run_bob_endpoint(cfg: SessionConfig, link: Transport, prefix: Optional[Prefix] = None) -> EndpointResult:
+    """Bob's whole session: simulate his part of the quantum side (on
+    `prefix`, if given: see simulate_quantum), declare his coincidences,
+    sift, answer an error test of the agreed size frame for frame, and
+    build the summary from his own counts and Alice's SUMMARY. He reads
+    only his records: slots, z and bob_bits."""
     _hello_exchange(cfg, link)
-    if sim is None:
-        sim = simulate_quantum(cfg, "bob")
+    sim = simulate_quantum(cfg, "bob", prefix)
     bob_key = bob_sift_exchange(link, sim)
 
     answers, n_compared = [], 0
@@ -827,14 +851,15 @@ def _run_pair(alice, bob, link: tuple[Transport, Transport]) -> tuple:
 def run_session_detailed(
     cfg: SessionConfig, link: Optional[tuple[Transport, Transport]] = None
 ) -> tuple[EndpointResult, EndpointResult]:
-    """Run both endpoints over a transport pair (in-process by default),
-    on one run of the quantum side that each reads its own part of: Alice
-    on this thread and Bob on his own (_run_pair). The endpoint functions
-    and memory_pair are looked up on the module at each call."""
-    sim = simulate_quantum(cfg)
+    """Run both endpoints over a transport pair (in-process by default):
+    Alice on this thread and Bob on his own (_run_pair). Each simulates
+    its own side, as over TCP, on one draw of the prefix that both draw
+    alike (_draw_prefix). The endpoint functions and memory_pair are
+    looked up on the module at each call."""
+    prefix = _draw_prefix(cfg)
     alice, bob = _run_pair(
-        lambda end: run_alice_endpoint(cfg, end, sim),
-        lambda end: run_bob_endpoint(cfg, end, sim),
+        lambda end: run_alice_endpoint(cfg, end, prefix),
+        lambda end: run_bob_endpoint(cfg, end, prefix),
         link or memory_pair(),
     )
     if alice.summary.to_dict() != bob.summary.to_dict():

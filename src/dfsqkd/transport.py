@@ -202,7 +202,11 @@ class Transport:
 
 
 class InMemoryTransport(Transport):
-    """Queue-backed endpoint; create both ends with :func:`memory_pair`."""
+    """Queue-backed endpoint; create both ends with :func:`memory_pair`.
+
+    As on a socket, once an end closes, its peer's recv raises
+    TransportClosed after the messages sent before the close, and its
+    peer's send raises TransportClosed at once."""
 
     _CLOSE = object()
 
@@ -214,6 +218,8 @@ class InMemoryTransport(Transport):
     def send(self, message: Message) -> None:
         if self._closed:
             raise TransportClosed("transport already closed")
+        if getattr(self._outbox, "reader_closed", False):
+            raise TransportClosed("peer closed the transport")
         # Round trip through the frame codec so both transports exercise
         # the same validation and size limits.
         self._outbox.put(encode_frame(message))
@@ -224,10 +230,19 @@ class InMemoryTransport(Transport):
             raise TransportClosed("peer closed the transport")
         return decode_frame(item)
 
+    def shutdown_send(self) -> None:
+        """Send nothing more, as a socket's shutdown(SHUT_WR) does: the
+        peer's recv raises TransportClosed once it has read what was sent
+        before, and the peer can still send to this end."""
+        self._outbox.put(self._CLOSE)
+
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            self._outbox.put(self._CLOSE)
+            self.shutdown_send()
+            # Marked on the queue that both ends hold, so that the peer's
+            # send sees it however the pair was built.
+            self._inbox.reader_closed = True
 
 
 def memory_pair() -> tuple[InMemoryTransport, InMemoryTransport]:

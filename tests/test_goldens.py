@@ -127,7 +127,8 @@ def test_stdout_matches_golden(case, capsys):
 
 def test_random_walk_angles_match_golden():
     cfg = SessionConfig(duration_s=2.0, channel=RandomWalkChannel(np.radians(5.0), np.radians(0.5)))
-    theta = cfg.channel.sample_batch(simulate_quantum(cfg).pair_slots, np.random.default_rng(cfg.seeds.channel))
+    pair_slots = simulate_quantum(cfg, "alice").pair_slots
+    theta = cfg.channel.sample_batch(pair_slots, np.random.default_rng(cfg.seeds.channel))
     assert len(theta) == 7810
     assert _sha256(np.ascontiguousarray(theta, dtype="<f8").tobytes()) == WALK_THETAS_SHA256
 

@@ -337,22 +337,22 @@ class TestBB84Baseline:
                     assert p_err == pytest.approx(expected, abs=1e-12)
 
     def test_round_is_deterministic_without_noise(self):
-        sim = simulate_quantum(
-            SessionConfig(protocol="bb84", duration_s=0.1, visibility=1.0, seeds=Seeds(3, 3, 3, 3))
-        )
-        matched = sim.x == sim.z
-        assert {(x, y) for x, y in zip(sim.x[matched], sim.y[matched])} == set(HAND_TARGETS)
-        np.testing.assert_array_equal(sim.bob_bits[matched], sim.y[matched])
+        cfg = SessionConfig(protocol="bb84", duration_s=0.1, visibility=1.0, seeds=Seeds(3, 3, 3, 3))
+        # ideal detectors: Bob's records are every pair slot, as Alice's are
+        alice, bob = simulate_quantum(cfg, "alice"), simulate_quantum(cfg, "bob")
+        matched = alice.x == bob.z
+        assert {(x, y) for x, y in zip(alice.x[matched], alice.y[matched])} == set(HAND_TARGETS)
+        np.testing.assert_array_equal(bob.bob_bits[matched], alice.y[matched])
 
     def test_round_at_45_degrees_is_a_coin_flip(self):
         cfg = SessionConfig(
             protocol="bb84", duration_s=10.0, visibility=1.0,
             channel=StaticChannel(np.pi / 4), seeds=Seeds(4, 4, 4, 4),
         )
-        sim = simulate_quantum(cfg)
-        matched = sim.x == sim.z
+        alice, bob = simulate_quantum(cfg, "alice"), simulate_quantum(cfg, "bob")
+        matched = alice.x == bob.z
         n = int(matched.sum())
-        errors = np.count_nonzero(sim.bob_bits[matched] != sim.y[matched])
+        errors = np.count_nonzero(bob.bob_bits[matched] != alice.y[matched])
         assert n > 10_000
         assert abs(errors / n - 0.5) < 4 * np.sqrt(0.25 / n)
 

@@ -95,8 +95,20 @@ class TestConfig:
         SessionConfig.from_dict({"protocol": "dfs2", "channel": walk})
         sigma = sys.float_info.max / 2 / 14 / 50_000
         cfg = small_cfg(protocol="bb84", channel=RandomWalkChannel(0.0, sigma))
-        sim = simulate_quantum(cfg)
+        sim = simulate_quantum(cfg, "alice")
         assert np.isfinite(cfg.channel.sample_batch(sim.pair_slots, np.random.default_rng(cfg.seeds.channel))).all()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("seeds", (0, 0, 0, 0)), ("visibility", 0.0), ("visibility", 1.0)],
+        ids=["seed-0", "visibility-0", "visibility-1"],
+    )
+    def test_edge_values_are_accepted(self, name, value):
+        # each edge of a closed range is a config that runs
+        value = Seeds(*value) if name == "seeds" else value
+        alice, bob = run_session_detailed(small_cfg(duration_s=0.05, **{name: value}))
+        assert alice.summary.to_dict() == bob.summary.to_dict()
+        assert alice.summary.n_coincidences > 0
 
     def test_longest_session_is_accepted(self):
         cfg = SessionConfig(clock_hz=1.0, duration_s=2.0**62, pair_rate_hz=0.0)
@@ -169,11 +181,39 @@ class TestPoissonPairs:
         observed = np.bincount(multi_pair, minlength=2)
         assert _chi2(observed, [single, 1 - single]) < CHI2_1E6[1]
 
+    @pytest.mark.parametrize(
+        "mu, n_slots, i",
+        [
+            (0.04, 10_000, 0),
+            (0.04, 10_000, 1),
+            (0.04, 10_000, 57),
+            (0.5, 1000, 300),
+            (1e-12, 1000, None),
+            (0.0, 1000, None),
+        ],
+        ids=["first", "second", "later", "dense", "none-at-a-tiny-rate", "rate-0"],
+    )
+    def test_a_session_ends_just_before_a_pair_slot_of_a_longer_one(self, mu, n_slots, i):
+        # the pair slots of a session of s slots, s one of the pair slots
+        # of a longer session from the same seed, are the longer one's below
+        # s, and the stream stands k + 1 words on, past the gap that reaches
+        # s. With no pair slot, k = 0: one word at a tiny rate, none at 0
+        longer = session_mod._draw_pair_slots(np.random.default_rng(25), mu, n_slots)
+        s = n_slots if i is None else int(longer[i])
+        if i is None:
+            assert len(longer) == 0
+        rng = np.random.default_rng(25)
+        got = session_mod._draw_pair_slots(rng, mu, s)
+        _assert_same(got, longer[longer < s])
+        replay = np.random.default_rng(25)
+        replay.bit_generator.advance(len(got) + 1 if mu else 0)
+        assert rng.bit_generator.state == replay.bit_generator.state
+
 
 class TestEngine:
     def test_slot_record_invariants(self):
         cfg = small_cfg(duration_s=0.05, detectors=DetectorParams(efficiency=0.8, dark_count_prob=0.01))
-        sim = simulate_quantum(cfg)
+        sim = _both_parts(cfg)
         k, n = len(sim.pair_slots), len(sim.slots)
         assert k, "expected some pair slots"
         assert len(sim.x) == len(sim.y) == k
@@ -186,9 +226,19 @@ class TestEngine:
         assert set(sim.bob_bits) <= {0, 1}
         assert sim.multi_pair.dtype == bool and len(sim.multi_pair) == k
 
+    def test_each_call_simulates_one_endpoints_part(self):
+        # a call simulates one endpoint's part, in-process as over TCP, so
+        # it must name the endpoint
+        cfg = small_cfg()
+        with pytest.raises(TypeError):
+            simulate_quantum(cfg)
+        for reader in (None, "both", "eve"):
+            with pytest.raises(ValueError, match=f"^reader must be 'alice' or 'bob', got {reader!r}$"):
+                simulate_quantum(cfg, reader)
+
     def test_zero_pair_rate_produces_nothing(self):
-        sim = simulate_quantum(small_cfg(pair_rate_hz=0.0))
-        assert len(sim.pair_slots) == 0
+        sim = _both_parts(small_cfg(pair_rate_hz=0.0))
+        assert len(sim.pair_slots) == len(sim.slots) == len(sim.bob_bits) == 0
 
     def test_tiny_pair_rate_produces_nothing(self):
         # gaps near 2**63: a batch of them would overflow int64 uncapped, and
@@ -198,13 +248,13 @@ class TestEngine:
         # float range before its cap
         cases = ((1e-12, 0.5), (1e-300, 0.5), (1e-290, 1e10), (1e-290, 9.2e13), (1e-318, 9.2e13))
         for rate, duration_s in cases:
-            assert len(simulate_quantum(small_cfg(pair_rate_hz=rate, duration_s=duration_s)).pair_slots) == 0
+            assert len(simulate_quantum(small_cfg(pair_rate_hz=rate, duration_s=duration_s), "alice").pair_slots) == 0
 
     def test_coincidence_count_matches_pair_slots_for_ideal_detectors(self):
         cfg = small_cfg()
-        sim = simulate_quantum(cfg)
+        sim = simulate_quantum(cfg, "bob")
         # noiseless detectors convert every pair slot into a coincidence,
-        # and Bob's slots are Alice's array itself, not a copy
+        # and Bob's slots are the pair slots' array itself, not a copy
         assert sim.slots is sim.pair_slots
         expected = cfg.n_slots * (1 - math.exp(-cfg.mean_pairs_per_slot))
         sigma = math.sqrt(expected)
@@ -328,6 +378,39 @@ def _reference_simulation(cfg):
 SIMULATION_ARRAYS = ("pair_slots", "x", "y", "multi_pair", "slots", "z", "bob_bits")
 
 
+def _both_parts(cfg):
+    """Alice's and Bob's parts of the quantum side, simulated as an
+    in-process session simulates them, on one draw of their prefix, with
+    Bob's outcomes decided: one namespace of every SIMULATION_ARRAYS name
+    and Alice's stream."""
+    prefix = session_mod._draw_prefix(cfg)
+    alice, bob = simulate_quantum(cfg, "alice", prefix), simulate_quantum(cfg, "bob", prefix)
+    return SimpleNamespace(
+        pair_slots=alice.pair_slots,
+        x=alice.x,
+        y=alice.y,
+        alice_rng=alice.alice_rng,
+        multi_pair=alice.multi_pair,
+        slots=bob.slots,
+        z=bob.z,
+        bob_bits=bob.bob_bits,
+    )
+
+
+def _kept_streams(monkeypatch) -> dict:
+    """Every stream the session module makes from here on, as a list per
+    seed in the order made."""
+    streams, make = {}, session_mod._stream
+
+    def kept(seed, words=0):
+        rng = make(seed, words)
+        streams.setdefault(seed, []).append(rng)
+        return rng
+
+    monkeypatch.setattr(session_mod, "_stream", kept)
+    return streams
+
+
 def _assert_same(got, want):
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
@@ -346,7 +429,7 @@ class TestBoundedMemory:
         cfg = small_cfg(pair_rate_hz=50, duration_s=200, channel=channel)
         tracemalloc.start()
         try:
-            sim = simulate_quantum(cfg)
+            sim = _both_parts(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -359,11 +442,11 @@ class TestBoundedMemory:
         # 2 s is about 7 900 pair slots, so the short batches are many
         cfg = small_cfg(protocol="bb84", duration_s=2.0, channel=CHANNELS["random_walk"], detectors=DETECTORS["lossy"])
         mu, n = cfg.mean_pairs_per_slot, cfg.n_slots
-        want = simulate_quantum(cfg)
+        want = _both_parts(cfg)
         want_next = np.random.default_rng(cfg.seeds.source)
         session_mod._draw_pair_slots(want_next, mu, n)
         monkeypatch.setattr(session_mod, "GAP_BATCH", batch)
-        got = simulate_quantum(cfg)
+        got = _both_parts(cfg)
         for name in SIMULATION_ARRAYS:
             _assert_same(getattr(got, name), getattr(want, name))
         assert got.alice_rng.bit_generator.state == want.alice_rng.bit_generator.state
@@ -414,26 +497,28 @@ class TestBoundedMemory:
         # 1e4 s at 40 pairs/s: 1e9 clock slots, about 4e5 pair slots
         cfg = small_cfg(pair_rate_hz=40, duration_s=1e4)
         start = time.perf_counter()
-        sim = simulate_quantum(cfg)
+        sim = _both_parts(cfg)
         elapsed = time.perf_counter() - start
         expected = cfg.n_slots * -math.expm1(-cfg.mean_pairs_per_slot)
         assert cfg.n_slots == 10**9
         assert abs(len(sim.pair_slots) - expected) < 5 * math.sqrt(expected)
         assert elapsed < 5.0, f"{elapsed:.2f} s"
 
-    # Measured with numpy 2.4: at most 21.8 B per pair slot for the engine
-    # (dfs2; whole-session outcome uniforms and gathers made it 31.1, and an
-    # int64 outcome per pair slot 38.1) and 25.1 B for the whole session
-    # (30.1 while Alice gathered each declaration frame by index). The
-    # bounds leave about 15% for other numpy versions.
+    # Measured with numpy 2.4: at most 16.8 B per pair slot for both parts
+    # of the engine on one prefix (21.8 when one run decided both at once;
+    # whole-session outcome uniforms and gathers made it 31.1, and an int64
+    # outcome per pair slot 38.1) and 26.8 B for the whole session over 10
+    # runs (30.1 while Alice gathered each declaration frame by index, and
+    # 32.9 with Bob's outcome blocks of 2**16 on his own thread beside her
+    # lookups). The bounds leave room for other numpy versions.
     @pytest.mark.parametrize(
-        "run, bound", [(simulate_quantum, 25), (run_session_detailed, 29)], ids=["simulate", "session"]
+        "run, bound", [(_both_parts, 25), (run_session_detailed, 29)], ids=["simulate", "session"]
     )
     @pytest.mark.parametrize("protocol_name", protocol.PROTOCOLS)
     def test_peak_memory_per_pair_slot(self, protocol_name, run, bound):
         # the default 4000 pairs/s for 50 s: about 196 000 pair slots
         cfg = small_cfg(protocol=protocol_name, duration_s=50.0, channel=CHANNELS["static"])
-        k = len(simulate_quantum(cfg).pair_slots)
+        k = len(simulate_quantum(cfg, "alice").pair_slots)
         tracemalloc.start()
         try:
             run(cfg)
@@ -495,30 +580,24 @@ class TestBoundedMemory:
             detectors=DETECTORS[detectors],
             duration_s=2.0 if block is not None else 20.0,
         )
-        sources = []
-        draw_pair_slots = session_mod._draw_pair_slots
-
-        def keep_source(rng, mu, n_slots):
-            sources.append(rng)
-            return draw_pair_slots(rng, mu, n_slots)
-
-        monkeypatch.setattr(session_mod, "_draw_pair_slots", keep_source)
-        sim = simulate_quantum(cfg)
+        streams = _kept_streams(monkeypatch)
+        sim = _both_parts(cfg)
         k = len(sim.pair_slots)
         assert k > session_mod.BORN_BLOCK
         # _reference_simulation draws the outcome uniforms as one random(k)
         ref = _reference_simulation(cfg)
         for name in SIMULATION_ARRAYS:
             _assert_same(getattr(sim, name), getattr(ref, name))
-        # the source stream then stands where k + 1 gap words, k multi-pair
-        # uniforms, one draw of k outcome uniforms and, for lossy detectors,
-        # the six words per pair slot that follow them leave it
+        # Bob's source stream, the last made, then stands where k + 1 gap
+        # words, k multi-pair uniforms, one draw of k outcome uniforms and,
+        # for lossy detectors, the six words per pair slot that follow them
+        # leave it
         _, replay = _reference_pair_slots(cfg)
         replay.random(k)
         replay.random(k)
         if detectors == "lossy":
             replay.bit_generator.advance(6 * k)
-        assert sources[0].bit_generator.state == replay.bit_generator.state
+        assert streams[cfg.seeds.source][-1].bit_generator.state == replay.bit_generator.state
 
     @pytest.mark.parametrize("n", [0, 1, 7, 65_536, 100_003])
     def test_uniforms_are_generator_random_from_raw_words(self, n):
@@ -544,7 +623,7 @@ class TestBoundedMemory:
             return original(self, slots, rng)
 
         monkeypatch.setattr(type(model), "sample_batch", sample_batch)
-        sim = simulate_quantum(small_cfg(protocol=protocol_name, channel=model))
+        sim = _both_parts(small_cfg(protocol=protocol_name, channel=model))
         assert calls == ([] if protocol_name == "dfs2" else [len(sim.pair_slots)])
 
     @pytest.mark.parametrize("detectors", DETECTORS)
@@ -555,7 +634,7 @@ class TestBoundedMemory:
         cfg = small_cfg(
             protocol=protocol_name, channel=CHANNELS[channel], detectors=DETECTORS[detectors], duration_s=20.0
         )
-        sim = simulate_quantum(cfg)
+        sim = _both_parts(cfg)
         assert len(sim.pair_slots) > session_mod.BORN_BLOCK
         ref = _reference_simulation(cfg)
         for name in SIMULATION_ARRAYS:
@@ -582,7 +661,7 @@ class TestSessions:
         assert len(alice.sifted_key) == len(bob.sifted_key) == n_sifted
         # the error count reported is exactly the disagreement on the sample,
         # which Alice draws from her stream where the engine leaves it
-        positions = sample_positions(n_sifted, cfg.sample_fraction, simulate_quantum(cfg).alice_rng)
+        positions = sample_positions(n_sifted, cfg.sample_fraction, simulate_quantum(cfg, "alice").alice_rng)
         assert len(positions) == alice.summary.qber.n_compared
         mism = np.count_nonzero(alice.sifted_key[positions] != bob.sifted_key[positions])
         assert mism == alice.summary.qber.n_errors > 0
@@ -677,20 +756,20 @@ class TestTransportSubstitution:
         assert sum(frame_sizes) / summary.n_sifted <= 10
 
 
-def _endpoints_on_threads(cfg, links, bob_sim=None):
+def _endpoints_on_threads(cfg, links):
     """Alice's and Bob's endpoints over `links`, as two processes run them,
-    Bob on a thread of his own (session._run_pair): Alice simulates the
-    quantum side herself, and so does Bob unless given `bob_sim`. Returns
-    both results."""
+    Bob on a thread of his own (session._run_pair), each drawing the
+    prefix of the quantum side itself. Returns both results."""
     return session_mod._run_pair(
-        lambda link: run_alice_endpoint(cfg, link), lambda link: run_bob_endpoint(cfg, link, bob_sim), links
+        lambda link: run_alice_endpoint(cfg, link), lambda link: run_bob_endpoint(cfg, link), links
     )
 
 
 class TestEachEndpointSimulatesItsOwnSide:
-    """Over a socket pair, each endpoint runs the quantum side itself from
-    the shared config and seeds, as the CLI runs them, and reads only its
-    own part of it."""
+    """Each endpoint runs the quantum side itself from the shared config
+    and seeds, as the CLI runs them, and reads only its own part of it:
+    over a socket pair from its own draw of the prefix, in-process from
+    one draw that both share."""
 
     @pytest.mark.parametrize(
         "cfg",
@@ -730,10 +809,12 @@ class TestEachEndpointSimulatesItsOwnSide:
         assert {who for who, _ in calls} == {"bob-endpoint"}
         assert {name for _, name in calls} == {kernel, *(["detect_batch"] if detectors == "lossy" else [])}
 
+    @pytest.mark.parametrize("mode", ["in-process", "socket-pair"])
     @pytest.mark.parametrize("detectors", DETECTORS)
-    def test_bob_declares_before_deciding_under_ideal_detectors(self, monkeypatch, detectors):
+    def test_bob_declares_before_deciding_under_ideal_detectors(self, monkeypatch, detectors, mode):
         # His declaration does not depend on his outcomes unless the
-        # detector layer thins it, so it goes first and they follow.
+        # detector layer thins it, so it goes first and they follow, in
+        # either mode.
         # about 1 950 pair slots: lists of two frames, outcomes in 4 blocks
         monkeypatch.setattr(session_mod, "SLOT_CHUNK", 1000)
         monkeypatch.setattr(session_mod, "BORN_BLOCK", 500)
@@ -746,8 +827,12 @@ class TestEachEndpointSimulatesItsOwnSide:
 
         monkeypatch.setattr(session_mod, "_decide", logged_decide)
         cfg = small_cfg(detectors=DETECTORS[detectors])
-        alice_link, bob_link = memory_pair()
-        _endpoints_on_threads(cfg, (alice_link, _Logged(bob_link, events)))
+        if mode == "in-process":
+            alice_link, bob_link = memory_pair()
+            run_session_detailed(cfg, (alice_link, _Logged(bob_link, events)))
+        else:
+            alice_link, bob_link = map(StreamTransport, socket.socketpair())
+            _endpoints_on_threads(cfg, (alice_link, _Logged(bob_link, events)))
         declared = events.index("DETECTIONS")
         # more than one frame of each
         assert events.count("DETECTIONS") > 1 and events.count("decide") > 1
@@ -775,17 +860,14 @@ class TestEachEndpointSimulatesItsOwnSide:
 
     @pytest.mark.parametrize("detectors", DETECTORS)
     def test_each_reader_draws_only_what_it_reads(self, monkeypatch, detectors):
-        # bb84 on a random walk, so that Bob draws every stream
+        # bb84 on a random walk, so that Bob draws every stream. Each draws
+        # the prefix on a source stream of its own, and then makes one more,
+        # moved on to where the prefix left the first, to draw from.
         cfg = small_cfg(protocol="bb84", duration_s=2.0, channel=CHANNELS["random_walk"], detectors=DETECTORS[detectors])
-        sources = []
-        draw_pair_slots = session_mod._draw_pair_slots
-
-        def keep_source(rng, mu, n_slots):
-            sources.append(rng)
-            return draw_pair_slots(rng, mu, n_slots)
-
-        monkeypatch.setattr(session_mod, "_draw_pair_slots", keep_source)
-        alice, bob = simulate_quantum(cfg, "alice"), simulate_quantum(cfg, "bob")
+        streams = _kept_streams(monkeypatch)
+        alice = simulate_quantum(cfg, "alice")
+        bob = simulate_quantum(cfg, "bob")
+        sources = streams[cfg.seeds.source][1::2]
         ref = _reference_simulation(cfg)
         k = len(ref.pair_slots)
         # Alice's source stream stops after the k + 1 gap words and the k
@@ -812,12 +894,40 @@ class TestEachEndpointSimulatesItsOwnSide:
             replay.bit_generator.advance(6 * k)
         assert sources[1].bit_generator.state == replay.bit_generator.state
 
-    def test_bob_reads_only_his_records(self):
+    @pytest.mark.parametrize("pair_rate_hz", [4000.0, 1e-9, 0.0], ids=["default", "none-at-a-tiny-rate", "rate-0"])
+    def test_streams_go_on_where_the_prefix_leaves_them(self, monkeypatch, pair_rate_hz):
+        # each endpoint moves its source and alice streams on by word count,
+        # not by drawing again: to where the prefix's own draws leave them
+        # (k + 1 gap words; one at a tiny rate, none at rate 0), and the
+        # source stream past the k multi-pair words, which Alice draws and
+        # Bob skips. Under ideal detectors Bob has drawn nothing more yet.
+        cfg = small_cfg(pair_rate_hz=pair_rate_hz)
+        streams = _kept_streams(monkeypatch)
+        prefix = session_mod._draw_prefix(cfg)
+        alice = simulate_quantum(cfg, "alice", prefix)
+        simulate_quantum(cfg, "bob", prefix)
+        prefix_source, alice_source, bob_source = streams[cfg.seeds.source]
+        prefix_alice, alice_rng = streams[cfg.seeds.alice]
+        assert alice_rng is alice.alice_rng
+        assert alice_rng.bit_generator.state == prefix_alice.bit_generator.state
+        prefix_source.bit_generator.advance(len(prefix[0]))
+        for source in (alice_source, bob_source):
+            assert source.bit_generator.state == prefix_source.bit_generator.state
+
+    def test_bob_reads_only_his_records(self, monkeypatch):
         cfg = small_cfg(protocol="bb84", channel=CHANNELS["random_walk"], detectors=DETECTORS["lossy"])
-        sim = simulate_quantum(cfg)
-        records = _BobsRecords(sim.slots, sim.z, sim.bob_bits)
-        alice, bob = _endpoints_on_threads(cfg, memory_pair(), bob_sim=records)
-        assert bob.summary.to_dict() == alice.summary.to_dict() == run_session(cfg).to_dict()
+        want = run_session(cfg)
+        simulate = session_mod.simulate_quantum
+
+        def bobs_records_alone(cfg, reader, prefix=None):
+            sim = simulate(cfg, reader, prefix)
+            return _BobsRecords(sim.slots, sim.z, sim.bob_bits) if reader == "bob" else sim
+
+        monkeypatch.setattr(session_mod, "simulate_quantum", bobs_records_alone)
+        alice, bob = run_session_detailed(cfg)
+        assert bob.summary.to_dict() == alice.summary.to_dict() == want.to_dict()
+        alice, bob = _endpoints_on_threads(cfg, tuple(map(StreamTransport, socket.socketpair())))
+        assert bob.summary.to_dict() == alice.summary.to_dict() == want.to_dict()
 
 
 class TestSiftExchange:
@@ -830,6 +940,22 @@ class TestSiftExchange:
         )
         np.testing.assert_array_equal(a_key, [1, 0])
         np.testing.assert_array_equal(b_key, [0, 1])
+
+    @pytest.mark.parametrize("mode", ["in-process", "socket-pair"])
+    def test_keep_bits_to_a_closed_peer_are_a_closed_transport(self, mode):
+        # Bob declares and then closes his end, as his link does when his
+        # endpoint fails: Alice's SIFT_KEEP fails at once, in-process as
+        # over a socket pair
+        link, peer = memory_pair() if mode == "in-process" else map(StreamTransport, socket.socketpair())
+        (declaration,) = _slot_frames("slots", [[2, 5]], "bases")
+        peer.send(Message("DETECTIONS", declaration))
+        peer.close()
+        zeros = np.zeros(8, dtype=np.uint8)
+        try:
+            with pytest.raises(tp.TransportClosed):
+                alice_sift_exchange(link, np.arange(8), zeros, zeros, np.zeros(8, bool))
+        finally:
+            link.close()
 
     def test_unknown_slot_rejected(self, sift_halves):
         with pytest.raises(ProtocolError, match="without pairs: slot 3"):
@@ -945,12 +1071,13 @@ def _chunked(entries):
 
 def _scripted(*messages):
     """A link whose peer has sent `messages`, (type, payload) pairs, and
-    closed, so that a receiver that accepts them all meets a closed
-    channel rather than waiting forever."""
+    then nothing more (InMemoryTransport.shutdown_send), so that a
+    receiver that accepts them all meets a closed channel rather than
+    waiting forever. The link can still send to the peer."""
     link, peer = memory_pair()
     for kind, payload in messages:
         peer.send(Message(kind, payload))
-    peer.close()
+    peer.shutdown_send()
     return link
 
 
@@ -970,8 +1097,8 @@ def _record_bits(n):
 
 
 class _BobsRecords:
-    """Stands in for a SimulationResult with Bob's part of it alone: his
-    records' slots, bases and bits. Reading any other field fails."""
+    """Stands in for Bob's SimulationResult with his records alone: their
+    slots, bases and bits. Reading any other field fails."""
 
     def __init__(self, slots, z, bob_bits):
         self.slots, self.z, self.bob_bits = slots, z, bob_bits
@@ -992,7 +1119,9 @@ def _run_bob_against(*frames, records=tuple(range(8)), keep=None, sample_fractio
     link = _scripted(_hello(cfg), *(("SIFT_KEEP", payload) for payload in keep), *frames)
     n = len(records)
     sim = _BobsRecords(np.array(records, dtype=np.int64), np.zeros(n, dtype=np.uint8), _record_bits(n))
-    return run_bob_endpoint(cfg, link, sim)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(session_mod, "simulate_quantum", lambda cfg, reader, prefix=None: sim)
+        return run_bob_endpoint(cfg, link)
 
 
 def _bob_receives_sample_request(chunks):
@@ -1295,6 +1424,15 @@ class TestHostilePayloads:
             small_cfg(sample_fraction=0.375), 8, 8, protocol.qber_report(3, 2), 0.25
         ).to_dict()
 
+    @pytest.mark.parametrize("fraction", [0, 0.0, 1, 1.0])
+    def test_summary_fraction_at_either_end_is_accepted(self, fraction):
+        # an honest Alice's share of multi-pair slots may be exactly 0 or 1
+        sample_request = _slot_frames("positions", [[1, 3, 6]])[0]
+        summary = {"n_errors": 0, "multi_pair_fraction": fraction}
+        bob = _run_bob_against(("SAMPLE_REQUEST", sample_request), ("SUMMARY", summary), sample_fraction=0.375)
+        assert type(bob.summary.multi_pair_fraction) is float
+        assert bob.summary.multi_pair_fraction == fraction
+
     @pytest.mark.parametrize("positions", [list(range(8)), []], ids=["every-bit", "none"])
     def test_sample_request_of_another_size_is_refused(self, positions):
         # HELLO fixes the sample fraction, so the agreed sample of eight
@@ -1358,8 +1496,8 @@ class _SummaryRewriter(tp.Transport):
 
 
 class TestCraftedConversations:
-    """Pin the conversation layer on hand-built records, which both
-    endpoints read from the one simulation run in-process."""
+    """Pin the conversation layer on hand-built records, which stand in
+    for both endpoints' simulations in-process."""
 
     def _fake_sim(self, cfg, x, y, z, bob_bit):
         slots = np.array([4], dtype=np.int64)
@@ -1376,7 +1514,7 @@ class TestCraftedConversations:
 
     def test_single_coincidence_matching_bases(self, monkeypatch):
         monkeypatch.setattr(
-            session_mod, "simulate_quantum", lambda cfg: self._fake_sim(cfg, 0, 1, 0, 1)
+            session_mod, "simulate_quantum", lambda cfg, reader, prefix=None: self._fake_sim(cfg, 0, 1, 0, 1)
         )
         alice, bob = run_session_detailed(small_cfg())
         assert len(alice.sifted_key) == len(bob.sifted_key) == 1
@@ -1385,7 +1523,7 @@ class TestCraftedConversations:
 
     def test_single_coincidence_mismatched_bases(self, monkeypatch):
         monkeypatch.setattr(
-            session_mod, "simulate_quantum", lambda cfg: self._fake_sim(cfg, 0, 1, 1, 1)
+            session_mod, "simulate_quantum", lambda cfg, reader, prefix=None: self._fake_sim(cfg, 0, 1, 1, 1)
         )
         alice, bob = run_session_detailed(small_cfg())
         assert len(alice.sifted_key) == len(bob.sifted_key) == 0
@@ -1396,7 +1534,7 @@ class TestCraftedConversations:
         # refuses her SUMMARY and the orchestrator must surface that
         # instead of hanging
         monkeypatch.setattr(
-            session_mod, "simulate_quantum", lambda cfg: self._fake_sim(cfg, 0, 1, 0, 1)
+            session_mod, "simulate_quantum", lambda cfg, reader, prefix=None: self._fake_sim(cfg, 0, 1, 0, 1)
         )
         alice_link, bob_link = memory_pair()
         with pytest.raises(ProtocolError, match=re.escape("n_errors must be an integer in [0, 1], got 2")):

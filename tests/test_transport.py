@@ -2,6 +2,7 @@
 
 import base64
 import json
+import queue
 import re
 import socket
 import struct
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from dfsqkd.transport import (
     MAX_FRAME_BYTES,
     FrameError,
+    InMemoryTransport,
     Message,
     ProtocolError,
     StreamTransport,
@@ -40,6 +42,16 @@ def _body(n: int, blobs: bytes, header) -> bytes:
 
 
 _BIT = {"payload": {}, "type": "SAMPLE_BITS"}
+
+
+def _message_of_body(size: int) -> Message:
+    """A SAMPLE_BITS message whose frame body is exactly `size` bytes: its
+    one binary field fills what its header leaves."""
+    n = size
+    for _ in range(3):
+        header = json.dumps({"blobs": {"bits": n}, "payload": {}, "type": "SAMPLE_BITS"}, separators=(",", ":"))
+        n = size - 4 - len(header)
+    return Message("SAMPLE_BITS", {"bits": bytes(n)})
 
 
 class TestFrameCodec:
@@ -84,6 +96,31 @@ class TestFrameCodec:
             right.shutdown(socket.SHUT_WR)
             with pytest.raises(FrameError, match="cap"):
                 StreamTransport(left).recv()
+
+    def test_body_of_exactly_the_cap_passes_and_one_byte_more_is_refused(self):
+        at_cap = encode_frame(_message_of_body(MAX_FRAME_BYTES))
+        assert len(at_cap) == 4 + MAX_FRAME_BYTES
+        with pytest.raises(FrameError, match="frame body of 16777217 bytes exceeds the 16777216 cap"):
+            encode_frame(_message_of_body(MAX_FRAME_BYTES + 1))
+        assert decode_frame(at_cap) == _message_of_body(MAX_FRAME_BYTES)
+        # one byte more, a space after the JSON header, which JSON allows:
+        # only the cap refuses it
+        over = struct.pack(">I", MAX_FRAME_BYTES + 1) + at_cap[4:] + b" "
+        with pytest.raises(FrameError, match="declared frame length 16777217 exceeds"):
+            decode_frame(over)
+        # a stream reads the frame at the cap whole, and refuses the next
+        # one's length before its body
+        left, right = socket.socketpair()
+        writer = threading.Thread(target=right.sendall, args=(at_cap + over[:4],))
+        writer.start()
+        try:
+            with left, right:
+                stream = StreamTransport(left)
+                assert stream.recv() == _message_of_body(MAX_FRAME_BYTES)
+                with pytest.raises(FrameError, match="declared frame length 16777217 exceeds"):
+                    stream.recv()
+        finally:
+            writer.join()
 
     @pytest.mark.parametrize(
         "body, error, match",
@@ -260,6 +297,39 @@ class TestInMemoryTransport:
         a.close()
         with pytest.raises(TransportClosed):
             b.recv()
+
+    def test_send_to_a_closed_peer_fails(self):
+        # as on a socket pair: the peer's messages sent before its close
+        # are still read, and a send to it fails at once
+        a, b = memory_pair()
+        b.send(Message("BYE", {}))
+        b.close()
+        with pytest.raises(TransportClosed, match="^peer closed the transport$"):
+            a.send(Message("BYE", {}))
+        assert a.recv() == Message("BYE", {})
+        with pytest.raises(TransportClosed):
+            a.recv()
+
+    def test_ends_over_their_own_queues_follow_the_same_rules(self):
+        # built without memory_pair, as a caller that counts the frames on
+        # its own queues builds them
+        to_b, to_a = queue.Queue(), queue.Queue()
+        a, b = InMemoryTransport(to_b, to_a), InMemoryTransport(to_a, to_b)
+        a.close()
+        with pytest.raises(TransportClosed, match="^peer closed the transport$"):
+            b.send(Message("BYE", {}))
+        with pytest.raises(TransportClosed):
+            b.recv()
+
+    def test_shutdown_send_leaves_the_peer_sending(self):
+        # as a socket's shutdown(SHUT_WR): the peer reads the end of the
+        # stream, and can still send
+        a, b = memory_pair()
+        b.shutdown_send()
+        a.send(Message("BYE", {}))
+        assert b.recv() == Message("BYE", {})
+        with pytest.raises(TransportClosed):
+            a.recv()
 
     def test_large_detections_round_trip(self):
         a, b = memory_pair()
