@@ -45,25 +45,21 @@ sessions:
   stream, so skipping its draws moves no other draw.
 
 Each endpoint runs the quantum side itself, from the config and seeds
-that HELLO shows both hold, and draws only what it reads
-(simulate_quantum's `reader`), by the order above. Both start from the
-prefix that they draw alike (_draw_prefix): the pair slots, then x and
-y. Each then sets its own source and alice streams where that prefix
-leaves them by word count, with bit_generator.advance, not by drawing
-again: the source stream k + 1 words on for the gaps (none when the
-pair rate is 0), and the alice stream 2 ceil(k/64) words on.
-
-* Alice draws the multi-pair uniforms, and later her error-test sample.
-  She runs no Born kernel and no detector layer, and counts the
-  multi-pair flags of the slots Bob declares as she looks them up;
-* Bob moves the source stream k words further, past the multi-pair
-  words, instead of drawing them, then draws z, the channel's and the
-  outcome uniforms and, for lossy detectors, the detector words. Under
-  ideal detectors his declaration is every pair slot with its basis,
-  known before any outcome, so he sends it as soon as it is drawn and
-  decides his outcomes while Alice looks it up: his bits are not needed
-  until SIFT_KEEP arrives. With lossy detectors the declaration waits
-  for detect_batch.
+that HELLO shows both hold, and draws only what it reads, by the order
+above. simulate_quantum draws the Prefix that both draw alike: the pair
+slots, then x and y. On it, simulate_alice gives Alice's side, the
+multi-pair flags and her stream for the error test (she runs no Born
+kernel and no detector layer), and simulate_bob gives Bob's: his
+declared slots and bases z, and decide, which returns his bits. Each
+sets its source and alice streams where the prefix leaves them by word
+count, with bit_generator.advance, not by drawing again: the source
+stream k + 1 words on for the gaps (none when the pair rate is 0), and
+for Bob k more, past the multi-pair words he does not read; the alice
+stream 2 ceil(k/64) words on. Under ideal detectors Bob's declaration is
+every pair slot with its basis, known before any outcome, so he sends
+it as soon as it is drawn and calls decide while Alice looks it up; with
+lossy detectors it waits for detect_batch, and decide returns the bits
+already made.
 
 Over TCP each endpoint draws the prefix itself. In-process,
 run_session_detailed draws it once and hands it to both endpoints,
@@ -96,7 +92,7 @@ import math
 import sys
 import threading
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -262,31 +258,40 @@ class SessionSummary:
 # --------------------------------------------------------------------------
 
 
-class SimulationResult:
-    """What one endpoint reads of the quantum side; the `reader` given to
-    simulate_quantum sets whose part it holds. Alice's part: pair_slots,
-    x and y run over pair slots, the slots with at least one generated
-    pair; multi_pair says whether each pair slot held more than one pair;
-    alice_rng is her live stream, to continue drawing from for the error
-    test. Bob's part runs over his coincidences: his declaration (slots
-    and z), then bob_bits. Under ideal detectors it holds his declaration
-    before his outcomes are decided, and decides them on the first read
-    of bob_bits, so that he can send it first. Channel angles and
-    detector indices stay inside the engine; pair_slots is there for
-    either reader."""
+@dataclass(frozen=True)
+class Prefix:
+    """What both endpoints draw alike (simulate_quantum): the pair slots,
+    the slots with at least one generated pair, and Alice's x and y there."""
 
-    def __init__(self, pair_slots, x=None, y=None, alice_rng=None, multi_pair=None, slots=None, z=None, bob_bits=None):
-        self.pair_slots, self.x, self.y = pair_slots, x, y
-        self.alice_rng, self.multi_pair = alice_rng, multi_pair
-        self.slots, self.z = slots, z
-        # His bits, or the function that decides them.
-        self._bob_bits = bob_bits
+    pair_slots: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
 
-    @property
-    def bob_bits(self) -> np.ndarray:
-        if callable(self._bob_bits):
-            self._bob_bits = self._bob_bits()
-        return self._bob_bits
+
+@dataclass(frozen=True)
+class AliceSide:
+    """What Alice holds of the quantum side (simulate_alice): the prefix,
+    whether each pair slot held more than one pair, and her stream, to go
+    on drawing from for the error test."""
+
+    pair_slots: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    multi_pair: np.ndarray
+    rng: np.random.Generator
+
+
+@dataclass(frozen=True)
+class BobSide:
+    """What Bob holds of the quantum side (simulate_bob): his declaration,
+    the slots of his coincidences and his basis z at each, and `decide`,
+    which returns his bit at each, the same on every call. Under ideal
+    detectors it draws his outcomes when called, so that he can declare
+    first. Channel angles and detector indices stay inside the engine."""
+
+    slots: np.ndarray
+    z: np.ndarray
+    decide: Callable[[], np.ndarray]
 
 
 def _draw_pair_slots(rng: np.random.Generator, mu: float, n_slots: int) -> np.ndarray:
@@ -503,10 +508,6 @@ def _ideal(detectors: DetectorParams) -> bool:
     return detectors.efficiency == 1.0 and detectors.dark_count_prob == 0.0
 
 
-# What both endpoints draw alike: pair slots, x and y (_draw_prefix).
-Prefix = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
 def _stream(seed: int, words: int = 0) -> np.random.Generator:
     """The stream of `seed`, moved on by `words` raw words as if it had
     drawn them."""
@@ -515,44 +516,45 @@ def _stream(seed: int, words: int = 0) -> np.random.Generator:
     return rng
 
 
-def _draw_prefix(cfg: SessionConfig) -> Prefix:
-    """What both endpoints draw alike: the pair slots, from the source
-    stream, then x and y, from the alice stream."""
+def _gap_words(cfg: SessionConfig, k: int) -> int:
+    """The source stream's words that k pair slots took: one per gap and
+    one for the gap past the last slot, unless there are no pairs to draw."""
+    return k + 1 if cfg.mean_pairs_per_slot else 0
+
+
+def simulate_quantum(cfg: SessionConfig) -> Prefix:
+    """Draw what both endpoints draw alike: the pair slots, from the source
+    stream, then x and y, from the alice stream. simulate_alice and
+    simulate_bob go on from where it leaves those streams. See the module
+    docstring for the exact stream-consumption order."""
     pair_slots = _draw_pair_slots(_stream(cfg.seeds.source), cfg.mean_pairs_per_slot, cfg.n_slots)
     rng_alice = _stream(cfg.seeds.alice)
-    return pair_slots, _bits(rng_alice, len(pair_slots)), _bits(rng_alice, len(pair_slots))
+    return Prefix(pair_slots, _bits(rng_alice, len(pair_slots)), _bits(rng_alice, len(pair_slots)))
 
 
-def simulate_quantum(cfg: SessionConfig, reader: str, prefix: Optional[Prefix] = None) -> SimulationResult:
-    """Run the quantum side of a session for `reader`, "alice" or "bob",
-    drawing only what that endpoint reads, on `prefix` (_draw_prefix's
-    pair slots, x and y), drawn here unless given. The source and alice
-    streams go on from where the prefix leaves them. See the module
-    docstring for the exact stream-consumption order."""
-    if reader not in ("alice", "bob"):
-        raise ValueError(f"reader must be 'alice' or 'bob', got {reader!r}")
-    pair_slots, x, y = _draw_prefix(cfg) if prefix is None else prefix
-    mu, k = cfg.mean_pairs_per_slot, len(pair_slots)
-    # One word per gap and one for the gap past the last slot, unless
-    # there are no pairs to draw.
-    gap_words = k + 1 if mu else 0
-    if reader == "alice":
-        multi_pair = _multi_pair(_stream(cfg.seeds.source, gap_words), mu, k)
-        return SimulationResult(pair_slots, x, y, _stream(cfg.seeds.alice, 2 * -(-k // 64)), multi_pair)
-    # He reads no multi-pair flag, so he skips their words.
-    rng_source = _stream(cfg.seeds.source, gap_words + k)
+def simulate_alice(cfg: SessionConfig, prefix: Prefix) -> AliceSide:
+    """Alice's side on `prefix`: the multi-pair flags, and her stream set
+    past her x and y words. She runs no Born kernel and no detector layer."""
+    k = len(prefix.pair_slots)
+    multi_pair = _multi_pair(_stream(cfg.seeds.source, _gap_words(cfg, k)), cfg.mean_pairs_per_slot, k)
+    return AliceSide(prefix.pair_slots, prefix.x, prefix.y, multi_pair, _stream(cfg.seeds.alice, 2 * -(-k // 64)))
+
+
+def simulate_bob(cfg: SessionConfig, prefix: Prefix) -> BobSide:
+    """Bob's side on `prefix`: his bases, then his outcomes and, for lossy
+    detectors, the detector layer (_bob_records), on a source stream set
+    past the gaps and the multi-pair words, which he reads none of."""
+    pair_slots, k = prefix.pair_slots, len(prefix.pair_slots)
     z = _bits(_stream(cfg.seeds.bob), k)
-    rng_channel = _stream(cfg.seeds.channel)
 
     def records():
-        return _bob_records(cfg, pair_slots, x, y, z, rng_source, rng_channel)
+        rng_source = _stream(cfg.seeds.source, _gap_words(cfg, k) + k)
+        return _bob_records(cfg, pair_slots, prefix.x, prefix.y, z, rng_source, _stream(cfg.seeds.channel))
 
     if _ideal(cfg.detectors):
-        # His declaration, every pair slot with its basis, is known before
-        # any outcome is; his bits are decided when first read.
-        return SimulationResult(pair_slots, slots=pair_slots, z=z, bob_bits=lambda: records()[2])
-    slots, z, bits = records()
-    return SimulationResult(pair_slots, slots=slots, z=z, bob_bits=bits)
+        return BobSide(pair_slots, z, lambda: records()[2])
+    slots, z_kept, bits = records()
+    return BobSide(slots, z_kept, lambda: bits)
 
 
 def finalize(
@@ -693,41 +695,39 @@ def _indices_in(known: np.ndarray, slots: np.ndarray, complaint: str) -> slice |
     return idx
 
 
-def alice_sift_exchange(
-    link: Transport, pair_slots: np.ndarray, x: np.ndarray, y: np.ndarray, multi_pair: np.ndarray
-) -> tuple[np.ndarray, int, int]:
+def alice_sift_exchange(link: Transport, side: AliceSide) -> tuple[np.ndarray, int, int]:
     """Alice's half of sifting: look up each frame of Bob's declaration
     (slots and bases) as it arrives, and once it has ended answer it frame
     for frame with a keep bit per declared slot, set where his basis
     matches hers. Returns her sifted key, the number of slots Bob declared
     and how many of them held more than one pair."""
-    bound = int(pair_slots[-1]) + 1 if len(pair_slots) else 0
+    bound = int(side.pair_slots[-1]) + 1 if len(side.pair_slots) else 0
     answers, key, n_declared, n_multi = [], [], 0, 0
     for payload, slots in _recv_slots(link, "DETECTIONS", "slots", bound):
         bases = unpack_bits(payload.get("bases"), len(slots), "DETECTIONS 'bases'")
-        at = _indices_in(pair_slots, slots, "peer declared a detection in a slot without pairs")
-        keep = x[at] == bases
+        at = _indices_in(side.pair_slots, slots, "peer declared a detection in a slot without pairs")
+        keep = side.x[at] == bases
         answers.append(pack_bits(keep))
         # About half the bits are set, where numpy selects several times
         # faster by index than by boolean mask.
-        key.append(y[at][np.flatnonzero(keep)])
-        n_multi += int(np.count_nonzero(multi_pair[at]))
+        key.append(side.y[at][np.flatnonzero(keep)])
+        n_multi += int(np.count_nonzero(side.multi_pair[at]))
         n_declared += len(slots)
     for packed in answers:
         link.send(Message("SIFT_KEEP", {"keep": packed}))
     return np.concatenate(key), n_declared, n_multi
 
 
-def bob_sift_exchange(link: Transport, records: SimulationResult) -> np.ndarray:
+def bob_sift_exchange(link: Transport, side: BobSide) -> np.ndarray:
     """Bob's half of sifting: declare every coincidence with its basis
-    (records.slots, records.z), then keep each declaration frame's bits
-    (records.bob_bits, read only once the declaration has gone) where
-    Alice's SIFT_KEEP frame for it sets the keep bit, and return his
-    sifted key."""
-    _send_list(link, "DETECTIONS", "slots", records.slots, bases=records.z)
+    (side.slots, side.z), then decide his bits (side.decide) and keep those
+    where Alice's SIFT_KEEP sets the keep bit, and return his sifted key."""
+    _send_list(link, "DETECTIONS", "slots", side.slots, bases=side.z)
     # Under ideal detectors his outcomes are decided here, while Alice
     # looks up his declaration.
-    bits = records.bob_bits
+    bits = side.decide()
+    # Each frame kept as it arrives: reading all first let Alice's next small
+    # frame wait out his delayed ACK (~40 ms) over a socket with Nagle on.
     kept = []
     for start in _frames(len(bits)):
         frame = bits[start : start + SLOT_CHUNK]
@@ -737,18 +737,18 @@ def bob_sift_exchange(link: Transport, records: SimulationResult) -> np.ndarray:
 
 
 def run_alice_endpoint(cfg: SessionConfig, link: Transport, prefix: Optional[Prefix] = None) -> EndpointResult:
-    """Alice's whole session: simulate her part of the quantum side (on
-    `prefix`, if given: see simulate_quantum), then sift Bob's declaration
-    and run the error test. Her multi-pair fraction counts the slots he
-    declared."""
+    """Alice's whole session: simulate her part of the quantum side on
+    `prefix` (drawn here unless given: see simulate_quantum), then sift
+    Bob's declaration and run the error test. Her multi-pair fraction
+    counts the slots he declared."""
     _hello_exchange(cfg, link)
-    sim = simulate_quantum(cfg, "alice", prefix)
+    side = simulate_alice(cfg, simulate_quantum(cfg) if prefix is None else prefix)
 
-    alice_key, n_coincidences, n_multi = alice_sift_exchange(link, sim.pair_slots, sim.x, sim.y, sim.multi_pair)
+    alice_key, n_coincidences, n_multi = alice_sift_exchange(link, side)
     multi_pair_fraction = n_multi / n_coincidences if n_coincidences else 0.0
     n_sifted = len(alice_key)
 
-    positions = sample_positions(n_sifted, cfg.sample_fraction, sim.alice_rng)
+    positions = sample_positions(n_sifted, cfg.sample_fraction, side.rng)
     _send_list(link, "SAMPLE_REQUEST", "positions", positions)
     bob_sample = _recv_bits(link, "SAMPLE_BITS", "bits", len(positions))
     n_errors = int(np.count_nonzero(alice_key[positions] != bob_sample))
@@ -761,14 +761,14 @@ def run_alice_endpoint(cfg: SessionConfig, link: Transport, prefix: Optional[Pre
 
 
 def run_bob_endpoint(cfg: SessionConfig, link: Transport, prefix: Optional[Prefix] = None) -> EndpointResult:
-    """Bob's whole session: simulate his part of the quantum side (on
-    `prefix`, if given: see simulate_quantum), declare his coincidences,
-    sift, answer an error test of the agreed size frame for frame, and
-    build the summary from his own counts and Alice's SUMMARY. He reads
-    only his records: slots, z and bob_bits."""
+    """Bob's whole session: simulate his part of the quantum side on
+    `prefix` (drawn here unless given: see simulate_quantum), declare his
+    coincidences, sift, answer an error test of the agreed size frame for
+    frame, and build the summary from his own counts and Alice's SUMMARY.
+    He reads only his side: slots, z and decide."""
     _hello_exchange(cfg, link)
-    sim = simulate_quantum(cfg, "bob", prefix)
-    bob_key = bob_sift_exchange(link, sim)
+    side = simulate_bob(cfg, simulate_quantum(cfg) if prefix is None else prefix)
+    bob_key = bob_sift_exchange(link, side)
 
     answers, n_compared = [], 0
     for _, positions in _recv_slots(link, "SAMPLE_REQUEST", "positions", len(bob_key)):
@@ -781,7 +781,7 @@ def run_bob_endpoint(cfg: SessionConfig, link: Transport, prefix: Optional[Prefi
 
     n_errors, multi_fraction = _summary_fields(expect(link, "SUMMARY").payload, n_compared)
     report = qber_report(n_compared, n_errors)
-    summary = finalize(cfg, len(sim.slots), len(bob_key), report, multi_fraction)
+    summary = finalize(cfg, len(side.slots), len(bob_key), report, multi_fraction)
     link.send(Message("BYE", {}))
     return EndpointResult(summary, bob_key)
 
@@ -854,9 +854,9 @@ def run_session_detailed(
     """Run both endpoints over a transport pair (in-process by default):
     Alice on this thread and Bob on his own (_run_pair). Each simulates
     its own side, as over TCP, on one draw of the prefix that both draw
-    alike (_draw_prefix). The endpoint functions and memory_pair are
-    looked up on the module at each call."""
-    prefix = _draw_prefix(cfg)
+    alike (simulate_quantum). The endpoint functions, simulate_quantum
+    and memory_pair are looked up on the module at each call."""
+    prefix = simulate_quantum(cfg)
     alice, bob = _run_pair(
         lambda end: run_alice_endpoint(cfg, end, prefix),
         lambda end: run_bob_endpoint(cfg, end, prefix),

@@ -3,8 +3,6 @@
 import os
 import threading
 from pathlib import Path
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -39,12 +37,13 @@ def sift_halves():
     he declares. Returns (alice key, bob key)."""
 
     def run(pair_slots, x, y, slots, z, bits):
-        records = SimpleNamespace(slots=np.asarray(slots, dtype=np.int64), z=np.asarray(z), bob_bits=np.asarray(bits))
+        alice = session.AliceSide(
+            np.asarray(pair_slots), np.asarray(x), np.asarray(y), np.zeros(len(pair_slots), dtype=bool), None
+        )
+        bob = session.BobSide(np.asarray(slots, dtype=np.int64), np.asarray(z), lambda: np.asarray(bits))
         (alice_key, _, _), bob_key = session._run_pair(
-            lambda link: session.alice_sift_exchange(
-                link, np.asarray(pair_slots), np.asarray(x), np.asarray(y), np.zeros(len(pair_slots), dtype=bool)
-            ),
-            lambda link: session.bob_sift_exchange(link, records),
+            lambda link: session.alice_sift_exchange(link, alice),
+            lambda link: session.bob_sift_exchange(link, bob),
             memory_pair(),
         )
         return alice_key, bob_key

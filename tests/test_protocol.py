@@ -34,7 +34,7 @@ from dfsqkd.protocol import (
     sample_positions,
 )
 from dfsqkd.qstate import KET_H, KET_MINUS, KET_PLUS, KET_V, PSI_MINUS, overlap2
-from dfsqkd.session import Seeds, SessionConfig, run_session_detailed, simulate_quantum
+from dfsqkd.session import Seeds, SessionConfig, run_session_detailed, simulate_bob, simulate_quantum
 from dfsqkd.transport import ProtocolError
 
 # Hand-expanded code states in the (HH, HV, VH, VV) basis.
@@ -339,20 +339,22 @@ class TestBB84Baseline:
     def test_round_is_deterministic_without_noise(self):
         cfg = SessionConfig(protocol="bb84", duration_s=0.1, visibility=1.0, seeds=Seeds(3, 3, 3, 3))
         # ideal detectors: Bob's records are every pair slot, as Alice's are
-        alice, bob = simulate_quantum(cfg, "alice"), simulate_quantum(cfg, "bob")
-        matched = alice.x == bob.z
-        assert {(x, y) for x, y in zip(alice.x[matched], alice.y[matched])} == set(HAND_TARGETS)
-        np.testing.assert_array_equal(bob.bob_bits[matched], alice.y[matched])
+        prefix = simulate_quantum(cfg)
+        bob = simulate_bob(cfg, prefix)
+        matched = prefix.x == bob.z
+        assert {(x, y) for x, y in zip(prefix.x[matched], prefix.y[matched])} == set(HAND_TARGETS)
+        np.testing.assert_array_equal(bob.decide()[matched], prefix.y[matched])
 
     def test_round_at_45_degrees_is_a_coin_flip(self):
         cfg = SessionConfig(
             protocol="bb84", duration_s=10.0, visibility=1.0,
             channel=StaticChannel(np.pi / 4), seeds=Seeds(4, 4, 4, 4),
         )
-        alice, bob = simulate_quantum(cfg, "alice"), simulate_quantum(cfg, "bob")
-        matched = alice.x == bob.z
+        prefix = simulate_quantum(cfg)
+        bob = simulate_bob(cfg, prefix)
+        matched = prefix.x == bob.z
         n = int(matched.sum())
-        errors = np.count_nonzero(bob.bob_bits[matched] != alice.y[matched])
+        errors = np.count_nonzero(bob.decide()[matched] != prefix.y[matched])
         assert n > 10_000
         assert abs(errors / n - 0.5) < 4 * np.sqrt(0.25 / n)
 

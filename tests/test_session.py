@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,8 +24,9 @@ from dfsqkd.protocol import QberReport, sample_positions
 from dfsqkd.session import (
     ConfigError,
     Seeds,
+    AliceSide,
+    BobSide,
     SessionConfig,
-    SimulationResult,
     alice_sift_exchange,
     bob_sift_exchange,
     exact_session_summary,
@@ -32,6 +34,8 @@ from dfsqkd.session import (
     run_bob_endpoint,
     run_session,
     run_session_detailed,
+    simulate_alice,
+    simulate_bob,
     simulate_quantum,
 )
 from dfsqkd.transport import Message, ProtocolError, StreamTransport, memory_pair, pack_bits, pack_slots
@@ -62,6 +66,7 @@ class TestConfig:
             {"visibility": 1.5},
             {"sample_fraction": 0.0},
             {"pair_rate_hz": 2e5},  # mean pairs per slot >= 1
+            {"pair_rate_hz": 4000.0, "clock_hz": 4000.0},  # exactly 1
             {"duration_s": math.inf},
             {"clock_hz": math.inf},
             {"duration_s": math.nan},
@@ -69,6 +74,7 @@ class TestConfig:
             {"channel": {"kind": "static", "theta_deg": math.nan}},
             {"channel": {"kind": "static", "theta_deg": math.inf}},
             {"channel": {"kind": "static", "theta_deg": [1, 2]}},
+            {"channel": {"kind": "static"}},
             {"channel": {"kind": "random_walk", "theta0_deg": 0, "step_sigma_deg": math.nan}},
             {"channel": {"kind": "random_walk", "theta0_deg": 0, "step_sigma_deg": [0.1]}},
             {"detectors": {"efficiency": True}},
@@ -78,6 +84,7 @@ class TestConfig:
             {"detectors": {"dark_count_prob": 1.0}},
             {"duration_s": 1e20},  # slot counts past int64
             {"clock_hz": 1.0, "duration_s": 2.0**63, "pair_rate_hz": 0.0},
+            {"clock_hz": 2**63 - 1, "duration_s": 1},  # exact in integers
             {"clock_hz": 1e200, "duration_s": 1e200, "pair_rate_hz": 1.0},  # the product overflows
             # a walk that bb84 draws and that can pass the float range
             {"protocol": "bb84", "channel": {"kind": "random_walk", "theta0_deg": 0, "step_sigma_deg": 1e308}},
@@ -95,7 +102,7 @@ class TestConfig:
         SessionConfig.from_dict({"protocol": "dfs2", "channel": walk})
         sigma = sys.float_info.max / 2 / 14 / 50_000
         cfg = small_cfg(protocol="bb84", channel=RandomWalkChannel(0.0, sigma))
-        sim = simulate_quantum(cfg, "alice")
+        sim = simulate_quantum(cfg)
         assert np.isfinite(cfg.channel.sample_batch(sim.pair_slots, np.random.default_rng(cfg.seeds.channel))).all()
 
     @pytest.mark.parametrize(
@@ -113,6 +120,9 @@ class TestConfig:
     def test_longest_session_is_accepted(self):
         cfg = SessionConfig(clock_hz=1.0, duration_s=2.0**62, pair_rate_hz=0.0)
         assert cfg.n_slots == 2**62
+        # in integers, the last slot count below 2**63 - 1 runs
+        summary = run_session(SessionConfig(clock_hz=2**63 - 2, duration_s=1, pair_rate_hz=0.0))
+        assert summary.n_slots == 2**63 - 2 and summary.n_coincidences == 0
 
     def test_dict_round_trip(self):
         cfg = small_cfg(channel=PerSlotUniformChannel(-0.1, 0.4), sample_fraction=0.3)
@@ -138,6 +148,22 @@ def _chi2(observed, probs):
     bin takes the tail."""
     expected = observed.sum() * np.asarray(probs)
     return float(np.sum((observed - expected) ** 2 / expected))
+
+
+class _RawWords:
+    """A bit generator that gives the raw words `words` over and over, and
+    whose state is the count of words it has drawn or skipped."""
+
+    def __init__(self, words):
+        self.words, self.state = np.array(words, dtype=np.uint64), 0
+
+    def random_raw(self, size):
+        drawn = self.words[(self.state + np.arange(size)) % len(self.words)]
+        self.state += size
+        return drawn
+
+    def advance(self, delta):
+        self.state += delta
 
 
 class TestPoissonPairs:
@@ -170,6 +196,16 @@ class TestPoissonPairs:
             (np.mean(gaps == 1), p, math.sqrt(p * (1 - p) / n)),
         ]:
             assert abs(got - want) < 5 * stderr, (got, want, stderr)
+
+    def test_gaps_invert_the_extreme_raw_words(self):
+        # at mu = 0.04, log(1 - p) = -0.04: the word 0 is u = 2**-53, a gap
+        # of floor(53 log 2 / 0.04) + 1 = 919, and the word 2**64 - 1 is
+        # u = 1, a gap of 1. The list ends at the gap that passes 2000
+        # slots, and the stream stands one word past it
+        stream = _RawWords([0, 2**64 - 1])
+        slots = session_mod._draw_pair_slots(SimpleNamespace(bit_generator=stream), 0.04, 2000)
+        _assert_same(slots, np.array([918, 919, 1838, 1839]))
+        assert stream.state == 5
 
     @pytest.mark.parametrize("mu, n_slots", [law[:2] for law in SOURCE_LAWS])
     def test_multi_pair_flags_are_bernoulli(self, mu, n_slots):
@@ -226,16 +262,6 @@ class TestEngine:
         assert set(sim.bob_bits) <= {0, 1}
         assert sim.multi_pair.dtype == bool and len(sim.multi_pair) == k
 
-    def test_each_call_simulates_one_endpoints_part(self):
-        # a call simulates one endpoint's part, in-process as over TCP, so
-        # it must name the endpoint
-        cfg = small_cfg()
-        with pytest.raises(TypeError):
-            simulate_quantum(cfg)
-        for reader in (None, "both", "eve"):
-            with pytest.raises(ValueError, match=f"^reader must be 'alice' or 'bob', got {reader!r}$"):
-                simulate_quantum(cfg, reader)
-
     def test_zero_pair_rate_produces_nothing(self):
         sim = _both_parts(small_cfg(pair_rate_hz=0.0))
         assert len(sim.pair_slots) == len(sim.slots) == len(sim.bob_bits) == 0
@@ -248,17 +274,17 @@ class TestEngine:
         # float range before its cap
         cases = ((1e-12, 0.5), (1e-300, 0.5), (1e-290, 1e10), (1e-290, 9.2e13), (1e-318, 9.2e13))
         for rate, duration_s in cases:
-            assert len(simulate_quantum(small_cfg(pair_rate_hz=rate, duration_s=duration_s), "alice").pair_slots) == 0
+            assert len(simulate_quantum(small_cfg(pair_rate_hz=rate, duration_s=duration_s)).pair_slots) == 0
 
     def test_coincidence_count_matches_pair_slots_for_ideal_detectors(self):
         cfg = small_cfg()
-        sim = simulate_quantum(cfg, "bob")
+        prefix = simulate_quantum(cfg)
         # noiseless detectors convert every pair slot into a coincidence,
         # and Bob's slots are the pair slots' array itself, not a copy
-        assert sim.slots is sim.pair_slots
+        assert simulate_bob(cfg, prefix).slots is prefix.pair_slots
         expected = cfg.n_slots * (1 - math.exp(-cfg.mean_pairs_per_slot))
         sigma = math.sqrt(expected)
-        assert abs(len(sim.pair_slots) - expected) < 4 * sigma
+        assert abs(len(prefix.pair_slots) - expected) < 4 * sigma
 
 
 KERNELS = {"dfs2": protocol.dfs2_probs_batch, "bb84": protocol.bb84_port1_batch}
@@ -383,28 +409,28 @@ def _both_parts(cfg):
     in-process session simulates them, on one draw of their prefix, with
     Bob's outcomes decided: one namespace of every SIMULATION_ARRAYS name
     and Alice's stream."""
-    prefix = session_mod._draw_prefix(cfg)
-    alice, bob = simulate_quantum(cfg, "alice", prefix), simulate_quantum(cfg, "bob", prefix)
+    prefix = simulate_quantum(cfg)
+    alice, bob = simulate_alice(cfg, prefix), simulate_bob(cfg, prefix)
     return SimpleNamespace(
         pair_slots=alice.pair_slots,
         x=alice.x,
         y=alice.y,
-        alice_rng=alice.alice_rng,
+        alice_rng=alice.rng,
         multi_pair=alice.multi_pair,
         slots=bob.slots,
         z=bob.z,
-        bob_bits=bob.bob_bits,
+        bob_bits=bob.decide(),
     )
 
 
 def _kept_streams(monkeypatch) -> dict:
     """Every stream the session module makes from here on, as a list per
-    seed in the order made."""
+    seed in the order made, each with its state when made."""
     streams, make = {}, session_mod._stream
 
     def kept(seed, words=0):
         rng = make(seed, words)
-        streams.setdefault(seed, []).append(rng)
+        streams.setdefault(seed, []).append((rng, rng.bit_generator.state))
         return rng
 
     monkeypatch.setattr(session_mod, "_stream", kept)
@@ -518,7 +544,7 @@ class TestBoundedMemory:
     def test_peak_memory_per_pair_slot(self, protocol_name, run, bound):
         # the default 4000 pairs/s for 50 s: about 196 000 pair slots
         cfg = small_cfg(protocol=protocol_name, duration_s=50.0, channel=CHANNELS["static"])
-        k = len(simulate_quantum(cfg, "alice").pair_slots)
+        k = len(simulate_quantum(cfg).pair_slots)
         tracemalloc.start()
         try:
             run(cfg)
@@ -597,7 +623,7 @@ class TestBoundedMemory:
         replay.random(k)
         if detectors == "lossy":
             replay.bit_generator.advance(6 * k)
-        assert streams[cfg.seeds.source][-1].bit_generator.state == replay.bit_generator.state
+        assert streams[cfg.seeds.source][-1][0].bit_generator.state == replay.bit_generator.state
 
     @pytest.mark.parametrize("n", [0, 1, 7, 65_536, 100_003])
     def test_uniforms_are_generator_random_from_raw_words(self, n):
@@ -661,7 +687,7 @@ class TestSessions:
         assert len(alice.sifted_key) == len(bob.sifted_key) == n_sifted
         # the error count reported is exactly the disagreement on the sample,
         # which Alice draws from her stream where the engine leaves it
-        positions = sample_positions(n_sifted, cfg.sample_fraction, simulate_quantum(cfg, "alice").alice_rng)
+        positions = sample_positions(n_sifted, cfg.sample_fraction, simulate_alice(cfg, simulate_quantum(cfg)).rng)
         assert len(positions) == alice.summary.qber.n_compared
         mism = np.count_nonzero(alice.sifted_key[positions] != bob.sifted_key[positions])
         assert mism == alice.summary.qber.n_errors > 0
@@ -852,7 +878,7 @@ class TestEachEndpointSimulatesItsOwnSide:
         want = _reference_simulation(cfg).multi_pair_fraction
         alice, bob = _endpoints_on_threads(cfg, tuple(map(StreamTransport, socket.socketpair())))
         in_process = run_session(cfg)
-        k = len(simulate_quantum(cfg, "alice").pair_slots)
+        k = len(simulate_quantum(cfg).pair_slots)
         assert alice.summary.n_coincidences == k if detectors == "ideal" else 0 < alice.summary.n_coincidences < k
         for got in (alice.summary, bob.summary, in_process):
             assert type(got.multi_pair_fraction) is float
@@ -860,70 +886,75 @@ class TestEachEndpointSimulatesItsOwnSide:
 
     @pytest.mark.parametrize("detectors", DETECTORS)
     def test_each_reader_draws_only_what_it_reads(self, monkeypatch, detectors):
-        # bb84 on a random walk, so that Bob draws every stream. Each draws
-        # the prefix on a source stream of its own, and then makes one more,
-        # moved on to where the prefix left the first, to draw from.
+        # bb84 on a random walk, so that Bob draws every stream. After the
+        # prefix's, each side makes a source stream of its own to draw
+        # from, moved on by word count past what it does not read.
         cfg = small_cfg(protocol="bb84", duration_s=2.0, channel=CHANNELS["random_walk"], detectors=DETECTORS[detectors])
         streams = _kept_streams(monkeypatch)
-        alice = simulate_quantum(cfg, "alice")
-        bob = simulate_quantum(cfg, "bob")
-        sources = streams[cfg.seeds.source][1::2]
+        prefix = simulate_quantum(cfg)
+        alice, bob = simulate_alice(cfg, prefix), simulate_bob(cfg, prefix)
         ref = _reference_simulation(cfg)
         k = len(ref.pair_slots)
         # Alice's source stream stops after the k + 1 gap words and the k
-        # multi-pair words; she holds her part and none of Bob's
+        # multi-pair words; she holds her part, and Bob's type has no
+        # field for any of it
         _, replay = _reference_pair_slots(cfg)
         replay.bit_generator.advance(k)
-        assert sources[0].bit_generator.state == replay.bit_generator.state
+        alice_source, _ = streams[cfg.seeds.source][1]
+        assert alice_source.bit_generator.state == replay.bit_generator.state
         for name in ("pair_slots", "x", "y", "multi_pair"):
             _assert_same(getattr(alice, name), getattr(ref, name))
-        assert alice.alice_rng.bit_generator.state == ref.alice_rng.bit_generator.state
-        assert alice.slots is alice.z is alice.bob_bits is None
-        # Bob skips the multi-pair words; under ideal detectors his
-        # declaration is ready and his outcomes wait for the first read of
-        # his bits
+        assert alice.rng.bit_generator.state == ref.alice_rng.bit_generator.state
+        assert {f.name for f in fields(BobSide)} == {"slots", "z", "decide"}
+        # Bob's source stream starts past the multi-pair words, which he
+        # skips; under ideal detectors his declaration is ready and he
+        # draws no outcome before decide
         if detectors == "ideal":
-            assert sources[1].bit_generator.state == replay.bit_generator.state
-        for name in ("pair_slots", "slots", "z", "bob_bits"):
-            _assert_same(getattr(bob, name), getattr(ref, name))
-        assert bob.x is bob.y is bob.multi_pair is bob.alice_rng is None
-        # then his source stream stands after the outcome words and, for
-        # lossy detectors, the detector words
+            assert len(streams[cfg.seeds.source]) == 2
+        bits = bob.decide()
+        bob_source, bob_start = streams[cfg.seeds.source][2]
+        assert bob_start == replay.bit_generator.state
+        for name, got in (("pair_slots", prefix.pair_slots), ("slots", bob.slots), ("z", bob.z), ("bob_bits", bits)):
+            _assert_same(got, getattr(ref, name))
+        # then it stands after the outcome words and, for lossy detectors,
+        # the detector words; decide gives the same bits again
         replay.random(k)
         if detectors == "lossy":
             replay.bit_generator.advance(6 * k)
-        assert sources[1].bit_generator.state == replay.bit_generator.state
+        assert bob_source.bit_generator.state == replay.bit_generator.state
+        _assert_same(bob.decide(), bits)
 
     @pytest.mark.parametrize("pair_rate_hz", [4000.0, 1e-9, 0.0], ids=["default", "none-at-a-tiny-rate", "rate-0"])
     def test_streams_go_on_where_the_prefix_leaves_them(self, monkeypatch, pair_rate_hz):
-        # each endpoint moves its source and alice streams on by word count,
+        # each side moves its source and alice streams on by word count,
         # not by drawing again: to where the prefix's own draws leave them
         # (k + 1 gap words; one at a tiny rate, none at rate 0), and the
         # source stream past the k multi-pair words, which Alice draws and
-        # Bob skips. Under ideal detectors Bob has drawn nothing more yet.
+        # Bob skips.
         cfg = small_cfg(pair_rate_hz=pair_rate_hz)
         streams = _kept_streams(monkeypatch)
-        prefix = session_mod._draw_prefix(cfg)
-        alice = simulate_quantum(cfg, "alice", prefix)
-        simulate_quantum(cfg, "bob", prefix)
-        prefix_source, alice_source, bob_source = streams[cfg.seeds.source]
-        prefix_alice, alice_rng = streams[cfg.seeds.alice]
-        assert alice_rng is alice.alice_rng
+        prefix = simulate_quantum(cfg)
+        alice = simulate_alice(cfg, prefix)
+        simulate_bob(cfg, prefix).decide()
+        (prefix_source, _), (alice_source, alice_start), (_, bob_start) = streams[cfg.seeds.source]
+        (prefix_alice, _), (alice_rng, _) = streams[cfg.seeds.alice]
+        assert alice_rng is alice.rng
         assert alice_rng.bit_generator.state == prefix_alice.bit_generator.state
-        prefix_source.bit_generator.advance(len(prefix[0]))
-        for source in (alice_source, bob_source):
-            assert source.bit_generator.state == prefix_source.bit_generator.state
+        assert alice_start == prefix_source.bit_generator.state
+        prefix_source.bit_generator.advance(len(prefix.pair_slots))
+        for state in (alice_source.bit_generator.state, bob_start):
+            assert state == prefix_source.bit_generator.state
 
     def test_bob_reads_only_his_records(self, monkeypatch):
         cfg = small_cfg(protocol="bb84", channel=CHANNELS["random_walk"], detectors=DETECTORS["lossy"])
         want = run_session(cfg)
-        simulate = session_mod.simulate_quantum
+        simulate = session_mod.simulate_bob
 
-        def bobs_records_alone(cfg, reader, prefix=None):
-            sim = simulate(cfg, reader, prefix)
-            return _BobsRecords(sim.slots, sim.z, sim.bob_bits) if reader == "bob" else sim
+        def bobs_records_alone(cfg, prefix):
+            side = simulate(cfg, prefix)
+            return _BobsRecords(side.slots, side.z, side.decide)
 
-        monkeypatch.setattr(session_mod, "simulate_quantum", bobs_records_alone)
+        monkeypatch.setattr(session_mod, "simulate_bob", bobs_records_alone)
         alice, bob = run_session_detailed(cfg)
         assert bob.summary.to_dict() == alice.summary.to_dict() == want.to_dict()
         alice, bob = _endpoints_on_threads(cfg, tuple(map(StreamTransport, socket.socketpair())))
@@ -953,7 +984,7 @@ class TestSiftExchange:
         zeros = np.zeros(8, dtype=np.uint8)
         try:
             with pytest.raises(tp.TransportClosed):
-                alice_sift_exchange(link, np.arange(8), zeros, zeros, np.zeros(8, bool))
+                alice_sift_exchange(link, _alice_side(np.arange(8), zeros, zeros))
         finally:
             link.close()
 
@@ -1087,7 +1118,13 @@ def _hello(cfg):
 
 def _alice_receives_declaration(chunks):
     link = _scripted(*(("DETECTIONS", payload) for payload in _slot_frames("slots", chunks, "bases")))
-    alice_sift_exchange(link, np.arange(8), np.zeros(8, dtype=np.int64), np.zeros(8, dtype=np.int64), np.zeros(8, bool))
+    alice_sift_exchange(link, _alice_side(np.arange(8), np.zeros(8, dtype=np.int64), np.zeros(8, dtype=np.int64)))
+
+
+def _alice_side(pair_slots, x, y):
+    """Alice's side on the given pair slots and bits, with no multi-pair
+    slot and no stream, which sifting does not read."""
+    return AliceSide(pair_slots, x, y, np.zeros(len(pair_slots), dtype=bool), None)
 
 
 def _record_bits(n):
@@ -1097,14 +1134,15 @@ def _record_bits(n):
 
 
 class _BobsRecords:
-    """Stands in for Bob's SimulationResult with his records alone: their
-    slots, bases and bits. Reading any other field fails."""
+    """Stands in for Bob's BobSide with his records alone: their slots,
+    bases and the function that decides their bits. Reading anything else
+    fails."""
 
-    def __init__(self, slots, z, bob_bits):
-        self.slots, self.z, self.bob_bits = slots, z, bob_bits
+    def __init__(self, slots, z, decide):
+        self.slots, self.z, self.decide = slots, z, decide
 
     def __getattr__(self, name):
-        raise AssertionError(f"Bob's endpoint read SimulationResult.{name}")
+        raise AssertionError(f"Bob's endpoint read BobSide.{name}")
 
 
 def _run_bob_against(*frames, records=tuple(range(8)), keep=None, sample_fraction=0.1):
@@ -1118,9 +1156,9 @@ def _run_bob_against(*frames, records=tuple(range(8)), keep=None, sample_fractio
         keep = [{"keep": pack_bits([1] * len(chunk))} for chunk in _chunked(records)]
     link = _scripted(_hello(cfg), *(("SIFT_KEEP", payload) for payload in keep), *frames)
     n = len(records)
-    sim = _BobsRecords(np.array(records, dtype=np.int64), np.zeros(n, dtype=np.uint8), _record_bits(n))
+    side = _BobsRecords(np.array(records, dtype=np.int64), np.zeros(n, dtype=np.uint8), lambda: _record_bits(n))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(session_mod, "simulate_quantum", lambda cfg, reader, prefix=None: sim)
+        patch.setattr(session_mod, "simulate_bob", lambda cfg, prefix: side)
         return run_bob_endpoint(cfg, link)
 
 
@@ -1273,7 +1311,7 @@ class TestHostileSlotLists:
         link = _scripted(("DETECTIONS", {"slots": pack_slots([0, 1]), "bases": bases}))
         zeros = np.zeros(8, dtype=np.uint8)
         with pytest.raises(ProtocolError, match="^DETECTIONS 'bases' must be bytes, got 'AA=='$"):
-            alice_sift_exchange(link, np.arange(8), zeros, zeros, np.zeros(8, bool))
+            alice_sift_exchange(link, _alice_side(np.arange(8), zeros, zeros))
 
     @pytest.mark.parametrize(
         "receive", [_alice_receives_declaration, _bob_receives_sample_request]
@@ -1499,32 +1537,25 @@ class TestCraftedConversations:
     """Pin the conversation layer on hand-built records, which stand in
     for both endpoints' simulations in-process."""
 
-    def _fake_sim(self, cfg, x, y, z, bob_bit):
+    def _fake_sides(self, monkeypatch, x, y, z, bob_bit):
         slots = np.array([4], dtype=np.int64)
-        return SimulationResult(
-            pair_slots=slots,
-            x=np.array([x], dtype=np.uint8),
-            y=np.array([y], dtype=np.uint8),
-            alice_rng=np.random.default_rng(1),
-            multi_pair=np.zeros(1, dtype=bool),
-            slots=slots,
-            z=np.array([z], dtype=np.uint8),
-            bob_bits=np.array([bob_bit], dtype=np.uint8),
+        alice = AliceSide(
+            slots, np.array([x], dtype=np.uint8), np.array([y], dtype=np.uint8), np.zeros(1, dtype=bool),
+            np.random.default_rng(1),
         )
+        bob = BobSide(slots, np.array([z], dtype=np.uint8), lambda: np.array([bob_bit], dtype=np.uint8))
+        monkeypatch.setattr(session_mod, "simulate_alice", lambda cfg, prefix: alice)
+        monkeypatch.setattr(session_mod, "simulate_bob", lambda cfg, prefix: bob)
 
     def test_single_coincidence_matching_bases(self, monkeypatch):
-        monkeypatch.setattr(
-            session_mod, "simulate_quantum", lambda cfg, reader, prefix=None: self._fake_sim(cfg, 0, 1, 0, 1)
-        )
+        self._fake_sides(monkeypatch, 0, 1, 0, 1)
         alice, bob = run_session_detailed(small_cfg())
         assert len(alice.sifted_key) == len(bob.sifted_key) == 1
         assert alice.summary.n_sifted == 1
         assert alice.summary.qber.qber == 0.0
 
     def test_single_coincidence_mismatched_bases(self, monkeypatch):
-        monkeypatch.setattr(
-            session_mod, "simulate_quantum", lambda cfg, reader, prefix=None: self._fake_sim(cfg, 0, 1, 1, 1)
-        )
+        self._fake_sides(monkeypatch, 0, 1, 1, 1)
         alice, bob = run_session_detailed(small_cfg())
         assert len(alice.sifted_key) == len(bob.sifted_key) == 0
         assert alice.summary.qber.qber is None
@@ -1533,9 +1564,7 @@ class TestCraftedConversations:
         # Alice's link claims more errors than the one disclosed bit; Bob
         # refuses her SUMMARY and the orchestrator must surface that
         # instead of hanging
-        monkeypatch.setattr(
-            session_mod, "simulate_quantum", lambda cfg, reader, prefix=None: self._fake_sim(cfg, 0, 1, 0, 1)
-        )
+        self._fake_sides(monkeypatch, 0, 1, 0, 1)
         alice_link, bob_link = memory_pair()
         with pytest.raises(ProtocolError, match=re.escape("n_errors must be an integer in [0, 1], got 2")):
             run_session_detailed(small_cfg(), (_SummaryRewriter(alice_link, n_errors=2), bob_link))
@@ -1587,6 +1616,17 @@ class TestExactSummary:
         summary = exact_session_summary(cfg)
         assert summary.raw_rate_hz == pytest.approx(3921.0560847676825 * 0.25)
         assert summary.qber.qber == pytest.approx(0.06, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [SessionConfig(pair_rate_hz=0.0), SessionConfig(detectors=DetectorParams(efficiency=0.0))],
+        ids=["no-pairs", "no-efficiency"],
+    )
+    def test_no_expected_coincidence_gives_no_key(self, cfg):
+        summary = exact_session_summary(cfg)
+        for got in (summary.n_coincidences, summary.final_key_bits, summary.multi_pair_fraction):
+            assert type(got) is float and got == 0.0
+        assert summary.qber == QberReport(0, 0, None, None)
 
     def test_monte_carlo_converges_to_exact(self):
         cfg = small_cfg(duration_s=5.0, sample_fraction=1.0)
